@@ -12,7 +12,6 @@
 #include "bench/bench_util.h"
 #include "src/schedule/search_space.h"
 #include "src/support/string_util.h"
-#include "src/support/thread_pool.h"
 #include "src/slicing/slicers.h"
 #include "src/tuning/tuner.h"
 
@@ -66,10 +65,9 @@ void Run() {
     CostModel cost(arch);
     TuningStats stats = TuneKernel(&result, cost, rc);
 
-    // Host-side tuning wall-clock: the config sweep is the compiler's
-    // dominant parallel loop (SPACEFUSION_JOBS), so it is timed over
-    // repeated sweeps for a stable per-sweep figure. The sweep is
-    // deterministic, so every iteration retunes to the same schedule.
+    // Host-side tuning wall-clock, timed over repeated sweeps for a stable
+    // per-sweep figure. The sweep is deterministic, so every iteration
+    // retunes to the same schedule.
     constexpr int kSweeps = 400;
     WallTimer tune_timer;
     for (int i = 0; i < kSweeps; ++i) {
@@ -88,12 +86,10 @@ void Run() {
     RecordBenchValue(StrCat(label, ".tune_wall_ms"), tune_wall_ms);
     std::printf("%-16s %19.2f ms %9.2f ms %19.2f ms %10.2f s %10.2f s\n", label, ts_ms, enum_ms,
                 ss_ms, stats.simulated_tuning_seconds, total_s);
-    std::printf("  (%d configs screened, %d measured, %d early-quit; host sweep %.3f ms at"
-                " %d jobs)\n",
+    std::printf("  (%d configs screened, %d measured, %d early-quit; host sweep %.3f ms)\n",
                 stats.configs_screened, stats.configs_tried, stats.configs_early_quit,
-                tune_wall_ms, GlobalThreadPool().concurrency());
+                tune_wall_ms);
   }
-  RecordBenchValue("jobs", GlobalThreadPool().concurrency());
   std::printf("\nPaper reference: MHA(32,1024) tuning 33.04s / total 36.33s;"
               " MHA(32,256) tuning 29.55s / total 33.41s.\n");
 }

@@ -61,6 +61,9 @@ std::vector<std::string> ShapeDispatchTable::Buckets() const {
 Status RunBucketedSubprogram(const ShapeDispatchTable::Entry& entry, size_t sub_index,
                              const BucketedModel& exact, const TensorEnv& exact_inputs,
                              TensorEnv* exact_outputs, const BucketRunOptions& run) {
+  if (run.backend == ExecBackend::kJit && run.jit == nullptr) {
+    return InvalidArgument("jit backend requested without a JitExecutor");
+  }
   const BucketedModel& bucketed = entry.result.bucketed;
   if (sub_index >= bucketed.model.subprograms.size() ||
       sub_index >= exact.model.subprograms.size()) {
@@ -120,12 +123,12 @@ Status RunBucketedSubprogram(const ShapeDispatchTable::Entry& entry, size_t sub_
   const CompiledSubprogram& compiled =
       entry.result.compiled.unique_subprograms[entry.sub_to_unique[sub_index]];
   TensorEnv bucket_outputs;
-  if (run.backend == ExecBackend::kJit && run.jit != nullptr) {
+  if (run.backend == ExecBackend::kJit) {
     SF_RETURN_IF_ERROR(run.jit->RunProgram(compiled.program, bucket_graph, bucket_env,
                                            &bucket_outputs));
   } else {
-    SF_RETURN_IF_ERROR(RunScheduledProgramWithBackend(run.backend, compiled.program, bucket_graph,
-                                                      bucket_env, &bucket_outputs));
+    SF_RETURN_IF_ERROR(
+        RunScheduledProgram(compiled.program, bucket_graph, bucket_env, &bucket_outputs));
   }
 
   const std::vector<TensorId> output_ids = bucket_graph.OutputIds();

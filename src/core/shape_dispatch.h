@@ -24,9 +24,9 @@
 
 namespace spacefusion {
 
-// How a dispatched subprogram executes. kJit uses `jit` when provided (e.g.
-// a JitExecutor sharing the engine's prewarmed kernel cache), else the
-// process-wide executor behind RunScheduledProgramWithBackend.
+// How a dispatched subprogram executes: kInterpret runs the schedule
+// interpreter; kJit runs `jit` (e.g. a JitExecutor sharing the engine's
+// prewarmed kernel cache), which must then be non-null.
 struct BucketRunOptions {
   ExecBackend backend = ExecBackend::kInterpret;
   JitExecutor* jit = nullptr;
@@ -74,6 +74,7 @@ class ShapeDispatchTable {
 // lays them out) are padded to the bucket extents, the bucket's compiled
 // program runs, and the outputs are sliced back into *exact_outputs at the
 // exact graph's output ids (mirroring RunScheduledProgram's contract).
+// kJit without an executor is INVALID_ARGUMENT.
 //
 // `exact` must come from BuildModelBucketed at the request shape (identity
 // policy) — the factory guarantees tensor-id correspondence with the bucket

@@ -1,7 +1,5 @@
 #include "src/exec/jit_executor.h"
 
-#include <cstdlib>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,24 +9,6 @@
 #include "src/support/logging.h"
 
 namespace spacefusion {
-
-const char* ExecBackendName(ExecBackend backend) {
-  switch (backend) {
-    case ExecBackend::kInterpret:
-      return "interpret";
-    case ExecBackend::kJit:
-      return "jit";
-  }
-  return "?";
-}
-
-ExecBackend ExecBackendFromEnv() {
-  const char* env = std::getenv("SPACEFUSION_EXEC");
-  if (env != nullptr && std::string(env) == "jit") {
-    return ExecBackend::kJit;
-  }
-  return ExecBackend::kInterpret;
-}
 
 JitExecutor::JitExecutor(JitExecutorOptions options) : options_(std::move(options)) {
   if (options_.cache.dir.empty()) {
@@ -111,69 +91,14 @@ Status JitExecutor::RunProgram(const ScheduledProgram& program, const Graph& ori
   ScopedSpan span("exec.jit.run_program", "exec");
   span.Arg("graph", original.name())
       .Arg("kernels", static_cast<std::int64_t>(program.kernels.size()));
-  // Mirrors RunScheduledProgram: boundary tensors are handed between
-  // kernels by name.
-  std::map<std::string, Tensor> by_name;
-  for (const TensorInfo& t : original.tensors()) {
-    if (t.kind == TensorKind::kInput || t.kind == TensorKind::kWeight ||
-        t.kind == TensorKind::kConstant) {
-      by_name[t.name] = original_inputs[static_cast<size_t>(t.id)];
-    }
-  }
-
-  for (const SmgSchedule& kernel : program.kernels) {
-    const Graph& graph = kernel.graph;
-    TensorEnv env(graph.tensors().size());
-    for (const TensorInfo& t : graph.tensors()) {
-      if (t.kind == TensorKind::kIntermediate || t.kind == TensorKind::kOutput) {
-        continue;
-      }
-      auto it = by_name.find(t.name);
-      if (it != by_name.end()) {
-        env[static_cast<size_t>(t.id)] = it->second;
-      } else if (t.kind == TensorKind::kConstant) {
-        env[static_cast<size_t>(t.id)] = Tensor::Full(t.shape, t.constant_value, t.dtype);
-      } else {
-        return Internal("kernel " + graph.name() + " misses input " + t.name);
-      }
-    }
-    SF_RETURN_IF_ERROR(RunKernel(kernel, &env));
-    for (const TensorInfo& t : graph.tensors()) {
-      if (t.kind == TensorKind::kOutput) {
-        by_name[t.name] = env[static_cast<size_t>(t.id)];
-      }
-    }
-  }
-
-  final_outputs->assign(original.tensors().size(), Tensor());
-  for (const TensorInfo& t : original.tensors()) {
-    if (t.kind == TensorKind::kOutput) {
-      auto it = by_name.find(t.name);
-      if (it == by_name.end()) {
-        return Internal("program did not produce output " + t.name);
-      }
-      (*final_outputs)[static_cast<size_t>(t.id)] = it->second;
-    }
-  }
-  return Status::Ok();
+  return RunProgramWith(
+      [this](const SmgSchedule& kernel, TensorEnv* env) { return RunKernel(kernel, env); },
+      program, original, original_inputs, final_outputs);
 }
 
 JitExecutor::Stats JitExecutor::stats() const {
   MutexLock lock(mu_);
   return stats_;
-}
-
-Status RunScheduledProgramWithBackend(ExecBackend backend, const ScheduledProgram& program,
-                                      const Graph& original, const TensorEnv& original_inputs,
-                                      TensorEnv* final_outputs) {
-  if (backend == ExecBackend::kInterpret) {
-    return RunScheduledProgram(program, original, original_inputs, final_outputs);
-  }
-  // One process-wide executor so repeated calls share the in-memory handle
-  // map on top of the persistent on-disk cache. Never destroyed: dlopened
-  // code may still be referenced at exit.
-  static JitExecutor* executor = new JitExecutor();
-  return executor->RunProgram(program, original, original_inputs, final_outputs);
 }
 
 }  // namespace spacefusion

@@ -4,8 +4,8 @@
 // compiles it through the persistent JIT kernel cache (jit_cache), and runs
 // the resulting shared object. Every jit failure — emission, toolchain,
 // dlopen, corrupt cache entry — falls back to the schedule interpreter
-// (fallback ladder jit -> interpret), so SPACEFUSION_EXEC=jit can never
-// produce fewer answers than SPACEFUSION_EXEC=interpret, only faster ones.
+// (fallback ladder jit -> interpret), so the JIT can never produce fewer
+// answers than the interpreter, only faster ones.
 //
 // Numerics: the emitted code replays the interpreter's exact per-element
 // operation order and is compiled with -ffp-contract=off, so outputs are
@@ -26,11 +26,6 @@ namespace spacefusion {
 
 // Which executor runs a compiled schedule.
 enum class ExecBackend { kInterpret, kJit };
-
-const char* ExecBackendName(ExecBackend backend);
-
-// SPACEFUSION_EXEC={interpret,jit}; anything else (or unset) interprets.
-ExecBackend ExecBackendFromEnv();
 
 struct JitExecutorOptions {
   CppCodegenOptions codegen;
@@ -60,8 +55,8 @@ class JitExecutor {
   // possible. Mirrors RunSchedule's contract.
   Status RunKernel(const SmgSchedule& schedule, TensorEnv* env);
 
-  // Executes a partitioned program: kernels in sequence, cut tensors handed
-  // between kernels by name. Mirrors RunScheduledProgram's contract.
+  // Executes a partitioned program: RunProgramWith over RunKernel. Mirrors
+  // RunScheduledProgram's contract.
   Status RunProgram(const ScheduledProgram& program, const Graph& original,
                     const TensorEnv& original_inputs, TensorEnv* final_outputs);
 
@@ -78,12 +73,6 @@ class JitExecutor {
   mutable Mutex mu_;
   Stats stats_ SF_GUARDED_BY(mu_);
 };
-
-// Convenience dispatch: kInterpret calls RunScheduledProgram; kJit runs a
-// process-wide JitExecutor with default (environment-driven) options.
-Status RunScheduledProgramWithBackend(ExecBackend backend, const ScheduledProgram& program,
-                                      const Graph& original, const TensorEnv& original_inputs,
-                                      TensorEnv* final_outputs);
 
 }  // namespace spacefusion
 

@@ -209,11 +209,9 @@ Status RunSchedule(const SmgSchedule& schedule, TensorEnv* env) {
   return Status::Ok();
 }
 
-Status RunScheduledProgram(const ScheduledProgram& program, const Graph& original,
-                           const TensorEnv& original_inputs, TensorEnv* final_outputs) {
-  ScopedSpan span("exec.run_program", "exec");
-  span.Arg("graph", original.name())
-      .Arg("kernels", static_cast<std::int64_t>(program.kernels.size()));
+Status RunProgramWith(const KernelRunner& run_kernel, const ScheduledProgram& program,
+                      const Graph& original, const TensorEnv& original_inputs,
+                      TensorEnv* final_outputs) {
   std::map<std::string, Tensor> by_name;
   for (const TensorInfo& t : original.tensors()) {
     if (t.kind == TensorKind::kInput || t.kind == TensorKind::kWeight ||
@@ -238,7 +236,7 @@ Status RunScheduledProgram(const ScheduledProgram& program, const Graph& origina
         return Internal(StrCat("kernel ", graph.name(), " misses input ", t.name));
       }
     }
-    SF_RETURN_IF_ERROR(RunSchedule(kernel, &env));
+    SF_RETURN_IF_ERROR(run_kernel(kernel, &env));
     for (const TensorInfo& t : graph.tensors()) {
       if (t.kind == TensorKind::kOutput) {
         by_name[t.name] = env[static_cast<size_t>(t.id)];
@@ -257,6 +255,14 @@ Status RunScheduledProgram(const ScheduledProgram& program, const Graph& origina
     }
   }
   return Status::Ok();
+}
+
+Status RunScheduledProgram(const ScheduledProgram& program, const Graph& original,
+                           const TensorEnv& original_inputs, TensorEnv* final_outputs) {
+  ScopedSpan span("exec.run_program", "exec");
+  span.Arg("graph", original.name())
+      .Arg("kernels", static_cast<std::int64_t>(program.kernels.size()));
+  return RunProgramWith(RunSchedule, program, original, original_inputs, final_outputs);
 }
 
 }  // namespace spacefusion

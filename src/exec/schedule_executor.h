@@ -17,6 +17,8 @@
 #ifndef SPACEFUSION_SRC_EXEC_SCHEDULE_EXECUTOR_H_
 #define SPACEFUSION_SRC_EXEC_SCHEDULE_EXECUTOR_H_
 
+#include <functional>
+
 #include "src/exec/reference_executor.h"
 #include "src/schedule/schedule_ir.h"
 #include "src/support/status.h"
@@ -27,8 +29,19 @@ namespace spacefusion {
 // outputs/intermediates are written).
 Status RunSchedule(const SmgSchedule& schedule, TensorEnv* env);
 
-// Executes a partitioned program: kernels in sequence, cut tensors handed
-// from one kernel's outputs to the next kernel's inputs by name.
+// Runs one fused kernel with RunSchedule's contract: RunSchedule itself, or
+// a JitExecutor's RunKernel.
+using KernelRunner = std::function<Status(const SmgSchedule&, TensorEnv*)>;
+
+// The program loop every executor shares: kernels run in sequence through
+// `run_kernel`, cut tensors handed from one kernel's outputs to the next
+// kernel's inputs by name.
+Status RunProgramWith(const KernelRunner& run_kernel, const ScheduledProgram& program,
+                      const Graph& original, const TensorEnv& original_inputs,
+                      TensorEnv* final_outputs);
+
+// Executes a partitioned program on the interpreter (RunProgramWith over
+// RunSchedule).
 Status RunScheduledProgram(const ScheduledProgram& program, const Graph& original,
                            const TensorEnv& original_inputs, TensorEnv* final_outputs);
 

@@ -24,9 +24,9 @@
 
 namespace spacefusion {
 
-// One pass execution inside a compile: wall-clock and CPU time. CPU < wall
-// signals the pass blocked (I/O, lock contention); CPU > wall signals
-// parallel work (the tuner's worker pool).
+// One pass execution inside a compile: wall-clock and process CPU time.
+// CPU < wall signals the pass blocked (I/O, lock contention); CPU > wall
+// signals other threads of the process were busy (concurrent requests).
 struct PassReportEntry {
   std::string pass;
   double wall_ms = 0.0;

@@ -28,8 +28,6 @@ CaptureState& State() {
   return *state;
 }
 
-thread_local PhaseAccumulator* tl_accumulator = nullptr;
-
 std::string EscapeJson(const std::string& raw) {
   std::string out;
   out.reserve(raw.size() + 2);
@@ -124,10 +122,6 @@ namespace obs_internal {
 
 std::atomic<bool> g_trace_active{false};
 
-bool SpanCaptureActive() {
-  return g_trace_active.load(std::memory_order_relaxed) || tl_accumulator != nullptr;
-}
-
 int CurrentThreadId() {
   static std::atomic<int> next_id{1};
   thread_local int id = next_id.fetch_add(1, std::memory_order_relaxed);
@@ -137,18 +131,6 @@ int CurrentThreadId() {
 void RecordSpan(const char* name, const char* cat,
                 std::chrono::steady_clock::time_point start,
                 std::chrono::steady_clock::time_point end, std::vector<TraceArg>&& args) {
-  double dur_us = std::chrono::duration<double, std::micro>(end - start).count();
-
-  for (PhaseAccumulator* acc = tl_accumulator; acc != nullptr; acc = acc->parent_) {
-    MutexLock lock(acc->mu_);
-    PhaseAccumulator::PhaseTotal& total = acc->totals_[name];
-    total.total_ms += dur_us * 1e-3;
-    ++total.count;
-  }
-
-  if (!g_trace_active.load(std::memory_order_relaxed)) {
-    return;
-  }
   CaptureState& state = State();
   MutexLock lock(state.mu);
   if (!state.active) {
@@ -158,7 +140,7 @@ void RecordSpan(const char* name, const char* cat,
   event.name = name;
   event.cat = cat;
   event.ts_us = std::chrono::duration<double, std::micro>(start - state.epoch).count();
-  event.dur_us = dur_us;
+  event.dur_us = std::chrono::duration<double, std::micro>(end - start).count();
   event.tid = CurrentThreadId();
   event.args = std::move(args);
   state.events.push_back(std::move(event));
@@ -277,44 +259,5 @@ Status FlushEnvTrace() {
   std::vector<TraceEvent> events = StopCapture();
   return WriteFile(path, TraceEventsToJson(events));
 }
-
-PhaseAccumulator::PhaseAccumulator() : parent_(tl_accumulator) { tl_accumulator = this; }
-
-PhaseAccumulator::~PhaseAccumulator() { tl_accumulator = parent_; }
-
-double PhaseAccumulator::TotalMs(const std::string& name) const {
-  MutexLock lock(mu_);
-  auto it = totals_.find(name);
-  return it == totals_.end() ? 0.0 : it->second.total_ms;
-}
-
-std::int64_t PhaseAccumulator::SpanCount(const std::string& name) const {
-  MutexLock lock(mu_);
-  auto it = totals_.find(name);
-  return it == totals_.end() ? 0 : it->second.count;
-}
-
-std::map<std::string, double> PhaseAccumulator::AllTotalsMs() const {
-  MutexLock lock(mu_);
-  std::map<std::string, double> out;
-  for (const auto& [name, total] : totals_) {
-    out.emplace(name, total.total_ms);
-  }
-  return out;
-}
-
-namespace obs_internal {
-
-PhaseAccumulator* CurrentPhaseAccumulator() { return tl_accumulator; }
-
-}  // namespace obs_internal
-
-ScopedPhaseHandoff::ScopedPhaseHandoff(PhaseAccumulator* stack_top) : saved_(tl_accumulator) {
-  if (stack_top != nullptr) {
-    tl_accumulator = stack_top;
-  }
-}
-
-ScopedPhaseHandoff::~ScopedPhaseHandoff() { tl_accumulator = saved_; }
 
 }  // namespace spacefusion

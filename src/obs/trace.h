@@ -5,8 +5,7 @@
 // serialized as complete "X" events with start + duration, which
 // chrome://tracing and Perfetto stack by timestamp) and may carry typed
 // key/value args. Capture is off by default and the disabled path is one
-// relaxed atomic load plus a thread-local read, so instrumentation can stay
-// in hot code.
+// relaxed atomic load, so instrumentation can stay in hot code.
 //
 // Two ways to capture:
 //   * SPACEFUSION_TRACE=<path> in the environment: a process-wide session
@@ -14,23 +13,16 @@
 //   * TraceSession session("out.json"): scoped capture; the file is written
 //     when the session stops (or is destroyed). With an empty path the
 //     events stay in memory for inspection (tests, custom sinks).
-//
-// Independent of full tracing, a PhaseAccumulator collects per-span-name
-// wall-clock totals on the current thread; the compiler derives its
-// CompileTimeBreakdown (Table 4/5) from these span totals instead of
-// hand-threaded stopwatches.
 #ifndef SPACEFUSION_SRC_OBS_TRACE_H_
 #define SPACEFUSION_SRC_OBS_TRACE_H_
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "src/support/status.h"
-#include "src/support/thread_annotations.h"
 
 namespace spacefusion {
 
@@ -52,15 +44,9 @@ struct TraceEvent {
   std::vector<TraceArg> args;
 };
 
-class PhaseAccumulator;
-
 namespace obs_internal {
 
 extern std::atomic<bool> g_trace_active;
-
-// True when a span started now would be recorded anywhere (trace session
-// active, or a PhaseAccumulator open on this thread).
-bool SpanCaptureActive();
 
 void RecordSpan(const char* name, const char* cat,
                 std::chrono::steady_clock::time_point start,
@@ -69,29 +55,7 @@ void RecordSpan(const char* name, const char* cat,
 // Small dense id for the calling thread (Chrome traces want integer tids).
 int CurrentThreadId();
 
-// Top of the calling thread's PhaseAccumulator stack (nullptr when none is
-// open). Capture before handing work to a thread pool, then install on the
-// worker with ScopedPhaseHandoff so spans completed there still land in the
-// caller's CompileTimeBreakdown totals.
-PhaseAccumulator* CurrentPhaseAccumulator();
-
 }  // namespace obs_internal
-
-// Installs a (possibly foreign-thread) accumulator stack as the current
-// thread's for the lifetime of this object. Used inside thread-pool task
-// bodies; accumulator updates are mutex-guarded, so several workers may
-// share one handed-off stack. A nullptr stack is a no-op install.
-class ScopedPhaseHandoff {
- public:
-  explicit ScopedPhaseHandoff(PhaseAccumulator* stack_top);
-  ~ScopedPhaseHandoff();
-
-  ScopedPhaseHandoff(const ScopedPhaseHandoff&) = delete;
-  ScopedPhaseHandoff& operator=(const ScopedPhaseHandoff&) = delete;
-
- private:
-  PhaseAccumulator* saved_;
-};
 
 // True while a trace session (API or SPACEFUSION_TRACE) is capturing.
 inline bool TracingEnabled() {
@@ -103,7 +67,7 @@ inline bool TracingEnabled() {
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name, const char* cat = "compile") {
-    if (obs_internal::SpanCaptureActive()) {
+    if (TracingEnabled()) {
       active_ = true;
       name_ = name;
       cat_ = cat;
@@ -185,44 +149,6 @@ bool StartTraceFromEnv();
 // Stops the env-activated session (if any) and writes its JSON file.
 // Returns the write status; Ok when no env session was active.
 Status FlushEnvTrace();
-
-// Collects per-span-name wall-clock totals for spans completed on this
-// thread while the accumulator is open. Accumulators nest (each sees every
-// span), and they make spans record even with tracing disabled — they are
-// the measurement substrate for CompileTimeBreakdown. Updates are
-// mutex-guarded so a stack handed to pool workers (ScopedPhaseHandoff) may
-// be fed from several threads at once; the totals then sum CPU time across
-// workers, like the serial compile summed it on one thread.
-class PhaseAccumulator {
- public:
-  PhaseAccumulator();
-  ~PhaseAccumulator();
-
-  PhaseAccumulator(const PhaseAccumulator&) = delete;
-  PhaseAccumulator& operator=(const PhaseAccumulator&) = delete;
-
-  // Total duration of all completed spans named exactly `name`, in ms.
-  double TotalMs(const std::string& name) const;
-  // Number of completed spans named `name`.
-  std::int64_t SpanCount(const std::string& name) const;
-  // Snapshot of every span-name total, in ms. Lets a caller that outlives
-  // the accumulator (e.g. the PassManager) keep the whole breakdown.
-  std::map<std::string, double> AllTotalsMs() const;
-
- private:
-  friend void obs_internal::RecordSpan(const char*, const char*,
-                                       std::chrono::steady_clock::time_point,
-                                       std::chrono::steady_clock::time_point,
-                                       std::vector<TraceArg>&&);
-
-  struct PhaseTotal {
-    double total_ms = 0.0;
-    std::int64_t count = 0;
-  };
-  mutable Mutex mu_;
-  std::map<std::string, PhaseTotal> totals_ SF_GUARDED_BY(mu_);
-  PhaseAccumulator* parent_ = nullptr;  // next accumulator down the stack
-};
 
 }  // namespace spacefusion
 

@@ -137,12 +137,7 @@ PassManager::PassManager(std::vector<std::unique_ptr<Pass>> passes, PassManagerO
     : passes_(std::move(passes)), options_(std::move(options)) {}
 
 Status PassManager::Run(CompilationState* state) {
-  // One accumulator spans the run: every span completed by any pass (or by
-  // pool workers via ScopedPhaseHandoff) lands in the per-name totals that
-  // CompileTimeBreakdown is derived from.
-  PhaseAccumulator phases;
   timings_.clear();
-  span_totals_ms_.clear();
   const bool verify_on =
       state->options != nullptr && state->options->verify != VerifyMode::kOff;
   Status status = Status::Ok();
@@ -184,12 +179,6 @@ Status PassManager::Run(CompilationState* state) {
       options_.dump_sink(pass->name(), state->DumpArtifacts());
     }
   }
-  for (const PassTiming& timing : timings_) {
-    span_totals_ms_[StrCat("pass.", timing.pass)] = 0.0;  // ensure pass rows exist
-  }
-  for (const auto& [name, total_ms] : phases.AllTotalsMs()) {
-    span_totals_ms_[name] = total_ms;
-  }
   return status;
 }
 
@@ -200,11 +189,6 @@ double PassManager::PassMs(const std::string& pass_name) const {
     }
   }
   return 0.0;
-}
-
-double PassManager::SpanTotalMs(const std::string& span_name) const {
-  auto it = span_totals_ms_.find(span_name);
-  return it == span_totals_ms_.end() ? 0.0 : it->second;
 }
 
 }  // namespace spacefusion

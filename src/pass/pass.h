@@ -68,10 +68,9 @@ struct CompileOptions {
 };
 
 // Compile-time breakdown of one subprogram (Table 4's columns). The
-// wall-clock columns are derived from the PassManager's pass timings and
-// span totals (the accumulator sums the scheduling passes and the
-// "search.enum_cfg" spans), so they stay consistent with what
-// SPACEFUSION_TRACE captures.
+// wall-clock columns split the BuildSmg + SlicingPipeline pass time: the
+// enumeration column is the time EnumerateConfigs ran (carried on the
+// slicing results), and the slicing column is the rest.
 struct CompileTimeBreakdown {
   double slicing_ms = 0.0;    // TS.getPriorDim + TS.slice + SS.getDims + SS.slice
   double enum_cfg_ms = 0.0;   // search-space enumeration
@@ -137,8 +136,10 @@ struct CompilationState {
   std::vector<SmgBuildResult> component_smgs;
   // SlicingPipeline: candidate programs (fused + Sec. 5.3 split).
   PipelineResult pipeline;
-  // EnumerateConfigs: total enumerated configs across candidates.
+  // EnumerateConfigs: total enumerated configs across candidates, and the
+  // wall-clock their enumeration took.
   std::int64_t enumerated_configs = 0;
+  double enum_cfg_ms = 0.0;
   // Tune/ExpertConfig + PlanMemory + Lower + Estimate: per-candidate
   // compiled results, then the argmin winner.
   std::vector<CompiledSubprogram> candidates;
@@ -178,9 +179,8 @@ class Pass {
 struct PassTiming {
   std::string pass;
   double ms = 0.0;      // wall clock
-  // Process CPU time (std::clock) spent while the pass ran. Greater than
-  // wall means parallel work (the tuner's pool); approximate when other
-  // requests compile concurrently in the same process.
+  // Process CPU time (std::clock) spent while the pass ran; approximate
+  // when other requests compile concurrently in the same process.
   double cpu_ms = 0.0;
 };
 
@@ -207,10 +207,8 @@ struct PassManagerOptions {
   PassManagerOptions();
 };
 
-// Runs a pass list over a CompilationState. One PhaseAccumulator spans the
-// whole run, so span-derived totals (e.g. "search.enum_cfg") are available
-// afterwards; each pass additionally gets a steady-clock timing, a
-// "pass.<name>" trace span, and pass.<name>.{runs,ms} metrics.
+// Runs a pass list over a CompilationState. Each pass gets a steady-clock
+// timing, a "pass.<name>" trace span, and pass.<name>.{runs,ms} metrics.
 class PassManager {
  public:
   explicit PassManager(std::vector<std::unique_ptr<Pass>> passes,
@@ -222,8 +220,6 @@ class PassManager {
   const std::vector<PassTiming>& timings() const { return timings_; }
   // Timing of one pass by name (0 when the pass did not run).
   double PassMs(const std::string& pass_name) const;
-  // Span-name totals accumulated during the last Run (PhaseAccumulator).
-  double SpanTotalMs(const std::string& span_name) const;
 
   const std::vector<std::unique_ptr<Pass>>& passes() const { return passes_; }
 
@@ -231,7 +227,6 @@ class PassManager {
   std::vector<std::unique_ptr<Pass>> passes_;
   PassManagerOptions options_;
   std::vector<PassTiming> timings_;
-  std::map<std::string, double> span_totals_ms_;
 };
 
 // The Fig. 9 compile pipeline as a pass list:

@@ -1,10 +1,9 @@
 // The Fig. 9 compile pipeline, one pass per phase. Behavior (selected
 // schedules, tuning statistics, metric/span names) is kept identical to the
-// former monolithic Compiler::CompileUncached: the pipeline/tuning loops
-// preserve the deterministic indexed-slot + in-order-fold structure, and the
-// argmin over candidates is serial with strict less-than (first wins).
+// former monolithic Compiler::CompileUncached: pieces, candidates and
+// kernels are visited in order, and the argmin over candidates uses strict
+// less-than (first wins).
 #include <algorithm>
-#include <optional>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -12,7 +11,6 @@
 #include "src/schedule/lowering.h"
 #include "src/schedule/partitioner.h"
 #include "src/support/logging.h"
-#include "src/support/thread_pool.h"
 
 namespace spacefusion {
 namespace {
@@ -80,31 +78,16 @@ class SlicingPipelinePass : public Pass {
     ScopedSpan pipeline_span("compiler.pipeline");
     const std::vector<Graph>& components = state->components;
 
-    // Concatenates per-graph pipelines into one candidate program. The
-    // pieces are independent subgraphs, so their pipelines run concurrently
-    // into indexed slots; the merge (and error selection) walks the slots
-    // in piece order, keeping the result identical to the serial loop.
+    // Concatenates per-graph pipelines into one candidate program, in piece
+    // order; the first failing piece fails the candidate.
     auto compile_pieces = [&](const std::vector<Graph>& pieces) -> StatusOr<ProgramCandidate> {
-      std::vector<std::optional<StatusOr<PipelineResult>>> parts(pieces.size());
-      PhaseAccumulator* phase_stack = obs_internal::CurrentPhaseAccumulator();
-      GlobalThreadPool().ParallelFor(
-          static_cast<std::int64_t>(pieces.size()),
-          [&, phase_stack](std::int64_t begin, std::int64_t end) {
-            ScopedPhaseHandoff handoff(phase_stack);
-            for (std::int64_t i = begin; i < end; ++i) {
-              parts[static_cast<size_t>(i)] =
-                  RunSlicingPipeline(pieces[static_cast<size_t>(i)], rc, slicing);
-            }
-          });
       ProgramCandidate candidate;
-      for (std::optional<StatusOr<PipelineResult>>& part : parts) {
-        if (!part->ok()) {
-          return part->status();
-        }
-        for (SlicingResult& kernel : part->value().candidates.front().kernels) {
+      for (const Graph& piece : pieces) {
+        SF_ASSIGN_OR_RETURN(PipelineResult part, RunSlicingPipeline(piece, rc, slicing));
+        for (SlicingResult& kernel : part.candidates.front().kernels) {
           candidate.kernels.push_back(std::move(kernel));
         }
-        candidate.partition_rounds += part->value().candidates.front().partition_rounds;
+        candidate.partition_rounds += part.candidates.front().partition_rounds;
       }
       return candidate;
     };
@@ -142,8 +125,8 @@ class SlicingPipelinePass : public Pass {
 // Search spaces are enumerated inside the slicing pipeline (schedulability
 // and enumeration are one fixpoint); this pass accounts for what came out —
 // the candidate-program histogram, the Table 6 fusion-pattern statistics,
-// and the total enumerated-config count — and carries the kFull sweep over
-// every candidate config as its exit invariant.
+// and the total enumerated-config count and enumeration time — and carries
+// the kFull sweep over every candidate config as its exit invariant.
 class EnumerateConfigsPass : public Pass {
  public:
   const char* name() const override { return "EnumerateConfigs"; }
@@ -155,9 +138,11 @@ class EnumerateConfigsPass : public Pass {
     // if tuning ultimately prefers another candidate program (Table 6 counts
     // what the scheduler can fuse, not what it deploys).
     state->enumerated_configs = 0;
+    state->enum_cfg_ms = 0.0;
     for (const ProgramCandidate& candidate : state->pipeline.candidates) {
       for (const SlicingResult& kernel : candidate.kernels) {
         state->enumerated_configs += static_cast<std::int64_t>(kernel.configs.size());
+        state->enum_cfg_ms += kernel.enum_cfg_ms;
         if (state->fusion != nullptr) {
           state->fusion->Record(kernel.schedule.graph);
         }
@@ -209,24 +194,9 @@ class TunePass : public Pass {
   Status Run(CompilationState* state) override {
     EnsureCandidateSlots(state);
     for (size_t ci = 0; ci < state->pipeline.candidates.size(); ++ci) {
-      ProgramCandidate& candidate = state->pipeline.candidates[ci];
-      // The candidate's kernels are independent SMG blocks: tune them
-      // concurrently (each TuneKernel further parallelizes its config sweep
-      // when it lands on the caller), then fold the stats in kernel order
-      // so the totals are deterministic.
-      std::vector<TuningStats> kernel_stats(candidate.kernels.size());
-      PhaseAccumulator* phase_stack = obs_internal::CurrentPhaseAccumulator();
-      GlobalThreadPool().ParallelFor(
-          static_cast<std::int64_t>(candidate.kernels.size()),
-          [&, phase_stack](std::int64_t begin, std::int64_t end) {
-            ScopedPhaseHandoff handoff(phase_stack);
-            for (std::int64_t i = begin; i < end; ++i) {
-              kernel_stats[static_cast<size_t>(i)] =
-                  TuneKernel(&candidate.kernels[static_cast<size_t>(i)], *state->cost, state->rc,
-                             state->options->tuner, state->cost_cache);
-            }
-          });
-      for (TuningStats& stats : kernel_stats) {
+      for (SlicingResult& kernel : state->pipeline.candidates[ci].kernels) {
+        TuningStats stats = TuneKernel(&kernel, *state->cost, state->rc, state->options->tuner,
+                                       state->cost_cache);
         state->total_tuning_s += stats.simulated_tuning_seconds;
         state->configs_tried += stats.configs_tried;
         state->configs_screened += stats.configs_screened;
@@ -307,8 +277,7 @@ class EstimatePass : public Pass {
   const char* name() const override { return "Estimate"; }
 
   Status Run(CompilationState* state) override {
-    // Serial argmin with strict less-than: the first candidate wins ties,
-    // independent of job count.
+    // Argmin with strict less-than: the first candidate wins ties.
     for (CompiledSubprogram& compiled : state->candidates) {
       {
         ScopedSpan estimate_span("compiler.estimate", "simulate");

@@ -1,12 +1,9 @@
 #include "src/schedule/pipeline.h"
 
-#include <optional>
-
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/support/logging.h"
 #include "src/support/string_util.h"
-#include "src/support/thread_pool.h"
 
 namespace spacefusion {
 
@@ -70,26 +67,12 @@ StatusOr<PipelineResult> RunSlicingPipeline(const Graph& graph, const ResourceCo
     SF_TRACE_SPAN("pipeline.alternative_candidate");
     SF_COUNTER_ADD("pipeline.alternative_candidates", 1);
     auto [front, back] = SplitGraph(alt_graph, alt_cut);
-    // The front slice and the back chain touch disjoint graphs, so they
-    // compile concurrently; the merge below reads both results only after
-    // the ParallelFor barrier.
-    std::optional<StatusOr<SlicingResult>> front_sliced;
+    StatusOr<SlicingResult> front_sliced = ResourceAwareSlicing(front, rc, options);
     ProgramCandidate back_chain;
-    Status back_status;
-    PhaseAccumulator* phase_stack = obs_internal::CurrentPhaseAccumulator();
-    GlobalThreadPool().ParallelFor(2, [&, phase_stack](std::int64_t begin, std::int64_t end) {
-      ScopedPhaseHandoff handoff(phase_stack);
-      for (std::int64_t i = begin; i < end; ++i) {
-        if (i == 0) {
-          front_sliced = ResourceAwareSlicing(front, rc, options);
-        } else {
-          back_status = CompileChain(back, rc, options, &back_chain, nullptr, nullptr);
-        }
-      }
-    });
-    if (front_sliced->ok() && back_status.ok()) {
+    Status back_status = CompileChain(back, rc, options, &back_chain, nullptr, nullptr);
+    if (front_sliced.ok() && back_status.ok()) {
       ProgramCandidate alternative;
-      alternative.kernels.push_back(std::move(*front_sliced).value());
+      alternative.kernels.push_back(std::move(front_sliced).value());
       for (SlicingResult& kernel : back_chain.kernels) {
         alternative.kernels.push_back(std::move(kernel));
       }

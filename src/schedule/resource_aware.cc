@@ -1,5 +1,7 @@
 #include "src/schedule/resource_aware.h"
 
+#include <chrono>
+
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/slicing/slicers.h"
@@ -7,6 +9,22 @@
 #include "src/support/string_util.h"
 
 namespace spacefusion {
+
+namespace {
+
+// EnumerateConfigs, with its wall-clock added to result->enum_cfg_ms.
+std::vector<ScheduleConfig> TimedEnumerateConfigs(SlicingResult* result, const ResourceConfig& rc,
+                                                  bool include_temporal,
+                                                  const SearchOptions& options) {
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<ScheduleConfig> configs =
+      EnumerateConfigs(&result->schedule, rc, include_temporal, options, &result->footprints);
+  result->enum_cfg_ms +=
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start).count();
+  return configs;
+}
+
+}  // namespace
 
 StatusOr<SlicingResult> ResourceAwareSlicing(const Graph& graph, const ResourceConfig& rc,
                                              const SlicingOptions& options) {
@@ -41,8 +59,8 @@ StatusOr<SlicingResult> ResourceAwareSlicing(const Graph& graph, const ResourceC
       sched.spatial.push_back(s);
     }
 
-    std::vector<ScheduleConfig> spatial_configs = EnumerateConfigs(
-        &sched, rc, /*include_temporal=*/false, options.search, &result.footprints);
+    std::vector<ScheduleConfig> spatial_configs =
+        TimedEnumerateConfigs(&result, rc, /*include_temporal=*/false, options.search);
     for (ScheduleConfig& c : spatial_configs) {
       result.configs.push_back(std::move(c));
     }
@@ -64,8 +82,8 @@ StatusOr<SlicingResult> ResourceAwareSlicing(const Graph& graph, const ResourceC
       sched.temporal.dim = choice->dim;
       sched.temporal.block = sched.built.smg.dim(choice->dim).extent;
       sched.plan = choice->plan;
-      std::vector<ScheduleConfig> temporal_configs = EnumerateConfigs(
-          &sched, rc, /*include_temporal=*/true, options.search, &result.footprints);
+      std::vector<ScheduleConfig> temporal_configs =
+          TimedEnumerateConfigs(&result, rc, /*include_temporal=*/true, options.search);
       for (ScheduleConfig& c : temporal_configs) {
         result.configs.push_back(std::move(c));
       }

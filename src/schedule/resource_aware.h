@@ -29,6 +29,9 @@ struct SlicingResult {
   // Parallel to `configs`: the screening footprint captured while each
   // config was applied during enumeration (tuner stage-1 input).
   std::vector<ConfigFootprint> footprints;
+  // Wall-clock spent in EnumerateConfigs for this kernel (Table 4's enumCfg
+  // column; the engine sums it over the candidate programs).
+  double enum_cfg_ms = 0.0;
 };
 
 // Runs Algorithm 1 on a subprogram. Fails with kUnschedulable when the SMG

@@ -81,8 +81,6 @@ std::vector<std::int64_t> TemporalCandidates(const Smg& smg, DimId dim, std::int
 std::vector<ScheduleConfig> EnumerateConfigs(SmgSchedule* schedule, const ResourceConfig& rc,
                                              bool include_temporal, const SearchOptions& options,
                                              std::vector<ConfigFootprint>* footprints) {
-  // The span name is load-bearing: the compiler's Table 4 "enumCfg" column
-  // is the accumulated duration of "search.enum_cfg" spans.
   ScopedSpan span("search.enum_cfg", "search");
   span.Arg("graph", schedule->graph.name()).Arg("temporal", include_temporal ? 1 : 0);
   const Smg& smg = schedule->built.smg;

@@ -22,10 +22,8 @@
 //     dropped.
 //
 // Responses are futures: Submit never blocks on a compile. The server owns a
-// private ThreadPool for job execution — deliberately NOT the global pool,
-// whose zero-worker configuration runs Submit inline (the engine's tuner
-// still uses the global pool inside a job, so SPACEFUSION_JOBS keeps
-// controlling intra-compile parallelism).
+// ThreadPool of `workers` threads for job execution; each job compiles on
+// the worker that runs it, so at most `workers` compiles run at once.
 //
 // Pause/Resume gate job *starts* (running jobs finish). Tests use it to make
 // admission behavior deterministic: pause, storm the server, assert
@@ -51,8 +49,8 @@ namespace spacefusion {
 struct ServeServerOptions {
   // Base compile options; a request's "arch" replaces the architecture.
   CompileOptions compile;
-  // Compile worker threads (clamped to >= 1; the global pool's zero-worker
-  // inline mode would break Submit's async contract).
+  // Compile worker threads (clamped to >= 1; a zero-worker pool runs
+  // Submit inline, which would break Submit's async contract).
   int workers = 2;
   // Max distinct compile jobs queued or running before new jobs are
   // rejected. Coalescing waiters don't count: they add no work.

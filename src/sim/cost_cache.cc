@@ -4,54 +4,36 @@
 
 namespace spacefusion {
 
-CostCache::Shard& CostCache::ShardFor(const std::string& key) {
-  return shards_[std::hash<std::string>{}(key) % kNumShards];
-}
-
 KernelCost CostCache::GetOrCompute(std::uint64_t kernel_sig, const std::string& config_key,
                                    const std::function<KernelCost()>& eval) {
   std::string key = std::to_string(kernel_sig) + "|" + config_key;
-  Shard& shard = ShardFor(key);
   {
-    MutexLock lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
+    MutexLock lock(mu_);
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+      ++stats_.hits;
       SF_COUNTER_ADD("cost_cache.hits", 1);
-      {
-        MutexLock slock(stats_mu_);
-        ++stats_.hits;
-      }
       return it->second;
     }
   }
-  // Evaluate outside the shard lock: a concurrent miss on the same key
-  // recomputes the same pure value, which beats serializing distinct keys
-  // that happen to share a shard.
   KernelCost cost = eval();
   {
-    MutexLock lock(shard.mu);
-    shard.map.emplace(key, cost);
-  }
-  SF_COUNTER_ADD("cost_cache.misses", 1);
-  {
-    MutexLock slock(stats_mu_);
+    MutexLock lock(mu_);
+    map_.emplace(std::move(key), cost);
     ++stats_.misses;
   }
+  SF_COUNTER_ADD("cost_cache.misses", 1);
   return cost;
 }
 
 CostCache::Stats CostCache::stats() const {
-  MutexLock lock(stats_mu_);
+  MutexLock lock(mu_);
   return stats_;
 }
 
 std::int64_t CostCache::size() const {
-  std::int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    total += static_cast<std::int64_t>(shard.map.size());
-  }
-  return total;
+  MutexLock lock(mu_);
+  return static_cast<std::int64_t>(map_.size());
 }
 
 }  // namespace spacefusion

@@ -1,5 +1,4 @@
-// Thread-safe memoization table in front of CostModel for tuner config
-// evaluations.
+// Memoization table in front of CostModel for tuner config evaluations.
 //
 // The tuner evaluates (apply config -> plan memory -> lower -> estimate)
 // for every configuration of every kernel; identical SMG blocks recur both
@@ -10,9 +9,13 @@
 // full KernelCost. Hits and misses are exported through the obs metrics
 // registry as "cost_cache.hits" / "cost_cache.misses".
 //
+// One mutex guards the table: the engine shares a cache between concurrent
+// requests (sf-serve's few compile workers), and each compile runs on one
+// thread.
+//
 // Determinism: a cached value is exactly the value the evaluation would
 // recompute (the evaluation is a pure function of the key), so tuning
-// results are bit-identical with or without the cache, at any thread count.
+// results are bit-identical with or without the cache.
 #ifndef SPACEFUSION_SRC_SIM_COST_CACHE_H_
 #define SPACEFUSION_SRC_SIM_COST_CACHE_H_
 
@@ -34,8 +37,9 @@ class CostCache {
   };
 
   // Returns the cached cost for (kernel_sig, config_key), or computes it
-  // with `eval` and inserts. `eval` may run concurrently for the same key
-  // on a race (both compute the same pure value; one insert wins).
+  // with `eval` and inserts. `eval` runs outside the lock, so two requests
+  // missing on the same key may both compute it (the same pure value; the
+  // first insert wins).
   KernelCost GetOrCompute(std::uint64_t kernel_sig, const std::string& config_key,
                           const std::function<KernelCost()>& eval);
 
@@ -43,17 +47,9 @@ class CostCache {
   std::int64_t size() const;
 
  private:
-  struct Shard {
-    mutable Mutex mu;
-    std::unordered_map<std::string, KernelCost> map SF_GUARDED_BY(mu);
-  };
-  static constexpr int kNumShards = 16;
-
-  Shard& ShardFor(const std::string& key);
-
-  Shard shards_[kNumShards];
-  mutable Mutex stats_mu_;
-  Stats stats_ SF_GUARDED_BY(stats_mu_);
+  mutable Mutex mu_;
+  std::unordered_map<std::string, KernelCost> map_ SF_GUARDED_BY(mu_);
+  Stats stats_ SF_GUARDED_BY(mu_);
 };
 
 }  // namespace spacefusion

@@ -1,7 +1,5 @@
 #include "src/support/thread_pool.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
 
 namespace spacefusion {
@@ -13,30 +11,6 @@ namespace {
 thread_local const ThreadPool* tl_pool = nullptr;
 
 }  // namespace
-
-int ParseJobs(const char* text) {
-  if (text == nullptr || text[0] == '\0') {
-    return 0;
-  }
-  char* end = nullptr;
-  long value = std::strtol(text, &end, 10);
-  while (end != nullptr && (*end == ' ' || *end == '\t')) {
-    ++end;
-  }
-  if (end == nullptr || *end != '\0' || value <= 0) {
-    return 0;  // garbage / zero / negative: no override
-  }
-  return value > 256 ? 256 : static_cast<int>(value);
-}
-
-int DefaultJobCount() {
-  int jobs = ParseJobs(std::getenv("SPACEFUSION_JOBS"));
-  if (jobs > 0) {
-    return jobs;
-  }
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
 
 ThreadPool::ThreadPool(int workers) {
   if (workers < 0) {
@@ -93,123 +67,6 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
   }
   cv_.NotifyOne();
   return future;
-}
-
-void ThreadPool::ParallelFor(std::int64_t n,
-                             const std::function<void(std::int64_t, std::int64_t)>& fn) {
-  if (n <= 0) {
-    return;
-  }
-  if (InPool() || workers() == 0 || n == 1) {
-    fn(0, n);  // serial path; also the nested-parallelism deadlock guard
-    return;
-  }
-
-  struct ForState {
-    std::atomic<std::int64_t> next{0};
-    std::atomic<bool> failed{false};
-    std::int64_t total_chunks = 0;
-    std::int64_t chunk = 0;
-    std::int64_t n = 0;
-    const std::function<void(std::int64_t, std::int64_t)>* fn = nullptr;
-    Mutex mu;
-    CondVar done_cv;
-    int pending_tasks SF_GUARDED_BY(mu) = 0;
-    std::exception_ptr error SF_GUARDED_BY(mu);
-  };
-  auto state = std::make_shared<ForState>();
-  state->chunk = std::max<std::int64_t>(1, n / (static_cast<std::int64_t>(concurrency()) * 4));
-  state->total_chunks = (n + state->chunk - 1) / state->chunk;
-  state->n = n;
-  state->fn = &fn;
-
-  // Every runner (workers and the caller) claims chunks until exhausted;
-  // results land in caller-indexed slots so claim order never matters.
-  auto run_chunks = [](ForState* s) {
-    while (!s->failed.load(std::memory_order_relaxed)) {
-      std::int64_t c = s->next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= s->total_chunks) {
-        return;
-      }
-      std::int64_t begin = c * s->chunk;
-      std::int64_t end = std::min(s->n, begin + s->chunk);
-      try {
-        (*s->fn)(begin, end);
-      } catch (...) {
-        MutexLock lock(s->mu);
-        if (!s->error) {
-          s->error = std::current_exception();
-        }
-        s->failed.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-
-  std::int64_t helper_tasks =
-      std::min<std::int64_t>(workers(), std::max<std::int64_t>(0, state->total_chunks - 1));
-  {
-    // pending_tasks is written before any helper can run (the queue slots
-    // are filled under the pool lock) but is itself guarded by state->mu.
-    {
-      MutexLock slock(state->mu);
-      state->pending_tasks = static_cast<int>(helper_tasks);
-    }
-    MutexLock lock(mu_);
-    for (std::int64_t i = 0; i < helper_tasks; ++i) {
-      queue_.emplace_back([state, run_chunks] {
-        run_chunks(state.get());
-        {
-          MutexLock slock(state->mu);
-          --state->pending_tasks;
-        }
-        state->done_cv.NotifyOne();
-      });
-    }
-  }
-  cv_.NotifyAll();
-
-  run_chunks(state.get());
-  {
-    MutexLock lock(state->mu);
-    while (state->pending_tasks != 0) {
-      state->done_cv.Wait(state->mu);
-    }
-    if (state->error) {
-      std::rethrow_exception(state->error);
-    }
-  }
-}
-
-namespace {
-
-Mutex& GlobalPoolMutex() {
-  static Mutex mu;
-  return mu;
-}
-
-std::unique_ptr<ThreadPool>& GlobalPoolSlot() {
-  // unique_ptr (not a leaked raw pointer) so workers join at process exit
-  // and leak checkers stay quiet.
-  static std::unique_ptr<ThreadPool> pool;
-  return pool;
-}
-
-}  // namespace
-
-ThreadPool& GlobalThreadPool() {
-  MutexLock lock(GlobalPoolMutex());
-  std::unique_ptr<ThreadPool>& slot = GlobalPoolSlot();
-  if (slot == nullptr) {
-    slot = std::make_unique<ThreadPool>(DefaultJobCount() - 1);
-  }
-  return *slot;
-}
-
-void ResetGlobalThreadPool(int jobs) {
-  MutexLock lock(GlobalPoolMutex());
-  std::unique_ptr<ThreadPool>& slot = GlobalPoolSlot();
-  slot.reset();  // join the old workers before spawning replacements
-  slot = std::make_unique<ThreadPool>((jobs > 0 ? jobs : DefaultJobCount()) - 1);
 }
 
 }  // namespace spacefusion

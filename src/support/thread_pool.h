@@ -1,21 +1,12 @@
-// Fixed-size work-queue thread pool for the compiler's embarrassingly
-// parallel loops (tuner configuration measurement, per-kernel tuning,
-// pipeline candidates).
+// Fixed-size work-queue thread pool.
 //
-// Concurrency is controlled by SPACEFUSION_JOBS: the process-wide pool runs
-// `jobs - 1` worker threads and the calling thread participates in every
-// ParallelFor, so SPACEFUSION_JOBS=1 is exactly the serial path (no worker
-// threads, no queueing). Unset / zero / negative / garbage values fall back
-// to std::thread::hardware_concurrency().
-//
-// Determinism contract: the pool itself never orders results — callers
-// write into index-addressed slots and reduce serially afterwards, so a
-// ParallelFor over a pure function is bit-identical to the serial loop
-// regardless of the job count (see DESIGN.md "Parallel tuning").
+// ServeServer runs each admitted compile job on a private pool so its
+// Submit never blocks on a compile. Compilation itself runs on its caller's
+// thread: a compile takes milliseconds of host work, and fanning it out over
+// a pool made it slower (DESIGN.md "Single-threaded compilation").
 #ifndef SPACEFUSION_SRC_SUPPORT_THREAD_POOL_H_
 #define SPACEFUSION_SRC_SUPPORT_THREAD_POOL_H_
 
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -26,40 +17,24 @@
 
 namespace spacefusion {
 
-// Parses a SPACEFUSION_JOBS-style value. Returns the job count for a valid
-// positive integer and 0 for nullptr / empty / garbage / zero / negative
-// (meaning "no override; use hardware concurrency").
-int ParseJobs(const char* text);
-
-// The effective job count: SPACEFUSION_JOBS if valid, otherwise
-// std::thread::hardware_concurrency() (at least 1).
-int DefaultJobCount();
-
 class ThreadPool {
  public:
   // Spawns exactly `workers` threads (clamped to >= 0). With zero workers
-  // every Submit/ParallelFor runs inline on the calling thread.
+  // every Submit runs inline on the calling thread.
   explicit ThreadPool(int workers);
+  // Drains the queue, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int workers() const { return static_cast<int>(threads_.size()); }
-  // Concurrency of a ParallelFor: workers plus the participating caller.
-  int concurrency() const { return workers() + 1; }
 
   // Enqueues `fn`; the future rethrows fn's exception on get(). Deadlock
   // guard: called from one of this pool's own workers (or with zero
   // workers), fn runs inline before Submit returns, so a task may submit
   // and wait on subtasks without consuming a queue slot it is blocking.
   std::future<void> Submit(std::function<void()> fn);
-
-  // Runs fn(begin, end) over disjoint chunks covering [0, n); blocks until
-  // every chunk completed. The calling thread claims chunks alongside the
-  // workers; nested calls from a worker run serially inline. The first
-  // exception thrown by any chunk is rethrown after completion.
-  void ParallelFor(std::int64_t n, const std::function<void(std::int64_t, std::int64_t)>& fn);
 
   // True on a thread owned by this pool.
   bool InPool() const;
@@ -74,15 +49,6 @@ class ThreadPool {
   std::vector<std::thread> threads_;
   bool shutdown_ SF_GUARDED_BY(mu_) = false;
 };
-
-// The process-wide pool, created on first use with DefaultJobCount() - 1
-// workers. References stay valid until the next ResetGlobalThreadPool.
-ThreadPool& GlobalThreadPool();
-
-// Replaces the global pool (joining the old workers first). `jobs <= 0`
-// re-derives the count from the environment. Test / bench setup only: no
-// tasks may be in flight.
-void ResetGlobalThreadPool(int jobs = 0);
 
 }  // namespace spacefusion
 

@@ -12,7 +12,6 @@
 #include "src/schedule/lowering.h"
 #include "src/sim/cost_cache.h"
 #include "src/support/logging.h"
-#include "src/support/thread_pool.h"
 
 namespace spacefusion {
 
@@ -78,14 +77,12 @@ TuningStats TuneKernel(SlicingResult* result, const CostModel& cost, const Resou
 
   const std::uint64_t sig =
       cache != nullptr ? ScheduleSignature(result->schedule, cost.arch(), rc) : 0;
-  PhaseAccumulator* phases = obs_internal::CurrentPhaseAccumulator();
 
   // ---- Stage 1: analytical screening --------------------------------------
   // Every config gets a closed-form lower-bound score from its enumeration
   // footprint (no ApplyConfig / PlanMemory / lowering). The screened top-K
   // plus the guaranteed-admission epsilon band reach full fidelity; the rest
-  // are dropped. Scores land in indexed slots and the selection scan is
-  // serial, so admission is bit-identical across SPACEFUSION_JOBS.
+  // are dropped. Ties in the score order break toward the lower index.
   const std::int64_t top_k = options.screen_top_k < 0
                                  ? std::max<std::int64_t>(8, n / 10)
                                  : static_cast<std::int64_t>(options.screen_top_k);
@@ -95,14 +92,11 @@ TuningStats TuneKernel(SlicingResult* result, const CostModel& cost, const Resou
   if (screening) {
     ScopedSpan screen_span("tuner.screen", "tuning");
     const ScreenContext ctx = MakeScreenContext(result->schedule);
-    std::vector<double> score(static_cast<size_t>(n));
-    GlobalThreadPool().ParallelFor(n, [&, phases](std::int64_t begin, std::int64_t end) {
-      ScopedPhaseHandoff handoff(phases);
-      for (std::int64_t i = begin; i < end; ++i) {
-        score[static_cast<size_t>(i)] =
-            cost.ScreenKernel(LowerForScreening(ctx, result->footprints[static_cast<size_t>(i)]));
-      }
-    });
+    std::vector<double> score;
+    score.reserve(static_cast<size_t>(n));
+    for (const ConfigFootprint& footprint : result->footprints) {
+      score.push_back(cost.ScreenKernel(LowerForScreening(ctx, footprint)));
+    }
     std::vector<std::int64_t> order(static_cast<size_t>(n));
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&score](std::int64_t a, std::int64_t b) {
@@ -133,33 +127,27 @@ TuningStats TuneKernel(SlicingResult* result, const CostModel& cost, const Resou
   }
 
   // ---- Stage 2: full-fidelity measurement sweep ---------------------------
-  // Every admitted config's cost lands in its own indexed slot, so the
-  // parallel sweep computes exactly what the serial loop would. Each chunk
-  // clones the schedule once and probes its configs on the clone, keeping
-  // ApplyConfig/PlanMemory off shared state.
+  // Configs are probed on one clone of the schedule, so the incoming block
+  // sizes never matter and re-tuning is idempotent. time_us is indexed by
+  // config; slots of configs that were not admitted stay unread.
   std::vector<double> time_us(static_cast<size_t>(n));
-  const std::int64_t n_admitted = static_cast<std::int64_t>(admitted.size());
-  GlobalThreadPool().ParallelFor(n_admitted, [&, phases](std::int64_t begin, std::int64_t end) {
-    ScopedPhaseHandoff handoff(phases);
-    SmgSchedule local = result->schedule;
-    for (std::int64_t j = begin; j < end; ++j) {
-      const std::int64_t i = admitted[static_cast<size_t>(j)];
-      const ScheduleConfig& config = result->configs[static_cast<size_t>(i)];
-      auto eval = [&]() -> KernelCost {
-        local.ApplyConfig(config);
-        PlanMemory(&local, rc);
-        AddressMap probe;
-        KernelSpec spec = LowerSchedule(local, &probe);
-        return cost.EstimateKernel(spec);
-      };
-      time_us[static_cast<size_t>(i)] =
-          (cache != nullptr ? cache->GetOrCompute(sig, config.ToString(), eval) : eval()).time_us;
-    }
-  });
+  SmgSchedule local = result->schedule;
+  for (std::int64_t i : admitted) {
+    const ScheduleConfig& config = result->configs[static_cast<size_t>(i)];
+    auto eval = [&]() -> KernelCost {
+      local.ApplyConfig(config);
+      PlanMemory(&local, rc);
+      AddressMap probe;
+      KernelSpec spec = LowerSchedule(local, &probe);
+      return cost.EstimateKernel(spec);
+    };
+    time_us[static_cast<size_t>(i)] =
+        (cache != nullptr ? cache->GetOrCompute(sig, config.ToString(), eval) : eval()).time_us;
+  }
 
-  // Serial selection scan in config order: deterministic argmin, lowest
-  // index wins ties. The winner never depends on a transfer prior or the
-  // job count — both only reshuffle *when* the modeled GPU measures things.
+  // Selection scan in config order: deterministic argmin, lowest index wins
+  // ties. The winner never depends on a transfer prior, which only
+  // reshuffles *when* the modeled GPU measures things.
   std::int64_t best_idx = -1;
   double best_time = 0.0;
   for (std::int64_t i : admitted) {
@@ -204,9 +192,8 @@ TuningStats TuneKernel(SlicingResult* result, const CostModel& cost, const Resou
   }
 
   // Early-quit accounting over the measurement order: 20 warm-up + 100
-  // timed runs per config, abandoned at alpha x the incumbent's total — so
-  // Table 4/5's simulated tuning seconds are independent of host-side
-  // parallelism. Only admitted configs are measured on the modeled GPU.
+  // timed runs per config, abandoned at alpha x the incumbent's total. Only
+  // admitted configs are measured on the modeled GPU.
   const int total_runs = options.warmup_runs + options.timed_runs;
   double incumbent_time = 0.0;
   double incumbent_total = 0.0;  // incumbent's full measurement time (us)

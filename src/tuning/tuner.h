@@ -14,14 +14,11 @@
 // fidelity. The screen score is a lower bound of the full estimate, and the
 // epsilon band guarantees near-ties are never dropped on screen noise.
 //
-// Host-side evaluation is parallelized over the global thread pool
-// (SPACEFUSION_JOBS), but the result is bit-identical to the serial sweep:
-// per-config costs are written to indexed slots, the argmin is a serial
-// scan (lowest index wins ties), and the early-quit charge is re-derived
-// from that scan's incumbent — the modeled GPU still measures configs one
-// after another, so simulated_tuning_seconds never depends on the job
-// count. simulated_tuning_seconds covers the configs that reach full
-// evaluation: those are the ones the modeled GPU measures.
+// The sweep runs on the caller's thread. The argmin scans configs in index
+// order (lowest index wins ties), and the early-quit charge replays the
+// modeled GPU measuring configs one after another in measurement order.
+// simulated_tuning_seconds covers the configs that reach full evaluation:
+// those are the ones the modeled GPU measures.
 #ifndef SPACEFUSION_SRC_TUNING_TUNER_H_
 #define SPACEFUSION_SRC_TUNING_TUNER_H_
 

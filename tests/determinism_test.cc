@@ -1,9 +1,10 @@
-// Determinism of the parallel auto-tuning engine: compilation output —
-// chosen ScheduleConfigs, cost-model values, simulated tuning seconds —
-// must be bit-identical at every SPACEFUSION_JOBS value, across repeated
-// runs, and with or without the cost cache. Also pins the serial on-GPU
-// measurement model behind TuningStats::simulated_tuning_seconds (Table 4/5)
-// so host-side parallelization can never silently change the paper numbers.
+// Determinism of the auto-tuning engine: compilation output — chosen
+// ScheduleConfigs, cost-model values, simulated tuning seconds — must be
+// bit-identical across repeated runs, with or without the cost cache or
+// stage-1 screening, and between cold, cached and warm-from-disk compiles.
+// Also pins the serial on-GPU measurement model behind
+// TuningStats::simulated_tuning_seconds (Table 4/5) so a change to the host
+// side can never silently change the paper numbers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,16 +24,10 @@
 #include "src/schedule/lowering.h"
 #include "src/schedule/resource_aware.h"
 #include "src/sim/cost_cache.h"
-#include "src/support/thread_pool.h"
 #include "src/tuning/tuner.h"
 
 namespace spacefusion {
 namespace {
-
-class DeterminismTest : public ::testing::Test {
- protected:
-  void TearDown() override { ResetGlobalThreadPool(); }
-};
 
 SlicingResult MhaSlicingResult(std::int64_t seq) {
   Graph g = BuildMha(/*batch_heads=*/32 * 12, seq, seq, /*head_dim=*/64);
@@ -48,10 +43,9 @@ bool StatsIdentical(const TuningStats& a, const TuningStats& b) {
          a.simulated_tuning_seconds == b.simulated_tuning_seconds;
 }
 
-TEST_F(DeterminismTest, TuneKernelTwiceIsIdentical) {
+TEST(DeterminismTest, TuneKernelTwiceIsIdentical) {
   ResourceConfig rc = ResourceConfig::FromArch(AmpereA100());
   CostModel cost(AmpereA100());
-  ResetGlobalThreadPool(8);
 
   SlicingResult first = MhaSlicingResult(256);
   SlicingResult second = first;
@@ -66,78 +60,38 @@ TEST_F(DeterminismTest, TuneKernelTwiceIsIdentical) {
   EXPECT_TRUE(StatsIdentical(stats1, stats3));
 }
 
-TEST_F(DeterminismTest, TuneKernelIdenticalAcrossJobCountsAndCache) {
+TEST(DeterminismTest, TuneKernelIdenticalAcrossJobCountsAndCache) {
   ResourceConfig rc = ResourceConfig::FromArch(AmpereA100());
   CostModel cost(AmpereA100());
 
-  ResetGlobalThreadPool(1);
-  SlicingResult serial = MhaSlicingResult(256);
-  TuningStats serial_stats = TuneKernel(&serial, cost, rc);
+  SlicingResult uncached = MhaSlicingResult(256);
+  TuningStats uncached_stats = TuneKernel(&uncached, cost, rc);
 
-  ResetGlobalThreadPool(8);
-  SlicingResult parallel = MhaSlicingResult(256);
-  TuningStats parallel_stats = TuneKernel(&parallel, cost, rc);
-  EXPECT_TRUE(StatsIdentical(serial_stats, parallel_stats));
-  EXPECT_EQ(serial.schedule.ToString(), parallel.schedule.ToString());
-
-  // A memoizing cache replays the same pure function: identical stats, and
-  // the second tune is answered entirely from cache.
+  // A memoizing cache replays the same pure function: identical stats and
+  // schedule, and the second tune is answered entirely from cache.
   CostCache cache;
   SlicingResult cached = MhaSlicingResult(256);
   TuningStats cached_stats = TuneKernel(&cached, cost, rc, TunerOptions(), &cache);
-  EXPECT_TRUE(StatsIdentical(serial_stats, cached_stats));
+  EXPECT_TRUE(StatsIdentical(uncached_stats, cached_stats));
+  EXPECT_EQ(uncached.schedule.ToString(), cached.schedule.ToString());
   EXPECT_EQ(cache.stats().hits, 0);
   EXPECT_EQ(cache.stats().misses, cached_stats.configs_tried);
 
   TuningStats replay_stats = TuneKernel(&cached, cost, rc, TunerOptions(), &cache);
-  EXPECT_TRUE(StatsIdentical(serial_stats, replay_stats));
+  EXPECT_TRUE(StatsIdentical(uncached_stats, replay_stats));
   EXPECT_EQ(cache.stats().hits, replay_stats.configs_tried);
   EXPECT_EQ(cache.stats().misses, cached_stats.configs_tried);
 }
 
-// Compiling a whole model must select identical schedules and report
-// identical cost-model values at SPACEFUSION_JOBS=1 and =8.
-TEST_F(DeterminismTest, CompileModelIdenticalAcrossJobCounts) {
-  ModelGraph model = BuildModel(GetModelConfig(ModelKind::kBert, /*batch=*/1, /*seq=*/128));
-
-  auto fingerprint = [&](int jobs) {
-    ResetGlobalThreadPool(jobs);
-    Compiler compiler{CompileOptions(AmpereA100())};
-    StatusOr<CompiledModel> compiled = compiler.CompileModel(model);
-    EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
-    std::string out;
-    for (const CompiledSubprogram& sub : compiled->unique_subprograms) {
-      for (const SmgSchedule& kernel : sub.program.kernels) {
-        out += kernel.ToString();
-      }
-      char line[128];
-      std::snprintf(line, sizeof(line), "est=%.17g tune=%.17g tried=%d\n", sub.estimate.time_us,
-                    sub.tuning.simulated_tuning_seconds, sub.tuning.configs_tried);
-      out += line;
-    }
-    char total[128];
-    std::snprintf(total, sizeof(total), "total=%.17g tuning_s=%.17g", compiled->total.time_us,
-                  compiled->compile_time.tuning_s);
-    out += total;
-    return out;
-  };
-
-  std::string serial = fingerprint(1);
-  std::string parallel = fingerprint(8);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, parallel);
-}
-
 // Both code emitters — Triton text and the native C++ the JIT compiles —
-// must be byte-identical across job counts and across repeated compiles:
-// the jit cache content-addresses kernels by a hash of the emitted source,
+// must be byte-identical across repeated compiles: the jit cache
+// content-addresses kernels by a hash of the emitted source,
 // so any nondeterminism here would shatter cache hit rates (and the
 // --emit-kernels artifacts would churn between CI runs).
-TEST_F(DeterminismTest, EmittedKernelSourceIdenticalAcrossJobCounts) {
+TEST(DeterminismTest, EmittedKernelSourceIdenticalAcrossJobCounts) {
   Graph g = BuildMha(/*batch_heads=*/12, /*seq_q=*/128, /*seq_kv=*/128, /*head_dim=*/64);
 
-  auto emit = [&](int jobs) {
-    ResetGlobalThreadPool(jobs);
+  auto emit = [&]() {
     Compiler compiler{CompileOptions(AmpereA100())};
     StatusOr<CompiledSubprogram> compiled = compiler.Compile(g);
     EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
@@ -147,20 +101,17 @@ TEST_F(DeterminismTest, EmittedKernelSourceIdenticalAcrossJobCounts) {
     return triton + "\n=====\n" + (cpp.ok() ? cpp.value() : "");
   };
 
-  std::string serial = emit(1);
-  std::string serial_again = emit(1);
-  std::string parallel = emit(8);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, serial_again) << "emitters are nondeterministic across repeated compiles";
-  EXPECT_EQ(serial, parallel) << "emitted kernel source depends on SPACEFUSION_JOBS";
+  std::string first = emit();
+  std::string again = emit();
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, again) << "emitters are nondeterministic across repeated compiles";
 }
 
 // Regression pin for the Table 4/5 fix: simulated_tuning_seconds models the
 // GPU measuring configurations *serially* (20 warm-up + 100 timed runs per
-// config, early-quit at alpha x the incumbent's total), independent of how
-// many host threads evaluated the cost model. The independent re-derivation
-// below must match the tuner bit-for-bit at jobs=8.
-TEST_F(DeterminismTest, SimulatedTuningSecondsModelsSerialMeasurement) {
+// config, early-quit at alpha x the incumbent's total). The independent
+// re-derivation below must match the tuner bit-for-bit.
+TEST(DeterminismTest, SimulatedTuningSecondsModelsSerialMeasurement) {
   ResourceConfig rc = ResourceConfig::FromArch(AmpereA100());
   CostModel cost(AmpereA100());
   TunerOptions options;
@@ -198,7 +149,6 @@ TEST_F(DeterminismTest, SimulatedTuningSecondsModelsSerialMeasurement) {
     }
   }
 
-  ResetGlobalThreadPool(8);
   TuningStats stats = TuneKernel(&result, cost, rc, options);
   EXPECT_EQ(stats.simulated_tuning_seconds, expected_seconds);
 
@@ -211,16 +161,14 @@ TEST_F(DeterminismTest, SimulatedTuningSecondsModelsSerialMeasurement) {
 
 // Acceptance gate for staged-fidelity tuning: on every built-in model, the
 // schedules the compiler selects with stage-1 screening enabled (the
-// default) are bit-identical to the exhaustive screening-off sweep, at every
-// job count — and each mode's fingerprint is itself identical across job
-// counts. Only the schedule/program part is compared; tuning *seconds*
-// legitimately shrink when fewer configs reach the modeled GPU.
-TEST_F(DeterminismTest, ScreeningPreservesSelectionAcrossJobCounts) {
+// default) are bit-identical to the exhaustive screening-off sweep. Only the
+// schedule/program part is compared; tuning *seconds* legitimately shrink
+// when fewer configs reach the modeled GPU.
+TEST(DeterminismTest, ScreeningPreservesSelectionAcrossJobCounts) {
   for (ModelKind kind : AllModelKinds()) {
     ModelGraph model = BuildModel(GetModelConfig(kind, /*batch=*/1, /*seq=*/128));
 
-    auto fingerprint = [&](int jobs, int screen_top_k) {
-      ResetGlobalThreadPool(jobs);
+    auto fingerprint = [&](int screen_top_k) {
       CompileOptions options(AmpereA100());
       options.tuner.screen_top_k = screen_top_k;
       Compiler compiler{options};
@@ -238,25 +186,20 @@ TEST_F(DeterminismTest, ScreeningPreservesSelectionAcrossJobCounts) {
       return out;
     };
 
-    std::string screened_serial = fingerprint(1, /*screen_top_k=*/-1);
-    std::string screened_parallel = fingerprint(8, /*screen_top_k=*/-1);
-    std::string full_serial = fingerprint(1, /*screen_top_k=*/0);
-    std::string full_parallel = fingerprint(8, /*screen_top_k=*/0);
+    std::string screened = fingerprint(/*screen_top_k=*/-1);
+    std::string full = fingerprint(/*screen_top_k=*/0);
 
-    EXPECT_FALSE(screened_serial.empty()) << ModelKindName(kind);
-    EXPECT_EQ(screened_serial, screened_parallel) << ModelKindName(kind);
-    EXPECT_EQ(full_serial, full_parallel) << ModelKindName(kind);
-    EXPECT_EQ(screened_serial, full_serial)
-        << ModelKindName(kind) << ": screening changed the selected schedule";
+    EXPECT_FALSE(screened.empty()) << ModelKindName(kind);
+    EXPECT_EQ(screened, full) << ModelKindName(kind) << ": screening changed the selected schedule";
   }
 }
 
 // Acceptance gate for the pass-manager/engine refactor: on every built-in
-// model, compiling through a CompilerEngine yields bit-identical schedules,
-// estimates, and simulated tuning seconds at SPACEFUSION_JOBS=1 and =8 —
-// and an engine serving the model from its program cache reports the same
-// fingerprint as the cold compile.
-TEST_F(DeterminismTest, EngineCompileIdenticalAcrossJobCountsAllModels) {
+// model, two cold compiles through fresh CompilerEngines yield bit-identical
+// schedules, estimates, and simulated tuning seconds — and an engine serving
+// the model from its program cache reports the same fingerprint as the cold
+// compile.
+TEST(DeterminismTest, EngineCompileIdenticalAcrossJobCountsAllModels) {
   for (ModelKind kind : AllModelKinds()) {
     ModelGraph model = BuildModel(GetModelConfig(kind, /*batch=*/1, /*seq=*/128));
 
@@ -279,39 +222,33 @@ TEST_F(DeterminismTest, EngineCompileIdenticalAcrossJobCountsAllModels) {
       return out;
     };
 
-    auto cold = [&](int jobs) {
-      ResetGlobalThreadPool(jobs);
+    std::string cold;
+    {
       CompilerEngine engine{CompileOptions(AmpereA100())};
       StatusOr<CompiledModel> compiled = engine.CompileModel(model);
-      EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
-      return model_fingerprint(*compiled);
-    };
-
-    std::string serial = cold(1);
-    std::string parallel = cold(8);
-    EXPECT_FALSE(serial.empty()) << ModelKindName(kind);
-    EXPECT_EQ(serial, parallel) << ModelKindName(kind);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      cold = model_fingerprint(*compiled);
+    }
+    EXPECT_FALSE(cold.empty()) << ModelKindName(kind);
 
     // Second compile on one engine is served from the program cache and
     // must be indistinguishable from the cold result.
-    ResetGlobalThreadPool(8);
     CompilerEngine engine{CompileOptions(AmpereA100())};
     StatusOr<CompiledModel> first = engine.CompileModel(model);
     ASSERT_TRUE(first.ok()) << first.status().ToString();
     StatusOr<CompiledModel> cached = engine.CompileModel(model);
     ASSERT_TRUE(cached.ok()) << cached.status().ToString();
     EXPECT_GE(engine.cache_stats().hits, 1) << ModelKindName(kind);
-    EXPECT_EQ(model_fingerprint(*first), serial) << ModelKindName(kind);
-    EXPECT_EQ(model_fingerprint(*cached), serial) << ModelKindName(kind);
+    EXPECT_EQ(model_fingerprint(*first), cold) << ModelKindName(kind);
+    EXPECT_EQ(model_fingerprint(*cached), cold) << ModelKindName(kind);
   }
 }
 
 // The persistent program cache joins the determinism contract: an engine
 // warming from disk (a restarted daemon) must produce schedules, estimates,
 // and simulated tuning seconds bit-identical to the cold compile that wrote
-// the cache — at every SPACEFUSION_JOBS value, since a persistent hit must
-// not depend on tuner parallelism at all.
-TEST_F(DeterminismTest, WarmFromDiskIdenticalToColdAllModels) {
+// the cache.
+TEST(DeterminismTest, WarmFromDiskIdenticalToColdAllModels) {
   const std::string cache_dir = testing::TempDir() + "/sf_determinism_warm_cache";
   std::filesystem::remove_all(cache_dir);
 
@@ -334,9 +271,8 @@ TEST_F(DeterminismTest, WarmFromDiskIdenticalToColdAllModels) {
     return out;
   };
 
-  auto compile_with_cache = [&](ModelKind kind, int jobs, std::string* outcome,
+  auto compile_with_cache = [&](ModelKind kind, std::string* outcome,
                                 CompilerEngine::CacheStats* stats) {
-    ResetGlobalThreadPool(jobs);
     EngineOptions options{CompileOptions(AmpereA100())};
     options.cache_dir = cache_dir;
     CompilerEngine engine(options);
@@ -351,19 +287,17 @@ TEST_F(DeterminismTest, WarmFromDiskIdenticalToColdAllModels) {
   for (ModelKind kind : AllModelKinds()) {
     std::string outcome;
     CompilerEngine::CacheStats stats;
-    const std::string cold = compile_with_cache(kind, /*jobs=*/1, &outcome, &stats);
+    const std::string cold = compile_with_cache(kind, &outcome, &stats);
     // Albert shares Bert's subprogram structure, so by the time it compiles
     // the cache already holds its programs; everything else starts cold.
     ASSERT_TRUE(outcome == "cold" || kind == ModelKind::kAlbert) << ModelKindName(kind);
 
-    for (int jobs : {1, 8}) {
-      const std::string warm = compile_with_cache(kind, jobs, &outcome, &stats);
-      EXPECT_EQ(warm, cold) << ModelKindName(kind) << " jobs=" << jobs;
-      EXPECT_EQ(outcome, "persistent_hit") << ModelKindName(kind) << " jobs=" << jobs;
-      EXPECT_GT(stats.persistent_hits, 0) << ModelKindName(kind);
-      EXPECT_EQ(stats.persistent_stale, 0);
-      EXPECT_EQ(stats.persistent_corrupt, 0);
-    }
+    const std::string warm = compile_with_cache(kind, &outcome, &stats);
+    EXPECT_EQ(warm, cold) << ModelKindName(kind);
+    EXPECT_EQ(outcome, "persistent_hit") << ModelKindName(kind);
+    EXPECT_GT(stats.persistent_hits, 0) << ModelKindName(kind);
+    EXPECT_EQ(stats.persistent_stale, 0);
+    EXPECT_EQ(stats.persistent_corrupt, 0);
   }
 }
 
@@ -371,7 +305,7 @@ TEST_F(DeterminismTest, WarmFromDiskIdenticalToColdAllModels) {
 // architecture — are silently ignored: the engine compiles cold, the result
 // is bit-identical to a never-cached compile, and only the stale counter
 // betrays that anything was found on disk.
-TEST_F(DeterminismTest, StaleCacheEntriesFallBackToColdSilently) {
+TEST(DeterminismTest, StaleCacheEntriesFallBackToColdSilently) {
   const std::string cache_dir = testing::TempDir() + "/sf_determinism_stale_cache";
   std::filesystem::remove_all(cache_dir);
 
@@ -379,7 +313,6 @@ TEST_F(DeterminismTest, StaleCacheEntriesFallBackToColdSilently) {
   options.cache_dir = cache_dir;
   ModelGraph model = BuildModel(GetModelConfig(ModelKind::kBert, /*batch=*/1, /*seq=*/128));
 
-  ResetGlobalThreadPool(8);
   std::string cold_schedules;
   {
     CompilerEngine engine(options);
@@ -445,7 +378,7 @@ class NullReportSink : public ReportSink {
   CompileReport last_;
 };
 
-TEST_F(DeterminismTest, SchedulesBitIdenticalWithReportingOnAndOff) {
+TEST(DeterminismTest, SchedulesBitIdenticalWithReportingOnAndOff) {
   ModelGraph model = BuildModel(GetModelConfig(ModelKind::kBert, /*batch=*/1, /*seq=*/128));
 
   auto model_fingerprint = [](const CompiledModel& compiled) {
@@ -466,7 +399,6 @@ TEST_F(DeterminismTest, SchedulesBitIdenticalWithReportingOnAndOff) {
     return out;
   };
 
-  ResetGlobalThreadPool(8);
   CompilerEngine plain{CompileOptions(AmpereA100())};
   StatusOr<CompiledModel> off = plain.CompileModel(model);
   ASSERT_TRUE(off.ok()) << off.status().ToString();
@@ -486,14 +418,13 @@ TEST_F(DeterminismTest, SchedulesBitIdenticalWithReportingOnAndOff) {
   EXPECT_EQ(on->report.outcome, "cold");
 }
 
-TEST_F(DeterminismTest, ReportingOverheadIsNegligible) {
+TEST(DeterminismTest, ReportingOverheadIsNegligible) {
   // Median cold-compile wall time with default (sink-less) reporting vs a
   // live sink + labeled metrics. Locally the delta is well under 1%; the
   // bound is deliberately loose (2x on the median of 5) so scheduler noise
   // on shared CI runners can never flake this test while a real O(compile)
   // regression — e.g. rendering every report to JSON on the hot path —
   // still trips it.
-  ResetGlobalThreadPool(4);
   Graph g = BuildMha(4, 128, 128, 64);
 
   auto median_compile_ms = [&](bool with_reporting) {

@@ -1,19 +1,12 @@
 // Differential-testing suite: for a corpus of randomly generated graphs
 // (shared generators in tests/random_graph.h), every schedule the compiler
 // chooses must execute — via the fused ScheduleExecutor — to the same
-// values as the unfused ReferenceExecutor, under serial (SPACEFUSION_JOBS=1)
-// and parallel (=8) tuning alike. The parallel compile must also choose
-// exactly the schedules the serial compile chose: the thread pool's
-// determinism contract (indexed results + serial argmin reduction) makes
-// job count invisible to compilation output.
+// values as the unfused ReferenceExecutor.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "src/core/spacefusion.h"
-#include "src/support/thread_pool.h"
 #include "tests/random_graph.h"
 
 namespace spacefusion {
@@ -21,95 +14,50 @@ namespace {
 
 using testing_util::RandomGraph;
 
-// Compiles `g` at the given job count and checks the fused program against
-// the unfused reference on every graph output. Returns a fingerprint of
-// every chosen schedule (exact block sizes, temporal steps, memory plan)
-// plus the bit-exact cost estimate.
-std::string CompileAndCheck(const Graph& g, int jobs, std::uint64_t input_seed) {
-  ResetGlobalThreadPool(jobs);
-  Compiler compiler{CompileOptions(AmpereA100())};
+// Compiles `g` with `options` and checks the fused program against the
+// unfused reference on every graph output.
+void ExpectFusedMatchesReference(const Graph& g, const CompileOptions& options,
+                                 std::uint64_t input_seed) {
+  Compiler compiler{options};
   StatusOr<CompiledSubprogram> compiled = compiler.Compile(g);
-  EXPECT_TRUE(compiled.ok()) << g.ToString() << "\n" << compiled.status().ToString();
-  if (!compiled.ok()) {
-    return "";
-  }
+  ASSERT_TRUE(compiled.ok()) << g.ToString() << "\n" << compiled.status().ToString();
 
   TensorEnv inputs = MakeGraphInputs(g, input_seed);
   TensorEnv reference = inputs;
   RunReference(g, &reference);
   TensorEnv outputs;
   Status st = RunScheduledProgram(compiled->program, g, inputs, &outputs);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  if (st.ok()) {
-    for (TensorId out : g.OutputIds()) {
-      float diff = MaxRelDiff(outputs[static_cast<size_t>(out)],
-                              reference[static_cast<size_t>(out)]);
-      EXPECT_LT(diff, 1e-2f) << "jobs=" << jobs << "\n" << g.ToString();
-    }
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  for (TensorId out : g.OutputIds()) {
+    EXPECT_LT(MaxRelDiff(outputs[static_cast<size_t>(out)], reference[static_cast<size_t>(out)]),
+              1e-2f)
+        << g.ToString();
   }
-
-  std::string fingerprint;
-  for (const SmgSchedule& kernel : compiled->program.kernels) {
-    fingerprint += kernel.ToString();
-    fingerprint += "\n";
-  }
-  char cost[64];
-  std::snprintf(cost, sizeof(cost), "estimate=%.17g tuning=%.17g", compiled->estimate.time_us,
-                compiled->tuning.simulated_tuning_seconds);
-  fingerprint += cost;
-  return fingerprint;
 }
 
-class DifferentialTest : public ::testing::TestWithParam<int> {
- protected:
-  // Later suites expect the default pool; put it back after each override.
-  void TearDown() override { ResetGlobalThreadPool(); }
-};
+class DifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DifferentialTest, FusedMatchesReferenceAtEveryJobCount) {
   // A corpus disjoint from fuzz_test's (different seed stride).
   std::uint64_t seed = static_cast<std::uint64_t>(GetParam()) * 2654435761ULL + 7;
   Graph g = RandomGraph(seed);
   ASSERT_TRUE(g.Validate().ok());
-
-  std::string serial = CompileAndCheck(g, /*jobs=*/1, /*input_seed=*/seed ^ 0x5F);
-  std::string parallel = CompileAndCheck(g, /*jobs=*/8, /*input_seed=*/seed ^ 0x5F);
-  EXPECT_EQ(serial, parallel) << "schedule choice depends on SPACEFUSION_JOBS\n" << g.ToString();
+  ExpectFusedMatchesReference(g, CompileOptions(AmpereA100()), /*input_seed=*/seed ^ 0x5F);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest, ::testing::Range(0, 24));
 
-// The expert-config (no auto-scheduling) path never touches the tuner's
-// parallel sweep; it must also stay numerically sound so the ablation
-// variants keep working under the parallel pipeline stages.
-class DifferentialExpertTest : public ::testing::TestWithParam<int> {
- protected:
-  void TearDown() override { ResetGlobalThreadPool(); }
-};
+// The expert-config (no auto-scheduling) path never runs the tuner's sweep;
+// it must also stay numerically sound so the ablation variants keep working.
+class DifferentialExpertTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DifferentialExpertTest, ExpertConfigsMatchReference) {
   std::uint64_t seed = static_cast<std::uint64_t>(GetParam()) * 9176101ULL + 3;
   Graph g = RandomGraph(seed);
   ASSERT_TRUE(g.Validate().ok());
-
-  ResetGlobalThreadPool(8);
   CompileOptions options{AmpereA100()};
   options.enable_auto_scheduling = false;
-  Compiler compiler{options};
-  StatusOr<CompiledSubprogram> compiled = compiler.Compile(g);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-
-  TensorEnv inputs = MakeGraphInputs(g, 99);
-  TensorEnv reference = inputs;
-  RunReference(g, &reference);
-  TensorEnv outputs;
-  ASSERT_TRUE(RunScheduledProgram(compiled->program, g, inputs, &outputs).ok());
-  for (TensorId out : g.OutputIds()) {
-    EXPECT_LT(MaxRelDiff(outputs[static_cast<size_t>(out)],
-                         reference[static_cast<size_t>(out)]),
-              1e-2f)
-        << g.ToString();
-  }
+  ExpectFusedMatchesReference(g, options, /*input_seed=*/99);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialExpertTest, ::testing::Range(0, 8));

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -27,7 +26,6 @@
 #include "src/graph/models.h"
 #include "src/graph/subgraphs.h"
 #include "src/support/file_util.h"
-#include "src/support/thread_pool.h"
 #include "tests/random_graph.h"
 
 namespace spacefusion {
@@ -97,48 +95,43 @@ void ExpectJitMatchesInterpreter(const Graph& g, std::uint64_t seed, JitExecutor
   }
 }
 
-class JitExecutorTest : public ::testing::Test {
- protected:
-  void TearDown() override { ResetGlobalThreadPool(); }
-};
-
-TEST_F(JitExecutorTest, MhaMatchesInterpreter) {
+TEST(JitExecutorTest, MhaMatchesInterpreter) {
   Graph g = BuildMha(/*batch_heads=*/4, /*seq_q=*/32, /*seq_kv=*/32, /*head_dim=*/16);
   ExpectJitMatchesInterpreter(g, /*seed=*/11, SharedExecutor());
   EXPECT_GT(SharedExecutor().stats().jit_runs, 0);
   EXPECT_EQ(SharedExecutor().stats().fallbacks, 0);
 }
 
-TEST_F(JitExecutorTest, MaskedMhaMatchesInterpreter) {
+TEST(JitExecutorTest, MaskedMhaMatchesInterpreter) {
   Graph g = BuildMha(/*batch_heads=*/2, /*seq_q=*/24, /*seq_kv=*/24, /*head_dim=*/8,
                      /*masked=*/true);
   ExpectJitMatchesInterpreter(g, /*seed=*/12, SharedExecutor());
 }
 
-TEST_F(JitExecutorTest, LayerNormMatchesInterpreter) {
+TEST(JitExecutorTest, LayerNormMatchesInterpreter) {
   Graph g = BuildLayerNormGraph(/*m=*/48, /*n=*/96);
   ExpectJitMatchesInterpreter(g, /*seed=*/13, SharedExecutor());
 }
 
-TEST_F(JitExecutorTest, MlpMatchesInterpreter) {
+TEST(JitExecutorTest, MlpMatchesInterpreter) {
   Graph g = BuildMlp(/*num_layers=*/3, /*m=*/16, /*n=*/32, /*k=*/24);
   ExpectJitMatchesInterpreter(g, /*seed=*/14, SharedExecutor());
 }
 
-TEST_F(JitExecutorTest, FfnMatchesInterpreter) {
+TEST(JitExecutorTest, FfnMatchesInterpreter) {
   Graph g = BuildFfn(/*tokens=*/32, /*hidden=*/48, /*ffn_dim=*/96, UnaryKind::kGelu,
                      NormKind::kLayerNorm);
   ExpectJitMatchesInterpreter(g, /*seed=*/15, SharedExecutor());
 }
 
-TEST_F(JitExecutorTest, SwigluFfnMatchesInterpreter) {
+TEST(JitExecutorTest, SwigluFfnMatchesInterpreter) {
   Graph g = BuildSwigluFfn(/*tokens=*/24, /*hidden=*/32, /*ffn_dim=*/64);
   ExpectJitMatchesInterpreter(g, /*seed=*/16, SharedExecutor());
 }
 
-// Acceptance criterion: SPACEFUSION_EXEC=jit runs all 5 zoo models with
-// outputs matching the interpreter within the documented tolerance.
-TEST_F(JitExecutorTest, AllZooModelsMatchInterpreter) {
+// Acceptance criterion: the JitExecutor runs all 5 zoo models with outputs
+// matching the interpreter within the documented tolerance.
+TEST(JitExecutorTest, AllZooModelsMatchInterpreter) {
   for (ModelKind kind : AllModelKinds()) {
     ModelGraph model = BuildModel(GetModelConfig(kind, /*batch=*/1, /*seq=*/64));
     // Parity per unique subprogram graph: repetitions execute the same
@@ -164,7 +157,7 @@ TEST_F(JitExecutorTest, AllZooModelsMatchInterpreter) {
 
 // A broken toolchain must not break execution: every kernel falls back to
 // the interpreter and the program still produces reference answers.
-TEST_F(JitExecutorTest, BrokenToolchainFallsBackToInterpreter) {
+TEST(JitExecutorTest, BrokenToolchainFallsBackToInterpreter) {
   JitExecutorOptions options;
   options.cache.dir = UniqueTestDir("broken-toolchain");
   options.cache.compiler = "/bin/false";
@@ -178,10 +171,7 @@ TEST_F(JitExecutorTest, BrokenToolchainFallsBackToInterpreter) {
 }
 
 // Differential corpus: random graphs, one executor, jit vs interpreter.
-class JitDifferentialTest : public ::testing::TestWithParam<int> {
- protected:
-  void TearDown() override { ResetGlobalThreadPool(); }
-};
+class JitDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(JitDifferentialTest, JitMatchesInterpreterOnRandomGraphs) {
   // Seed stride disjoint from fuzz_test's and differential_test's corpora.
@@ -195,8 +185,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, JitDifferentialTest, ::testing::Range(0, 8));
 
 class JitCacheTest : public ::testing::Test {
  protected:
-  void TearDown() override { ResetGlobalThreadPool(); }
-
   // Emits the single-kernel program for a small graph.
   CppKernel EmitOneKernel(const Graph& g) {
     StatusOr<CompiledSubprogram> compiled = CompileGraph(g);
@@ -369,12 +357,7 @@ TEST_F(JitCacheTest, MissingEntryWithCompileDisabledIsNotFound) {
   EXPECT_EQ(cache.stats().toolchain_invocations, 0);
 }
 
-class CppCodegenTest : public ::testing::Test {
- protected:
-  void TearDown() override { ResetGlobalThreadPool(); }
-};
-
-TEST_F(CppCodegenTest, EmissionIsDeterministic) {
+TEST(CppCodegenTest, EmissionIsDeterministic) {
   StatusOr<CompiledSubprogram> compiled = CompileGraph(BuildMha(2, 32, 32, 16));
   ASSERT_TRUE(compiled.ok());
   StatusOr<std::string> first = EmitCppProgram(compiled->program);
@@ -384,7 +367,7 @@ TEST_F(CppCodegenTest, EmissionIsDeterministic) {
   EXPECT_EQ(first.value(), second.value());
 }
 
-TEST_F(CppCodegenTest, BakesShapesAsConstants) {
+TEST(CppCodegenTest, BakesShapesAsConstants) {
   Graph g = BuildMha(2, 32, 32, 16);
   StatusOr<CompiledSubprogram> compiled = CompileGraph(g);
   ASSERT_TRUE(compiled.ok());
@@ -400,7 +383,7 @@ TEST_F(CppCodegenTest, BakesShapesAsConstants) {
   EXPECT_FALSE(kernel->output_ids.empty());
 }
 
-TEST_F(CppCodegenTest, OptionsChangeTheKey) {
+TEST(CppCodegenTest, OptionsChangeTheKey) {
   StatusOr<CompiledSubprogram> compiled = CompileGraph(BuildLayerNormGraph(8, 16));
   ASSERT_TRUE(compiled.ok());
   CppCodegenOptions plain;
@@ -417,7 +400,7 @@ TEST_F(CppCodegenTest, OptionsChangeTheKey) {
 // reference_mode disables temporal slicing and fused elementwise chains;
 // its output must still match the interpreter (it IS the unfused op
 // stream), which anchors the fused-vs-unfused wall-clock benchmark.
-TEST_F(CppCodegenTest, ReferenceModeMatchesInterpreter) {
+TEST(CppCodegenTest, ReferenceModeMatchesInterpreter) {
   JitExecutorOptions options;
   options.cache.dir = UniqueTestDir("refmode");
   options.codegen.reference_mode = true;
@@ -427,28 +410,6 @@ TEST_F(CppCodegenTest, ReferenceModeMatchesInterpreter) {
   ExpectJitMatchesInterpreter(g, /*seed=*/41, executor, /*tolerance=*/1e-4f);
   EXPECT_GT(executor.stats().jit_runs, 0);
   EXPECT_EQ(executor.stats().fallbacks, 0);
-}
-
-TEST(JitBackendTest, ExecBackendFromEnvParses) {
-  const char* saved = std::getenv("SPACEFUSION_EXEC");
-  std::string saved_value = saved != nullptr ? saved : "";
-
-  ::unsetenv("SPACEFUSION_EXEC");
-  EXPECT_EQ(ExecBackendFromEnv(), ExecBackend::kInterpret);
-  ::setenv("SPACEFUSION_EXEC", "interpret", 1);
-  EXPECT_EQ(ExecBackendFromEnv(), ExecBackend::kInterpret);
-  ::setenv("SPACEFUSION_EXEC", "jit", 1);
-  EXPECT_EQ(ExecBackendFromEnv(), ExecBackend::kJit);
-  ::setenv("SPACEFUSION_EXEC", "warp-drive", 1);
-  EXPECT_EQ(ExecBackendFromEnv(), ExecBackend::kInterpret);
-
-  if (saved != nullptr) {
-    ::setenv("SPACEFUSION_EXEC", saved_value.c_str(), 1);
-  } else {
-    ::unsetenv("SPACEFUSION_EXEC");
-  }
-  EXPECT_STREQ(ExecBackendName(ExecBackend::kJit), "jit");
-  EXPECT_STREQ(ExecBackendName(ExecBackend::kInterpret), "interpret");
 }
 
 // ---------------------------------------------------------------------------

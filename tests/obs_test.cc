@@ -366,41 +366,6 @@ TEST(TraceTest, SpansFromMultipleThreadsGetDistinctTids) {
 }
 
 // ---------------------------------------------------------------------------
-// PhaseAccumulator
-
-TEST(PhaseAccumulatorTest, SumsSpansByExactNameWithoutSession) {
-  ASSERT_FALSE(TracingEnabled());
-  PhaseAccumulator phases;
-  for (int i = 0; i < 3; ++i) {
-    ScopedSpan span("phase.work");
-    SpinFor(std::chrono::microseconds(200));
-  }
-  {
-    SF_TRACE_SPAN("phase.other");
-  }
-  EXPECT_EQ(phases.SpanCount("phase.work"), 3);
-  EXPECT_EQ(phases.SpanCount("phase.other"), 1);
-  EXPECT_EQ(phases.SpanCount("phase.absent"), 0);
-  EXPECT_GT(phases.TotalMs("phase.work"), 0.0);
-  EXPECT_EQ(phases.TotalMs("phase.absent"), 0.0);
-}
-
-TEST(PhaseAccumulatorTest, NestedAccumulatorsBothObserve) {
-  PhaseAccumulator outer;
-  {
-    PhaseAccumulator inner;
-    SF_TRACE_SPAN("phase.nested");
-  }
-  // The span completed while both accumulators were open.
-  EXPECT_EQ(outer.SpanCount("phase.nested"), 1);
-  // After the inner accumulator closes, new spans only reach the outer one.
-  {
-    SF_TRACE_SPAN("phase.after");
-  }
-  EXPECT_EQ(outer.SpanCount("phase.after"), 1);
-}
-
-// ---------------------------------------------------------------------------
 // Metrics
 
 TEST(MetricsTest, CounterArithmetic) {
@@ -1080,7 +1045,7 @@ TEST(ObsIntegrationTest, CompileRecordsPhaseSpansAndMetrics) {
   }
   EXPECT_TRUE(JsonChecker(session.ToJson()).Valid());
 
-  // CompileTimeBreakdown is span-derived and self-consistent.
+  // CompileTimeBreakdown is pass-derived and self-consistent.
   EXPECT_GE(compiled->compile_time.slicing_ms, 0.0);
   EXPECT_GE(compiled->compile_time.enum_cfg_ms, 0.0);
   EXPECT_GT(compiled->compile_time.slicing_ms + compiled->compile_time.enum_cfg_ms, 0.0);

@@ -5,8 +5,7 @@
 // served with zero tuner invocations, and config transfer from a neighboring
 // bucket measurably cuts a cold bucket's tuning time. The differential suite
 // at the bottom asserts bucket-dispatched execution against a direct compile
-// at the exact shape for every zoo model, several shapes per bucket, under
-// serial and parallel tuning alike.
+// at the exact shape for every zoo model, several shapes per bucket.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -32,7 +31,6 @@
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
 #include "src/sim/arch.h"
-#include "src/support/thread_pool.h"
 
 namespace spacefusion {
 namespace {
@@ -633,30 +631,19 @@ std::vector<size_t> UniqueSubprogramIndices(const BucketedModel& m) {
   return out;
 }
 
-class ShapeDispatchDifferentialTest : public ::testing::TestWithParam<int> {
- protected:
-  void TearDown() override { ResetGlobalThreadPool(); }
-};
-
-TEST_P(ShapeDispatchDifferentialTest, DispatchMatchesExactCompileOnEveryZooModel) {
-  const int jobs = GetParam();
-  ResetGlobalThreadPool(jobs);
+TEST(ShapeDispatchDifferentialTest, DispatchMatchesExactCompileOnEveryZooModel) {
   ScopedEnv env("SPACEFUSION_SHAPE_BUCKETS", nullptr);
   CompilerEngine engine{CompileOptions(AmpereA100())};
 
   for (ModelKind kind : AllModelKinds()) {
-    // Three shapes per bucket under serial tuning; the parallel leg re-checks
-    // one shape per model (the compile itself is pinned job-count-invariant
-    // by determinism_test and the fingerprint checks above). The sequence
-    // lengths are deliberately tiny: padding 3 -> 4 runs the exact same
-    // embed/slice/mask-fill code paths as 20 -> 32, and Llama2's
-    // 4096x11008 matmuls on the interpreter price every extra token. ViT's
-    // `seq` is the image side, which needs >= 16 for a patch grid.
+    // Three shapes per bucket. The sequence lengths are deliberately tiny:
+    // padding 3 -> 4 runs the exact same embed/slice/mask-fill code paths as
+    // 20 -> 32, and Llama2's 4096x11008 matmuls on the interpreter price
+    // every extra token. ViT's `seq` is the image side, which needs >= 16
+    // for a patch grid.
     const bool vit = kind == ModelKind::kViT;
     const std::vector<std::int64_t> seqs =
-        jobs == 1 ? (vit ? std::vector<std::int64_t>{20, 24, 32}
-                         : std::vector<std::int64_t>{2, 3, 4})
-                  : (vit ? std::vector<std::int64_t>{24} : std::vector<std::int64_t>{3});
+        vit ? std::vector<std::int64_t>{20, 24, 32} : std::vector<std::int64_t>{2, 3, 4};
     ShapeDispatchTable table(BucketingPolicy::PowersOfTwo());
     Compiler exact_compiler{CompileOptions(AmpereA100())};
     for (std::int64_t seq : seqs) {
@@ -698,9 +685,8 @@ TEST_P(ShapeDispatchDifferentialTest, DispatchMatchesExactCompileOnEveryZooModel
                              << st.ToString();
         for (TensorId out : g.OutputIds()) {
           const size_t id = static_cast<size_t>(out);
-          const std::string where = std::string(ModelKindName(kind)) + "/" + g.name() +
-                                    " seq=" + std::to_string(seq) + " jobs=" +
-                                    std::to_string(jobs);
+          const std::string where =
+              std::string(ModelKindName(kind)) + "/" + g.name() + " seq=" + std::to_string(seq);
           EXPECT_LT(MaxRelDiff(dispatched[id], direct_out[id]), 1e-2f) << where;
           if (check_reference) {
             EXPECT_LT(MaxRelDiff(dispatched[id], reference[id]), 1e-2f) << where;
@@ -715,8 +701,6 @@ TEST_P(ShapeDispatchDifferentialTest, DispatchMatchesExactCompileOnEveryZooModel
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Jobs, ShapeDispatchDifferentialTest, ::testing::Values(1, 8));
 
 TEST(ShapeDispatchJitTest, JitDispatchMatchesInterpreterDispatch) {
   ScopedEnv env("SPACEFUSION_SHAPE_BUCKETS", nullptr);
@@ -750,6 +734,28 @@ TEST(ShapeDispatchJitTest, JitDispatchMatchesInterpreterDispatch) {
       EXPECT_LT(MaxRelDiff(jitted[id], interpreted[id]), 1e-2f) << g.name();
     }
   }
+}
+
+// The JIT backend runs only through a caller-provided executor: asking for
+// it without one is a caller error, reported before any work is done.
+TEST(ShapeDispatchJitTest, JitBackendWithoutExecutorIsInvalidArgument) {
+  ScopedEnv env("SPACEFUSION_SHAPE_BUCKETS", nullptr);
+  CompilerEngine engine{CompileOptions(AmpereA100())};
+  StatusOr<ShapeCompileResult> compiled = engine.CompileModelForShape(ModelKind::kBert, {1, 3});
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  ShapeDispatchTable table(BucketingPolicy::PowersOfTwo());
+  ASSERT_TRUE(table.Add(std::move(compiled).value()).ok());
+  const ShapeDispatchTable::Entry* entry = table.Route({1, 3});
+  ASSERT_NE(entry, nullptr);
+
+  const BucketedModel exact =
+      BuildModelBucketed(ModelKind::kBert, {1, 3}, BucketingPolicy::Identity());
+  const TensorEnv inputs = MakeGraphInputs(exact.model.subprograms[0].graph, /*seed=*/7);
+  TensorEnv outputs;
+  const Status st = RunBucketedSubprogram(*entry, 0, exact, inputs, &outputs,
+                                          BucketRunOptions{ExecBackend::kJit, nullptr});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_TRUE(outputs.empty());
 }
 
 }  // namespace

@@ -203,34 +203,9 @@ TEST(LoggingTest, SuppressedMessageDoesNotEvaluateStreamOperands) {
   SetLogThreshold(old);
 }
 
-TEST(ThreadPoolTest, ParseJobsAcceptsPositiveIntegers) {
-  EXPECT_EQ(ParseJobs("1"), 1);
-  EXPECT_EQ(ParseJobs("6"), 6);
-  EXPECT_EQ(ParseJobs("  8  "), 8);  // strtol skips leading space; we skip trailing
-  EXPECT_EQ(ParseJobs("256"), 256);
-}
-
-TEST(ThreadPoolTest, ParseJobsRejectsInvalidAsNoOverride) {
-  EXPECT_EQ(ParseJobs(nullptr), 0);
-  EXPECT_EQ(ParseJobs(""), 0);
-  EXPECT_EQ(ParseJobs("0"), 0);
-  EXPECT_EQ(ParseJobs("-3"), 0);
-  EXPECT_EQ(ParseJobs("abc"), 0);
-  EXPECT_EQ(ParseJobs("4x"), 0);
-  EXPECT_EQ(ParseJobs("3.5"), 0);
-}
-
-TEST(ThreadPoolTest, ParseJobsClampsHugeValues) {
-  EXPECT_EQ(ParseJobs("1000"), 256);
-  EXPECT_EQ(ParseJobs("999999999999999999999"), 256);  // strtol saturates at LONG_MAX
-}
-
-TEST(ThreadPoolTest, DefaultJobCountIsAtLeastOne) { EXPECT_GE(DefaultJobCount(), 1); }
-
 TEST(ThreadPoolTest, SubmitRunsEveryTask) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.workers(), 3);
-  EXPECT_EQ(pool.concurrency(), 4);
   EXPECT_FALSE(pool.InPool());  // the test thread is not a worker
 
   std::atomic<int> count{0};
@@ -258,68 +233,10 @@ TEST(ThreadPoolTest, SubmitPropagatesExceptionThroughFuture) {
 TEST(ThreadPoolTest, ZeroWorkerPoolRunsInline) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.workers(), 0);
-  EXPECT_EQ(pool.concurrency(), 1);
 
   std::thread::id submit_thread;
   pool.Submit([&submit_thread] { submit_thread = std::this_thread::get_id(); }).get();
   EXPECT_EQ(submit_thread, std::this_thread::get_id());
-
-  std::vector<int> seen(100, 0);
-  pool.ParallelFor(100, [&seen](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t i = begin; i < end; ++i) {
-      ++seen[static_cast<size_t>(i)];
-    }
-  });
-  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), 100);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr std::int64_t kN = 1337;
-  std::vector<std::atomic<int>> seen(kN);
-  pool.ParallelFor(kN, [&seen](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t i = begin; i < end; ++i) {
-      ++seen[static_cast<size_t>(i)];
-    }
-  });
-  for (std::int64_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(seen[static_cast<size_t>(i)].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForHandlesEmptyAndSingleElementRanges) {
-  ThreadPool pool(2);
-  int calls = 0;
-  pool.ParallelFor(0, [&calls](std::int64_t, std::int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-
-  std::thread::id chunk_thread;
-  pool.ParallelFor(1, [&](std::int64_t begin, std::int64_t end) {
-    ++calls;
-    chunk_thread = std::this_thread::get_id();
-    EXPECT_EQ(begin, 0);
-    EXPECT_EQ(end, 1);
-  });
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(chunk_thread, std::this_thread::get_id());  // n==1 stays on the caller
-}
-
-TEST(ThreadPoolTest, ParallelForRethrowsFirstChunkException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.ParallelFor(100,
-                                [](std::int64_t begin, std::int64_t) {
-                                  if (begin == 0) {
-                                    throw std::runtime_error("chunk failed");
-                                  }
-                                }),
-               std::runtime_error);
-
-  // The pool stays usable after a failed loop.
-  std::atomic<int> count{0};
-  pool.ParallelFor(100, [&count](std::int64_t begin, std::int64_t end) {
-    count += static_cast<int>(end - begin);
-  });
-  EXPECT_EQ(count.load(), 100);
 }
 
 // A task that submits a subtask and blocks on its future would deadlock a
@@ -335,36 +252,6 @@ TEST(ThreadPoolTest, NestedSubmitFromWorkerDoesNotDeadlock) {
       .get();
   EXPECT_TRUE(was_in_pool.load());
   EXPECT_TRUE(inner_ran.load());
-}
-
-// A ParallelFor issued from inside a chunk of another ParallelFor must run
-// serially inline rather than re-entering the queue.
-TEST(ThreadPoolTest, NestedParallelForRunsInline) {
-  ThreadPool pool(2);
-  constexpr std::int64_t kOuter = 8;
-  constexpr std::int64_t kInner = 16;
-  std::vector<std::atomic<int>> seen(kOuter * kInner);
-  pool.ParallelFor(kOuter, [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t o = begin; o < end; ++o) {
-      pool.ParallelFor(kInner, [&, o](std::int64_t ib, std::int64_t ie) {
-        for (std::int64_t i = ib; i < ie; ++i) {
-          ++seen[static_cast<size_t>(o * kInner + i)];
-        }
-      });
-    }
-  });
-  for (std::int64_t i = 0; i < kOuter * kInner; ++i) {
-    EXPECT_EQ(seen[static_cast<size_t>(i)].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, ResetGlobalThreadPoolHonorsJobOverride) {
-  ResetGlobalThreadPool(5);
-  EXPECT_EQ(GlobalThreadPool().concurrency(), 5);
-  ResetGlobalThreadPool(1);
-  EXPECT_EQ(GlobalThreadPool().workers(), 0);  // jobs=1 is exactly serial
-  ResetGlobalThreadPool();
-  EXPECT_EQ(GlobalThreadPool().concurrency(), DefaultJobCount());
 }
 
 // ---------------------------------------------------------------------------
