@@ -12,7 +12,19 @@
 // Paper reference: Bert 176.2/141.1/68.4 s, ViT 155.8/213.4/76.9 s,
 // T5 356.1/306.9/131.7 s (BladeDISC / TensorRT / SpaceFusion); SpaceFusion
 // compiles ~2.4x faster on average.
+//
+// `--json PATH` also compiles each model with staged screening disabled
+// (exhaustive tuning) and writes BENCH_compile.json: per model, the wall
+// compile time, the modeled compile seconds, the config counts at each
+// fidelity stage, whether both modes selected the same program, and the
+// speedups. The exit code is then 2 if screening changed any program.
+//
+//   table5_model_compile [--json BENCH_compile.json]
+#include <algorithm>
+#include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -62,16 +74,46 @@ double ModelTensorRtCompileSeconds(const ModelGraph& model, const GpuArch& arch)
   return seconds;
 }
 
-double SpaceFusionCompileSeconds(const ModelGraph& model, const GpuArch& arch) {
-  StatusOr<CompiledModel> compiled = CompileModelWithSpaceFusion(model, CompileOptions(arch));
-  return compiled.ok() ? compiled->compile_time.total_s() : -1.0;
+// One SpaceFusion compile of a Table 5 model.
+struct SpaceFusionCompile {
+  double modeled_s = -1.0;  // Table 5 compile seconds: tuning + scheduling; -1 on failure
+  double wall_ms = 0.0;
+  long long configs_screened = 0;
+  long long configs_evaluated = 0;
+  std::string fingerprint;  // schedule text of the selected program
+};
+
+SpaceFusionCompile CompileWithSpaceFusion(const ModelGraph& model, const CompileOptions& options) {
+  SpaceFusionCompile r;
+  WallTimer timer;
+  StatusOr<CompiledModel> compiled = CompileModelWithSpaceFusion(model, options);
+  r.wall_ms = timer.ElapsedMs();
+  if (!compiled.ok()) {
+    return r;
+  }
+  r.modeled_s = compiled->compile_time.total_s();
+  for (const CompiledSubprogram& sub : compiled->unique_subprograms) {
+    r.configs_screened += sub.tuning.configs_screened;
+    r.configs_evaluated += sub.tuning.configs_tried;
+    for (const SmgSchedule& kernel : sub.program.kernels) {
+      r.fingerprint += kernel.ToString();
+    }
+  }
+  return r;
 }
 
-void Run() {
+struct Table5Model {
+  ModelKind kind;
+  ModelGraph graph;
+  SpaceFusionCompile screened;  // the default tuner, as in the table
+};
+
+// Prints Table 5 and returns each model with its SpaceFusion compile.
+std::vector<Table5Model> RunTable5(const GpuArch& arch) {
   PrintHeader("Table 5: Model compilation time (Ampere, seconds)");
-  GpuArch arch = AmpereA100();
   PrintSeriesHeader("model", {"BladeDISC", "TensorRT", "SpaceFusion"});
 
+  std::vector<Table5Model> models;
   double ratio_disc = 0, ratio_trt = 0;
   int n = 0;
   for (ModelKind kind : {ModelKind::kBert, ModelKind::kViT, ModelKind::kT5}) {
@@ -79,27 +121,95 @@ void Run() {
     ModelGraph model = BuildModel(GetModelConfig(kind, /*batch=*/32, seq));
     double disc = ModelBladeDiscCompileSeconds(model, arch);
     double trt = ModelTensorRtCompileSeconds(model, arch);
-    double sf = SpaceFusionCompileSeconds(model, arch);
-    PrintRow(ModelKindName(kind), {disc, trt, sf});
-    if (sf > 0) {
-      ratio_disc += disc / sf;
-      ratio_trt += trt / sf;
+    SpaceFusionCompile sf = CompileWithSpaceFusion(model, CompileOptions(arch));
+    PrintRow(ModelKindName(kind), {disc, trt, sf.modeled_s});
+    if (sf.modeled_s > 0) {
+      ratio_disc += disc / sf.modeled_s;
+      ratio_trt += trt / sf.modeled_s;
       ++n;
     }
+    models.push_back({kind, std::move(model), std::move(sf)});
   }
   std::printf("\nSpaceFusion compiles %.2fx faster than BladeDISC and %.2fx faster than"
               " TensorRT on average (paper: 2.44x and 2.39x).\n",
               n ? ratio_disc / n : 0.0, n ? ratio_trt / n : 0.0);
   std::printf("Baseline compile times are modeled from their mechanisms (JIT kernel\n"
               "compilation / tactic measurement); see EXPERIMENTS.md.\n");
+  return models;
+}
+
+// --json: recompiles each model with staged screening off and writes the
+// screened-vs-exhaustive comparison. Returns the exit code.
+int WriteScreeningJson(const std::vector<Table5Model>& models, const GpuArch& arch,
+                       const std::string& path) {
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+    return 1;
+  }
+  std::fprintf(out, "{\n  \"benchmark\": \"table5_model_compile\",\n  \"arch\": \"A100\",\n");
+  std::fprintf(out, "  \"models\": {\n");
+  std::printf("\nStaged screening vs exhaustive tuning:\n");
+  CompileOptions exhaustive_options(arch);
+  exhaustive_options.tuner.screen_top_k = 0;
+  double speedup_log_sum = 0.0;
+  bool all_identical = true;
+  for (size_t i = 0; i < models.size(); ++i) {
+    const SpaceFusionCompile& screened = models[i].screened;
+    SpaceFusionCompile exhaustive = CompileWithSpaceFusion(models[i].graph, exhaustive_options);
+    bool identical =
+        !screened.fingerprint.empty() && screened.fingerprint == exhaustive.fingerprint;
+    all_identical = all_identical && identical;
+    double speedup = screened.modeled_s > 0 ? exhaustive.modeled_s / screened.modeled_s : 0.0;
+    speedup_log_sum += std::log(std::max(speedup, 1e-12));
+    const char* name = ModelKindName(models[i].kind);
+    std::fprintf(out,
+                 "    \"%s\": {\n"
+                 "      \"screened\": {\"compile_ms\": %.3f, \"modeled_compile_s\": %.6f, "
+                 "\"configs_screened\": %lld, \"configs_evaluated\": %lld},\n"
+                 "      \"exhaustive\": {\"compile_ms\": %.3f, \"modeled_compile_s\": %.6f, "
+                 "\"configs_screened\": %lld, \"configs_evaluated\": %lld},\n"
+                 "      \"fingerprint_identical\": %s,\n"
+                 "      \"modeled_speedup\": %.3f,\n"
+                 "      \"wall_speedup\": %.3f\n"
+                 "    }%s\n",
+                 name, screened.wall_ms, screened.modeled_s, screened.configs_screened,
+                 screened.configs_evaluated, exhaustive.wall_ms, exhaustive.modeled_s,
+                 exhaustive.configs_screened, exhaustive.configs_evaluated,
+                 identical ? "true" : "false", speedup,
+                 screened.wall_ms > 0 ? exhaustive.wall_ms / screened.wall_ms : 0.0,
+                 i + 1 < models.size() ? "," : "");
+    std::printf("%-6s modeled %.3fs -> %.3fs (%.2fx), evaluated %lld -> %lld configs, %s\n", name,
+                exhaustive.modeled_s, screened.modeled_s, speedup, exhaustive.configs_evaluated,
+                screened.configs_evaluated, identical ? "same program" : "PROGRAM CHANGED");
+  }
+  double geomean = std::exp(speedup_log_sum / static_cast<double>(models.size()));
+  std::fprintf(out, "  },\n  \"geomean_modeled_speedup\": %.3f,\n", geomean);
+  std::fprintf(out, "  \"all_fingerprints_identical\": %s\n}\n", all_identical ? "true" : "false");
+  std::fclose(out);
+  std::printf("geomean modeled compile speedup: %.2fx -> %s\n", geomean, path.c_str());
+  return all_identical ? 0 : 2;
+}
+
+int Run(int argc, char** argv) {
+  std::string json_path;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == "--json" && i + 1 < argc) {
+      json_path = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: table5_model_compile [--json PATH]\n");
+      return 2;
+    }
+  }
+  SetLogThreshold(LogLevel::kWarning);
+  const GpuArch arch = AmpereA100();
+  std::vector<Table5Model> models = RunTable5(arch);
+  int code = json_path.empty() ? 0 : WriteScreeningJson(models, arch, json_path);
+  EmitBenchMetrics("table5_model_compile");
+  return code;
 }
 
 }  // namespace
 }  // namespace spacefusion
 
-int main() {
-  spacefusion::SetLogThreshold(spacefusion::LogLevel::kWarning);
-  spacefusion::Run();
-  spacefusion::EmitBenchMetrics("table5_model_compile");
-  return 0;
-}
+int main(int argc, char** argv) { return spacefusion::Run(argc, argv); }

@@ -21,10 +21,11 @@
 //   SFV0604  aliased spill slots (simultaneously live tiles exceed the
 //            recorded on-chip arena, so slot assignment must alias)
 //
-// Wired in three places: an Analyze pass at compile exit (on in
-// SPACEFUSION_VERIFY=full, opt-in via SPACEFUSION_ANALYZE=phase), the
-// sf-analyze / sf-verify --analyze CLIs, and the CompilerEngine's
-// persistent-cache admission gate (a racy program is never stored).
+// Wired in two places: an Analyze pass at compile exit (on in
+// SPACEFUSION_VERIFY=full, opt-in via SPACEFUSION_ANALYZE=phase) whose
+// findings reach the CompileReport and `sf-compile`, and the
+// CompilerEngine's persistent-cache admission gate (a racy program is
+// never stored).
 #ifndef SPACEFUSION_SRC_ANALYSIS_RACE_ANALYZER_H_
 #define SPACEFUSION_SRC_ANALYSIS_RACE_ANALYZER_H_
 

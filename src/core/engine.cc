@@ -41,33 +41,13 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Verifier diagnostics travel inside the Status message as rendered lines
-// ("SFV0103 [error] graph(m): ..."); lift them back into structured form
-// for the report so sf-stats can bucket failures by code.
-void ExtractDiagnostics(const std::string& status_message, CompileReport* report) {
-  size_t pos = 0;
-  while (pos < status_message.size()) {
-    size_t end = status_message.find('\n', pos);
-    if (end == std::string::npos) {
-      end = status_message.size();
-    }
-    std::string line = status_message.substr(pos, end - pos);
-    pos = end + 1;
-    if (line.compare(0, 3, "SFV") != 0) {
-      continue;
-    }
-    ReportDiagnostic diag;
-    size_t space = line.find(' ');
-    diag.code = line.substr(0, space);
-    diag.severity = line.find("[warning]") != std::string::npos ? "warning" : "error";
-    diag.message = std::move(line);
-    if (diag.severity == "error") {
-      ++report->verifier_errors;
-    } else {
-      ++report->verifier_warnings;
-    }
-    report->diagnostics.push_back(std::move(diag));
+// The checkers' findings as report entries: stable code, severity, rendered line.
+void FillDiagnostics(const DiagnosticReport& found, CompileReport* report) {
+  for (const Diagnostic& d : found.diagnostics()) {
+    report->diagnostics.push_back({d.code, DiagSeverityName(d.severity), d.ToString()});
   }
+  report->verifier_errors = found.error_count();
+  report->verifier_warnings = found.warning_count();
 }
 
 // Tuning funnel + memory-plan summary of a finished subprogram. Used for
@@ -353,17 +333,7 @@ StatusOr<CompiledSubprogram> CompilerEngine::CompileWithReport(const Graph& grap
           {
             MutexLock lock(cache_mu_);
             ++stats_.persistent_hits;
-            std::vector<CacheEntry>& bucket = cache_[key];
-            bool present = false;
-            for (const CacheEntry& entry : bucket) {
-              if (entry.digest == digest && entry.canonical == canonical) {
-                present = true;
-                break;
-              }
-            }
-            if (!present) {
-              bucket.push_back(CacheEntry{digest, canonical, from_disk});
-            }
+            InsertIfAbsent(key, digest, std::move(canonical), from_disk);
           }
           SF_COUNTER_ADD("engine.cache.persistent_hits", 1);
           if (options_.label_metrics_by_request) {
@@ -420,7 +390,6 @@ StatusOr<CompiledSubprogram> CompilerEngine::CompileWithReport(const Graph& grap
   if (!compiled.ok()) {
     report->outcome = "error";
     report->status_message = compiled.status().ToString();
-    ExtractDiagnostics(report->status_message, report);
     FlightRecorder::Global().Record(report->request_id, "engine",
                                     StrCat("request failed: ", compiled.status().message()));
     FlightRecorder::Global().DumpToFailureLog(report->request_id, compiled.status().message());
@@ -467,23 +436,24 @@ StatusOr<CompiledSubprogram> CompilerEngine::CompileWithReport(const Graph& grap
   }
   if (options_.enable_program_cache) {
     MutexLock lock(cache_mu_);
-    std::vector<CacheEntry>& bucket = cache_[key];
-    bool present = false;
-    for (const CacheEntry& entry : bucket) {
-      if (entry.digest == digest && entry.canonical == canonical) {
-        present = true;  // a concurrent request compiled it first
-        break;
-      }
-    }
-    if (!present) {
-      bucket.push_back(CacheEntry{digest, std::move(canonical), result});
-    }
+    InsertIfAbsent(key, digest, std::move(canonical), result);
   }
   PrewarmJit(result, report);
   report->wall_ms = MsSince(request_start);
   FlightRecorder::Global().Record(report->request_id, "engine", "request done");
   EmitReport(*report);
   return result;
+}
+
+void CompilerEngine::InsertIfAbsent(std::uint64_t key, std::uint64_t digest, std::string canonical,
+                                    const CompiledSubprogram& compiled) {
+  std::vector<CacheEntry>& bucket = cache_[key];
+  for (const CacheEntry& entry : bucket) {
+    if (entry.digest == digest && entry.canonical == canonical) {
+      return;  // a concurrent request stored it first
+    }
+  }
+  bucket.push_back(CacheEntry{digest, std::move(canonical), compiled});
 }
 
 StatusOr<CompiledSubprogram> CompilerEngine::CompileUncached(const Graph& graph,
@@ -511,11 +481,12 @@ StatusOr<CompiledSubprogram> CompilerEngine::CompileUncached(const Graph& graph,
   }
   PassManager manager(BuildCompilePassList(options), std::move(pm_options));
   Status run_status = manager.Run(&state);
-  // Pass timings reach the report even when a pass failed: the partial
-  // breakdown is exactly what a post-mortem needs.
+  // Pass timings and diagnostics reach the report even when a pass failed:
+  // the partial breakdown is exactly what a post-mortem needs.
   for (const PassTiming& timing : manager.timings()) {
     report->passes.push_back({timing.pass, timing.ms, timing.cpu_ms});
   }
+  FillDiagnostics(state.diagnostics, report);
   SF_RETURN_IF_ERROR(run_status);
 
   CompiledSubprogram best = std::move(state.best);
@@ -555,6 +526,10 @@ StatusOr<CompiledModel> CompilerEngine::CompileModel(const ModelGraph& model,
   out.report.model = model.config.name;
   out.report.options_digest =
       &options == &options_.compile ? default_digest_ : CompileOptionsDigest(options);
+  // As on the per-subprogram reports; CompileModelForShape later stamps the
+  // exact request shape.
+  out.report.shape = options.shape_bucket;
+  out.report.bucket = options.shape_bucket;
   std::uint64_t model_fingerprint = 1469598103934665603ULL;
   bool any_cold = false;
   bool any_persistent = false;
@@ -574,43 +549,11 @@ StatusOr<CompiledModel> CompilerEngine::CompileModel(const ModelGraph& model,
       out.compile_time.slicing_ms += compiled.compile_time.slicing_ms;
       out.compile_time.enum_cfg_ms += compiled.compile_time.enum_cfg_ms;
       out.compile_time.tuning_s += compiled.compile_time.tuning_s;
-      // Fold the per-request report into the model-level one: passes summed
-      // by name, funnel counters added, memory maxima kept.
       any_cold = any_cold || sub_report.outcome == "cold";
       any_persistent = any_persistent || sub_report.outcome == "persistent_hit";
-      out.report.cache_collision = out.report.cache_collision || sub_report.cache_collision;
-      for (const PassReportEntry& pass : sub_report.passes) {
-        bool merged = false;
-        for (PassReportEntry& have : out.report.passes) {
-          if (have.pass == pass.pass) {
-            have.wall_ms += pass.wall_ms;
-            have.cpu_ms += pass.cpu_ms;
-            merged = true;
-            break;
-          }
-        }
-        if (!merged) {
-          out.report.passes.push_back(pass);
-        }
-      }
-      out.report.configs_enumerated += sub_report.configs_enumerated;
-      out.report.configs_screened += sub_report.configs_screened;
-      out.report.configs_admitted += sub_report.configs_admitted;
-      out.report.tuning_seconds += sub_report.tuning_seconds;
-      out.report.verifier_errors += sub_report.verifier_errors;
-      out.report.verifier_warnings += sub_report.verifier_warnings;
-      out.report.kernels += sub_report.kernels;
-      out.report.smem_bytes = std::max(out.report.smem_bytes, sub_report.smem_bytes);
-      out.report.reg_bytes = std::max(out.report.reg_bytes, sub_report.reg_bytes);
-      out.report.jit_kernels_built += sub_report.jit_kernels_built;
-      out.report.jit_kernels_cached += sub_report.jit_kernels_cached;
-      out.report.jit_build_ms += sub_report.jit_build_ms;
-      out.report.transfer_seeded += sub_report.transfer_seeded;
-      out.report.shape = sub_report.shape;
-      out.report.bucket = sub_report.bucket;
-      compiled_index.emplace(key, out.unique_subprograms.size());
+      out.report.Merge(sub_report);
+      it = compiled_index.emplace(key, out.unique_subprograms.size()).first;
       out.unique_subprograms.push_back(std::move(compiled));
-      it = compiled_index.find(key);
     } else {
       ++out.cache_hits;
       SF_COUNTER_ADD("compiler.cache_hits", 1);

@@ -180,6 +180,10 @@ class CompilerEngine {
   };
 
   std::uint64_t Fingerprint(const Graph& graph) const;
+  // Stores `compiled` in the program cache unless an entry with the same
+  // (digest, canonical form) is already there.
+  void InsertIfAbsent(std::uint64_t key, std::uint64_t digest, std::string canonical,
+                      const CompiledSubprogram& compiled) SF_REQUIRES(cache_mu_);
   // CostCache keys are (kernel signature, config) — arch-blind — so each
   // options digest gets its own cache.
   CostCache* CostCacheFor(std::uint64_t digest);

@@ -13,7 +13,7 @@
 namespace spacefusion {
 
 // Compiles a whole model through the engine API. The one entry point the
-// bench targets (table5, fig14, fig16, sf-bench-json) and sf-compile share:
+// bench targets (table5, fig14, fig16) and sf-compile share:
 // with `engine == nullptr` a fresh CompilerEngine serves the request (cold
 // compile); passing an engine reuses its cross-model program cache.
 StatusOr<CompiledModel> CompileModelWithSpaceFusion(const ModelGraph& model,

@@ -21,6 +21,16 @@ const char* ModelKindName(ModelKind kind) {
   return "?";
 }
 
+StatusOr<ModelKind> ModelKindFromName(const std::string& name) {
+  for (ModelKind kind : AllModelKinds()) {
+    if (ToLower(ModelKindName(kind)) == ToLower(name)) {
+      return kind;
+    }
+  }
+  return InvalidArgument(StrCat("unknown model \"", name,
+                                "\" (expected bert|albert|t5|vit|llama2)"));
+}
+
 std::int64_t ModelGraph::TotalFlops() const {
   std::int64_t flops = 0;
   for (const Subprogram& sub : subprograms) {

@@ -13,12 +13,17 @@
 #include "src/graph/graph.h"
 #include "src/graph/shape_bucket.h"
 #include "src/graph/subgraphs.h"
+#include "src/support/status.h"
 
 namespace spacefusion {
 
 enum class ModelKind { kBert, kAlbert, kT5, kViT, kLlama2 };
 
 const char* ModelKindName(ModelKind kind);
+
+// Inverse of ModelKindName, case-insensitive ("bert", "BERT", "Llama2").
+// An unknown name is INVALID_ARGUMENT.
+StatusOr<ModelKind> ModelKindFromName(const std::string& name);
 
 struct ModelConfig {
   ModelKind kind = ModelKind::kBert;

@@ -1,5 +1,6 @@
 #include "src/obs/report.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -57,17 +58,8 @@ std::string CompileReport::ToJson() const {
                 ",\"configs_screened\":", configs_screened,
                 ",\"configs_admitted\":", configs_admitted,
                 ",\"tuning_seconds\":", FormatNumber(tuning_seconds),
-                "},\"verifier\":{\"errors\":", verifier_errors,
-                ",\"warnings\":", verifier_warnings, ",\"diagnostics\":[");
-  for (size_t i = 0; i < diagnostics.size(); ++i) {
-    if (i > 0) {
-      out += ",";
-    }
-    out += StrCat("{\"code\":\"", JsonEscape(diagnostics[i].code),
-                  "\",\"severity\":\"", JsonEscape(diagnostics[i].severity),
-                  "\",\"message\":\"", JsonEscape(diagnostics[i].message), "\"}");
-  }
-  out += StrCat("]},\"memory\":{\"kernels\":", kernels, ",\"smem_bytes\":", smem_bytes,
+                "},\"verifier\":", VerifierJson(),
+                ",\"memory\":{\"kernels\":", kernels, ",\"smem_bytes\":", smem_bytes,
                 ",\"reg_bytes\":", reg_bytes,
                 "},\"jit\":{\"kernels_built\":", jit_kernels_built,
                 ",\"kernels_cached\":", jit_kernels_cached,
@@ -79,6 +71,20 @@ std::string CompileReport::ToJson() const {
                 ",\"transfer_seeded\":", transfer_seeded,
                 ",\"measured_speedup\":", FormatNumber(measured_speedup), "}");
   return out;
+}
+
+std::string CompileReport::VerifierJson() const {
+  std::string out = StrCat("{\"errors\":", verifier_errors, ",\"warnings\":", verifier_warnings,
+                           ",\"diagnostics\":[");
+  for (size_t i = 0; i < diagnostics.size(); ++i) {
+    if (i > 0) {
+      out += ",";
+    }
+    out += StrCat("{\"code\":\"", JsonEscape(diagnostics[i].code),
+                  "\",\"severity\":\"", JsonEscape(diagnostics[i].severity),
+                  "\",\"message\":\"", JsonEscape(diagnostics[i].message), "\"}");
+  }
+  return out + "]}";
 }
 
 StatusOr<CompileReport> CompileReport::FromJson(const std::string& json) {
@@ -151,6 +157,34 @@ StatusOr<CompileReport> CompileReport::FromJson(const std::string& json) {
   report.transfer_seeded = static_cast<std::int64_t>(doc.GetNumber("transfer_seeded"));
   report.measured_speedup = doc.GetNumber("measured_speedup");
   return report;
+}
+
+void CompileReport::Merge(const CompileReport& other) {
+  cache_collision = cache_collision || other.cache_collision;
+  for (const PassReportEntry& pass : other.passes) {
+    auto have = std::find_if(passes.begin(), passes.end(),
+                             [&](const PassReportEntry& p) { return p.pass == pass.pass; });
+    if (have == passes.end()) {
+      passes.push_back(pass);
+    } else {
+      have->wall_ms += pass.wall_ms;
+      have->cpu_ms += pass.cpu_ms;
+    }
+  }
+  configs_enumerated += other.configs_enumerated;
+  configs_screened += other.configs_screened;
+  configs_admitted += other.configs_admitted;
+  tuning_seconds += other.tuning_seconds;
+  verifier_errors += other.verifier_errors;
+  verifier_warnings += other.verifier_warnings;
+  diagnostics.insert(diagnostics.end(), other.diagnostics.begin(), other.diagnostics.end());
+  kernels += other.kernels;
+  smem_bytes = std::max(smem_bytes, other.smem_bytes);
+  reg_bytes = std::max(reg_bytes, other.reg_bytes);
+  jit_kernels_built += other.jit_kernels_built;
+  jit_kernels_cached += other.jit_kernels_cached;
+  jit_build_ms += other.jit_build_ms;
+  transfer_seeded += other.transfer_seeded;
 }
 
 double CompileReport::PassWallMs(const std::string& pass_name) const {

@@ -104,6 +104,16 @@ struct CompileReport {
   // Inverse of ToJson; rejects documents whose schema_version is newer than
   // this build understands.
   static StatusOr<CompileReport> FromJson(const std::string& json);
+  // The "verifier" object of ToJson: {"errors":N,"warnings":N,"diagnostics":[...]}.
+  std::string VerifierJson() const;
+
+  // Folds another request's report into this one, as CompiledModel's report
+  // folds its unique subprograms: passes summed by name, tuning funnel,
+  // verifier, kernel, JIT and transfer counts added, memory maxima kept,
+  // diagnostics appended, a cache collision kept. The identity fields
+  // (request id, model, fingerprint, digest, outcome, status, wall time,
+  // shape, bucket, modeled time) stay the caller's.
+  void Merge(const CompileReport& other);
 
   // Wall-clock of one pass by name (0 when absent).
   double PassWallMs(const std::string& pass_name) const;

@@ -3,9 +3,10 @@
 // sf-stats is a thin CLI over this library: it loads a "run" from any of
 // the formats the toolchain emits — a SPACEFUSION_REPORT_DIR full of
 // *.report.json CompileReports, an sf-compile --json file, or a
-// BENCH_compile.json from sf-bench-json — normalizes it into named numeric
-// series, and either summarizes one run (top-N slowest passes / models,
-// outcome counts) or diffs two runs flagging compile-time regressions.
+// BENCH_compile.json from table5_model_compile --json — normalizes it into
+// named numeric series, and either summarizes one run (top-N slowest passes
+// / models, outcome counts) or diffs two runs flagging compile-time
+// regressions.
 //
 // Series keys are hierarchical, "<model>/<metric>" (e.g.
 // "bert/modeled_compile_s", "bert/pass/Tune"). Keys measuring host

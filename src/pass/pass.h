@@ -153,6 +153,10 @@ struct CompilationState {
   // Per-kernel transfer records (signature + admitted configs best-first),
   // appended by TunePass in deterministic candidate/kernel order.
   std::vector<TunedKernelRecord> tuned_kernels;
+  // Every verifier and race-analyzer finding, warnings included, in the
+  // order the checkers ran. The engine copies them into the request's
+  // CompileReport whether the compile succeeds or fails.
+  DiagnosticReport diagnostics;
 
   // Renders the artifacts present so far (for SPACEFUSION_DUMP_AFTER_PASS).
   std::string DumpArtifacts() const;

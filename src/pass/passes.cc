@@ -22,6 +22,15 @@ SlicingOptions SlicingOptionsFrom(const CompileOptions& options) {
   return slicing;
 }
 
+// Keeps one checker run's findings (warnings included) on the state for the
+// CompileReport; any error fails the pass with `code` and a Status that
+// renders this run's diagnostics.
+Status RecordDiagnostics(DiagnosticReport report, StatusCode code, CompilationState* state) {
+  Status status = report.ToStatus(code);
+  state->diagnostics.Merge(std::move(report));
+  return status;
+}
+
 // Allocates one CompiledSubprogram slot per candidate program (Sec. 5.3),
 // shared by the tuning/lowering/estimation passes.
 void EnsureCandidateSlots(CompilationState* state) {
@@ -49,9 +58,8 @@ class BuildSmgPass : public Pass {
     verify_span.Arg("diagnostics", static_cast<std::int64_t>(report.diagnostics().size()));
     if (!report.ok()) {
       SF_COUNTER_ADD("verify.rejected_inputs", 1);
-      return report.ToStatus(StatusCode::kInvalidArgument);
     }
-    return Status::Ok();
+    return RecordDiagnostics(std::move(report), StatusCode::kInvalidArgument, state);
   }
 
   Status Run(CompilationState* state) override {
@@ -180,10 +188,7 @@ class EnumerateConfigsPass : public Pass {
     verify_span.Arg("configs", configs_checked)
         .Arg("diagnostics", static_cast<std::int64_t>(report.diagnostics().size()));
     SF_COUNTER_ADD("verify.candidate_configs_checked", configs_checked);
-    if (!report.ok()) {
-      return report.ToStatus(StatusCode::kInternal);
-    }
-    return Status::Ok();
+    return RecordDiagnostics(std::move(report), StatusCode::kInternal, state);
   }
 };
 
@@ -298,14 +303,8 @@ class EstimatePass : public Pass {
   // against the source graph. A violation of the tuned result is a compiler
   // bug.
   Status VerifyAfter(CompilationState* state) override {
-    DiagnosticReport report = VerifyCompiledProgram(state->best.program, *state->graph, state->rc);
-    if (!report.ok()) {
-      return report.ToStatus(StatusCode::kInternal);
-    }
-    for (const Diagnostic& d : report.diagnostics()) {
-      SF_LOG(Warning) << d.ToString();
-    }
-    return Status::Ok();
+    return RecordDiagnostics(VerifyCompiledProgram(state->best.program, *state->graph, state->rc),
+                             StatusCode::kInternal, state);
   }
 };
 
@@ -319,14 +318,8 @@ class AnalyzePass : public Pass {
 
   Status Run(CompilationState* state) override {
     SF_CHECK(state->have_best);
-    DiagnosticReport report = AnalyzeCompiledProgram(state->best.program, *state->graph);
-    if (!report.ok()) {
-      return report.ToStatus(StatusCode::kInternal);
-    }
-    for (const Diagnostic& d : report.diagnostics()) {
-      SF_LOG(Warning) << d.ToString();
-    }
-    return Status::Ok();
+    return RecordDiagnostics(AnalyzeCompiledProgram(state->best.program, *state->graph),
+                             StatusCode::kInternal, state);
   }
 };
 

@@ -9,16 +9,6 @@ namespace spacefusion {
 
 namespace {
 
-std::string ToLower(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    if (c >= 'A' && c <= 'Z') {
-      c = static_cast<char>(c - 'A' + 'a');
-    }
-  }
-  return out;
-}
-
 // %.17g round-trips every finite double exactly; the warm-start contract
 // compares ExecutionReports that crossed this protocol bit for bit.
 std::string ExactDouble(double v) {
@@ -49,43 +39,6 @@ StatusOr<std::int64_t> GetShapeField(const JsonValue& doc, const std::string& ke
 }
 
 }  // namespace
-
-StatusOr<ModelKind> ModelKindFromName(const std::string& name) {
-  const std::string lower = ToLower(name);
-  if (lower == "bert") {
-    return ModelKind::kBert;
-  }
-  if (lower == "albert") {
-    return ModelKind::kAlbert;
-  }
-  if (lower == "t5") {
-    return ModelKind::kT5;
-  }
-  if (lower == "vit") {
-    return ModelKind::kViT;
-  }
-  if (lower == "llama2") {
-    return ModelKind::kLlama2;
-  }
-  return InvalidArgument(StrCat("unknown model \"", name,
-                                "\" (expected bert|albert|t5|vit|llama2)"));
-}
-
-StatusOr<GpuArch> ArchFromName(const std::string& name) {
-  const std::string lower = ToLower(name);
-  // Chip codes and microarchitecture names both work: GpuArch::name is
-  // "Volta"/"Ampere"/"Hopper", the paper and CLI flags say V100/A100/H100.
-  if (lower == "v100" || lower == "volta") {
-    return VoltaV100();
-  }
-  if (lower == "a100" || lower == "ampere") {
-    return AmpereA100();
-  }
-  if (lower == "h100" || lower == "hopper") {
-    return HopperH100();
-  }
-  return InvalidArgument(StrCat("unknown arch \"", name, "\" (expected v100|a100|h100)"));
-}
 
 std::string ServeRequestToJson(const ServeRequest& request) {
   return StrCat("{\"id\":\"", JsonEscape(request.id), "\",\"client\":\"",

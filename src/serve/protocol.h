@@ -69,13 +69,6 @@ struct ServeResponse {
   bool ok() const { return status == "ok"; }
 };
 
-// Parses "bert" / "albert" / "t5" / "vit" / "llama2" (case-insensitive).
-StatusOr<ModelKind> ModelKindFromName(const std::string& name);
-
-// Parses "v100" / "a100" / "h100" (case-insensitive) into a GpuArch name
-// suitable for ArchByName below.
-StatusOr<GpuArch> ArchFromName(const std::string& name);
-
 std::string ServeRequestToJson(const ServeRequest& request);
 StatusOr<ServeRequest> ServeRequestFromJson(const std::string& line);
 

@@ -1,5 +1,7 @@
 #include "src/sim/arch.h"
 
+#include "src/support/string_util.h"
+
 namespace spacefusion {
 
 GpuArch VoltaV100() {
@@ -60,5 +62,21 @@ GpuArch HopperH100() {
 }
 
 std::vector<GpuArch> AllArchitectures() { return {VoltaV100(), AmpereA100(), HopperH100()}; }
+
+StatusOr<GpuArch> ArchFromName(const std::string& name) {
+  const std::string lower = ToLower(name);
+  // Chip codes and microarchitecture names both work: GpuArch::name is
+  // "Volta"/"Ampere"/"Hopper", the paper and CLI flags say V100/A100/H100.
+  if (lower == "v100" || lower == "volta") {
+    return VoltaV100();
+  }
+  if (lower == "a100" || lower == "ampere") {
+    return AmpereA100();
+  }
+  if (lower == "h100" || lower == "hopper") {
+    return HopperH100();
+  }
+  return InvalidArgument(StrCat("unknown arch \"", name, "\" (expected v100|a100|h100)"));
+}
 
 }  // namespace spacefusion

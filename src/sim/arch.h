@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "src/support/status.h"
+
 namespace spacefusion {
 
 struct GpuArch {
@@ -50,6 +52,11 @@ GpuArch HopperH100();
 
 // The three evaluation architectures, in paper order.
 std::vector<GpuArch> AllArchitectures();
+
+// Parses a chip code ("v100", "a100", "h100") or a GpuArch::name ("volta",
+// "ampere", "hopper"), case-insensitively. An unknown name is
+// INVALID_ARGUMENT.
+StatusOr<GpuArch> ArchFromName(const std::string& name);
 
 }  // namespace spacefusion
 

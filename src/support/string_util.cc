@@ -21,4 +21,13 @@ bool StartsWith(const std::string& text, const std::string& prefix) {
   return text.size() >= prefix.size() && text.compare(0, prefix.size(), prefix) == 0;
 }
 
+std::string ToLower(std::string text) {
+  for (char& c : text) {
+    if (c >= 'A' && c <= 'Z') {
+      c = static_cast<char>(c - 'A' + 'a');
+    }
+  }
+  return text;
+}
+
 }  // namespace spacefusion

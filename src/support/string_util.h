@@ -37,6 +37,9 @@ std::vector<std::string> StrSplit(const std::string& text, char delim);
 // True if `text` starts with `prefix`.
 bool StartsWith(const std::string& text, const std::string& prefix);
 
+// `text` with ASCII letters lowercased (for case-insensitive name lookups).
+std::string ToLower(std::string text);
+
 }  // namespace spacefusion
 
 #endif  // SPACEFUSION_SRC_SUPPORT_STRING_UTIL_H_

@@ -1,45 +1,8 @@
 #include "src/verify/diagnostics.h"
 
-#include <cstdio>
-
 #include "src/support/string_util.h"
 
 namespace spacefusion {
-
-namespace {
-
-// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string EscapeJson(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size() + 8);
-  for (char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 const char* DiagSeverityName(DiagSeverity severity) {
   switch (severity) {
@@ -63,13 +26,6 @@ std::string Diagnostic::ToString() const {
   }
   out << message;
   return out.str();
-}
-
-std::string Diagnostic::ToJson() const {
-  return StrCat("{\"code\":\"", code, "\",\"severity\":\"", DiagSeverityName(severity),
-                "\",\"phase\":\"", EscapeJson(phase), "\",\"context\":\"", EscapeJson(context),
-                "\",\"subject\":\"", EscapeJson(subject), "\",\"message\":\"",
-                EscapeJson(message), "\"}");
 }
 
 Diagnostic& DiagnosticReport::Add(DiagSeverity severity, const char* code, const char* phase,
@@ -132,18 +88,6 @@ std::string DiagnosticReport::ToString() const {
     out << diagnostics_[i].ToString();
   }
   return out.str();
-}
-
-std::string DiagnosticReport::ToJson() const {
-  std::string out = "{\"diagnostics\":[";
-  for (size_t i = 0; i < diagnostics_.size(); ++i) {
-    if (i > 0) {
-      out += ",";
-    }
-    out += diagnostics_[i].ToJson();
-  }
-  out += StrCat("],\"errors\":", error_count(), ",\"warnings\":", warning_count(), "}");
-  return out;
 }
 
 Status DiagnosticReport::ToStatus(StatusCode code) const {

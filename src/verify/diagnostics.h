@@ -5,7 +5,8 @@
 // last two the check), a severity, the compiler phase that found it, and the
 // offending entity (op / tensor / space / mapping / dim name). A
 // DiagnosticReport accumulates the diagnostics of one verification run and
-// renders them for humans (one line per finding) or machines (JSON).
+// renders them one line per finding; the engine carries them to machines in
+// the compile's CompileReport.
 //
 // Code ranges (the full catalog lives in DESIGN.md "Static verification"):
 //   SFV01xx  GraphVerifier       operator-graph structure
@@ -39,7 +40,6 @@ struct Diagnostic {
 
   // "SFV0101 [error] graph(mha): op softmax_0: ..." — one line.
   std::string ToString() const;
-  std::string ToJson() const;
 };
 
 // Accumulates the diagnostics of one verification run.
@@ -69,8 +69,6 @@ class DiagnosticReport {
 
   // One line per diagnostic; "" when the report is empty.
   std::string ToString() const;
-  // {"diagnostics":[...],"errors":N,"warnings":N}
-  std::string ToJson() const;
 
   // Collapses the report into a Status carrying every rendered diagnostic
   // (Ok when there are no errors; warnings alone do not fail).

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/core/engine.h"
+#include "src/graph/builder.h"
 #include "src/graph/models.h"
 #include "src/graph/subgraphs.h"
 #include "src/obs/metrics.h"
@@ -423,6 +424,42 @@ TEST(EngineReportTest, FailedCompileEmitsErrorReportWithDiagnostics) {
   EXPECT_EQ(report.diagnostics[0].severity, "error");
   EXPECT_GE(report.verifier_errors, 1);
   EXPECT_GT(report.wall_ms, 0.0);
+}
+
+TEST(EngineReportTest, VerifierWarningsReachTheReportOfASuccessfulCompile) {
+  // SFV0109: two tensors share a name. A warning, so the compile succeeds,
+  // and the finding must still leave it in the reports.
+  GraphBuilder b("duplicate_name");
+  b.MarkOutput(b.Add(b.Input("x", Shape({8, 16})), b.Input("x", Shape({8, 16}))));
+  ModelGraph model;
+  model.config.name = "duplicate_name";
+  model.subprograms.push_back({b.Build(), /*repeat=*/1});
+
+  for (VerifyMode mode : {VerifyMode::kPhase, VerifyMode::kFull}) {
+    SCOPED_TRACE(VerifyModeName(mode));
+    CapturingReportSink sink;
+    CompileOptions compile_options;
+    compile_options.verify = mode;
+    EngineOptions options{compile_options};
+    options.report_sink = &sink;
+    CompilerEngine engine{options};
+
+    StatusOr<CompiledModel> compiled = engine.CompileModel(model);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    std::vector<CompileReport> reports = sink.reports();
+    ASSERT_EQ(reports.size(), 1u);
+    // The per-request report and the model-level merge both carry it.
+    for (const CompileReport* report : {&reports[0], &compiled->report}) {
+      EXPECT_EQ(report->verifier_errors, 0);
+      EXPECT_GE(report->verifier_warnings, 1);
+      EXPECT_EQ(static_cast<int>(report->diagnostics.size()), report->verifier_warnings);
+      bool found = false;
+      for (const ReportDiagnostic& d : report->diagnostics) {
+        found = found || (d.code == "SFV0109" && d.severity == "warning");
+      }
+      EXPECT_TRUE(found) << report->ToJson();
+    }
+  }
 }
 
 TEST(EngineReportTest, CacheCollisionIsFlaggedOnTheCollidingRequest) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+
 #include "src/graph/builder.h"
 #include "src/graph/models.h"
 #include "src/graph/subgraphs.h"
+#include "src/support/string_util.h"
 
 namespace spacefusion {
 namespace {
@@ -177,6 +181,23 @@ INSTANTIATE_TEST_SUITE_P(AllModels, ModelBuildTest, ::testing::ValuesIn(AllModel
                          [](const ::testing::TestParamInfo<ModelKind>& info) {
                            return ModelKindName(info.param);
                          });
+
+TEST(ModelTest, ModelKindFromNameAcceptsAnyCase) {
+  for (ModelKind kind : AllModelKinds()) {
+    const std::string name = ModelKindName(kind);
+    std::string upper = name;
+    for (char& c : upper) {
+      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    }
+    for (const std::string& spelling : {name, ToLower(name), upper}) {
+      StatusOr<ModelKind> parsed = ModelKindFromName(spelling);
+      ASSERT_TRUE(parsed.ok()) << spelling << ": " << parsed.status().ToString();
+      EXPECT_EQ(parsed.value(), kind) << spelling;
+    }
+  }
+  EXPECT_EQ(ModelKindFromName("gpt2").status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(ModelKindFromName("").ok());
+}
 
 TEST(ModelTest, ConfigsMatchPublishedArchitectures) {
   ModelConfig bert = GetModelConfig(ModelKind::kBert, 1, 128);

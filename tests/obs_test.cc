@@ -845,6 +845,59 @@ TEST(CompileReportTest, JsonRoundTripPreservesEveryField) {
   EXPECT_DOUBLE_EQ(r.PassWallMs("NoSuchPass"), 0.0);
 }
 
+TEST(CompileReportTest, MergeFoldsSubprogramReports) {
+  CompileReport model;
+  model.request_id = "req-000001";
+  model.model = "Bert";
+  model.Merge(FullyPopulatedReport());
+
+  CompileReport second;
+  second.request_id = "req-000009";
+  second.passes = {{"Tune", 2.0, 0.5}, {"Analyze", 0.25, 0.25}};
+  second.configs_enumerated = 10;
+  second.configs_screened = 5;
+  second.configs_admitted = 2;
+  second.tuning_seconds = 0.25;
+  second.verifier_warnings = 1;
+  second.diagnostics = {{"SFV0108", "warning", "SFV0108 [warning] graph(m): dtype drift"}};
+  second.kernels = 2;
+  second.smem_bytes = 1024;     // below the first report's maximum
+  second.reg_bytes = 131072;    // above it
+  second.jit_kernels_built = 1;
+  second.transfer_seeded = 3;
+  model.Merge(second);
+
+  // Identity fields stay the caller's.
+  EXPECT_EQ(model.request_id, "req-000001");
+  EXPECT_EQ(model.model, "Bert");
+  EXPECT_TRUE(model.cache_collision);
+  // Passes summed by name, first-seen order kept.
+  ASSERT_EQ(model.passes.size(), 3u);
+  EXPECT_EQ(model.passes[0].pass, "BuildSmg");
+  EXPECT_DOUBLE_EQ(model.passes[0].wall_ms, 1.25);
+  EXPECT_EQ(model.passes[1].pass, "Tune");
+  EXPECT_DOUBLE_EQ(model.passes[1].wall_ms, 10.0);
+  EXPECT_DOUBLE_EQ(model.passes[1].cpu_ms, 32.0);
+  EXPECT_EQ(model.passes[2].pass, "Analyze");
+  // Funnel and counts added, memory maxima kept.
+  EXPECT_EQ(model.configs_enumerated, 410);
+  EXPECT_EQ(model.configs_screened, 105);
+  EXPECT_EQ(model.configs_admitted, 27);
+  EXPECT_DOUBLE_EQ(model.tuning_seconds, 2.0);
+  EXPECT_EQ(model.kernels, 5);
+  EXPECT_EQ(model.smem_bytes, 49152);
+  EXPECT_EQ(model.reg_bytes, 131072);
+  EXPECT_EQ(model.jit_kernels_built, 1);
+  EXPECT_EQ(model.transfer_seeded, 3);
+  // Diagnostics concatenated in merge order.
+  EXPECT_EQ(model.verifier_errors, 1);
+  EXPECT_EQ(model.verifier_warnings, 3);
+  ASSERT_EQ(model.diagnostics.size(), 2u);
+  EXPECT_EQ(model.diagnostics[0].code, "SFV0103");
+  EXPECT_EQ(model.diagnostics[1].code, "SFV0108");
+  EXPECT_EQ(model.diagnostics[1].severity, "warning");
+}
+
 TEST(CompileReportTest, FromJsonRejectsNewerSchemaAndGarbage) {
   std::string json = FullyPopulatedReport().ToJson();
   std::string newer = json;

@@ -2,6 +2,10 @@
 // memory simulation.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <utility>
+
 #include "src/sim/arch.h"
 #include "src/sim/cache.h"
 #include "src/sim/cost_model.h"
@@ -95,6 +99,27 @@ TEST(ArchTest, PresetsScaleUpward) {
   EXPECT_LT(a.dram_gbps, h.dram_gbps);
   EXPECT_LT(v.smem_per_sm, a.smem_per_sm);
   EXPECT_EQ(AllArchitectures().size(), 3u);
+}
+
+TEST(ArchTest, ArchFromNameAcceptsChipCodesAndArchitectureNames) {
+  const std::pair<std::string, std::string> kSpellings[] = {
+      {"v100", "Volta"},  {"a100", "Ampere"},   {"h100", "Hopper"},
+      {"volta", "Volta"}, {"ampere", "Ampere"}, {"hopper", "Hopper"}};
+  for (const auto& [lower, arch_name] : kSpellings) {
+    std::string upper = lower;
+    for (char& c : upper) {
+      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    }
+    std::string capitalized = lower;
+    capitalized[0] = upper[0];
+    for (const std::string& spelling : {lower, upper, capitalized}) {
+      StatusOr<GpuArch> parsed = ArchFromName(spelling);
+      ASSERT_TRUE(parsed.ok()) << spelling << ": " << parsed.status().ToString();
+      EXPECT_EQ(parsed->name, arch_name) << spelling;
+    }
+  }
+  EXPECT_EQ(ArchFromName("b200").status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(ArchFromName("").ok());
 }
 
 // --- Cost model ------------------------------------------------------------------

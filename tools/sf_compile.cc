@@ -1,19 +1,21 @@
-// sf-compile: pass-level compile driver (the counterpart to sf-verify).
+// sf-compile: the compile driver.
 //
 // Compiles built-in models by name through the CompilerEngine, prints the
-// per-model compile-time breakdown / tuning statistics / cache behavior,
-// optionally dumps IR after selected passes, and exports timings + the full
-// metrics snapshot as JSON. Exit code 0 only when every requested model
-// compiled without a diagnostic.
+// per-model compile-time breakdown / tuning statistics / cache behavior and
+// every verifier or race-analyzer diagnostic, optionally dumps IR after
+// selected passes, and exports timings, diagnostics and the full metrics
+// snapshot as JSON. `--mode full` runs every checker, the SFV06xx race
+// analyzer included. Exit code 0 only when every requested model compiled
+// (a checker error fails the compile; warnings do not).
 //
 //   sf-compile --model all --json COMPILE_times.json
+//   sf-compile --model all --mode full --json VERIFY_models.json
 //   sf-compile --model bert --arch H100 --dump-after-pass SlicingPipeline
 //   sf-compile --model all --shared-cache   # cross-model program-cache reuse
 //   sf-compile --model bert --metrics       # final MetricsSnapshot as text
 //   sf-compile --model bert --openmetrics   # Prometheus text exposition
 //   sf-compile --model all --report-dir reports/   # per-request CompileReports
 //   sf-compile --list
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -34,13 +36,6 @@
 namespace spacefusion {
 namespace {
 
-std::string ToLower(std::string s) {
-  for (char& c : s) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return s;
-}
-
 int Usage() {
   std::cerr
       << "usage: sf-compile [--model NAME|all] [--batch N] [--seq N] [--arch NAME]\n"
@@ -56,7 +51,8 @@ int Usage() {
          "                    rounded to its bucket (SPACEFUSION_SHAPE_BUCKETS) and the\n"
          "                    JSON gains shape/bucket/bucket_hit/transfer_seeded\n"
          "  --arch            target architecture: V100, A100, H100 (default: A100)\n"
-         "  --mode            verification level (default: SPACEFUSION_VERIFY, else phase)\n"
+         "  --mode            verification level (default: SPACEFUSION_VERIFY, else phase);\n"
+         "                    full also checks every candidate and runs the race analyzer\n"
          "  --dump-after-pass dump compilation artifacts after these passes (stderr)\n"
          "  --shared-cache    serve all models from one engine (cross-model program cache)\n"
          "  --json            write per-model timing/metrics JSON to PATH\n"
@@ -70,24 +66,6 @@ int Usage() {
          "  --openmetrics     print the final snapshot as OpenMetrics exposition\n"
          "  --list            print the built-in model and architecture names and exit\n";
   return 2;
-}
-
-StatusOr<ModelKind> ModelKindFromName(const std::string& name) {
-  for (ModelKind kind : AllModelKinds()) {
-    if (ToLower(ModelKindName(kind)) == ToLower(name)) {
-      return kind;
-    }
-  }
-  return NotFound(StrCat("unknown model \"", name, "\""));
-}
-
-StatusOr<GpuArch> ArchFromName(const std::string& name) {
-  for (const GpuArch& arch : AllArchitectures()) {
-    if (ToLower(arch.name) == ToLower(name)) {
-      return arch;
-    }
-  }
-  return NotFound(StrCat("unknown architecture \"", name, "\""));
 }
 
 struct ModelResult {
@@ -138,8 +116,7 @@ std::string ModelJson(const ModelResult& r, const CompilerEngine& engine) {
                   m.report.passes[i].pass.c_str(), m.report.passes[i].wall_ms);
     json += pass_buf;
   }
-  json += "}}";
-  return json;
+  return StrCat(json, "},\"verifier\":", m.report.VerifierJson(), "}");
 }
 
 // --emit-kernels: one .cc (the exact native C++ source the JIT compiles,
@@ -227,7 +204,7 @@ int Run(int argc, char** argv) {
     } else if (flag == "--arch") {
       StatusOr<GpuArch> parsed = ArchFromName(value);
       if (!parsed.ok()) {
-        std::cerr << "sf-compile: " << parsed.status().message() << " (see --list)\n";
+        std::cerr << "sf-compile: " << parsed.status().message() << "\n";
         return 2;
       }
       arch = parsed.value();
@@ -265,7 +242,7 @@ int Run(int argc, char** argv) {
   } else {
     StatusOr<ModelKind> kind = ModelKindFromName(model_arg);
     if (!kind.ok()) {
-      std::cerr << "sf-compile: " << kind.status().message() << " (see --list)\n";
+      std::cerr << "sf-compile: " << kind.status().message() << "\n";
       return 2;
     }
     kinds.push_back(kind.value());
@@ -335,11 +312,19 @@ int Run(int argc, char** argv) {
         r.compiled.compile_time.enum_cfg_ms, r.compiled.compile_time.tuning_s,
         r.compiled.compile_time.total_s(), r.wall_ms, static_cast<long long>(cache.hits),
         static_cast<long long>(cache.misses), static_cast<long long>(cache.collisions));
-    if (!r.compiled.report.bucket.empty()) {
+    const CompileReport& report = r.compiled.report;
+    if (!report.diagnostics.empty()) {
+      std::printf("  verifier: %d error(s), %d warning(s)\n", report.verifier_errors,
+                  report.verifier_warnings);
+      for (const ReportDiagnostic& d : report.diagnostics) {
+        std::printf("    %s\n", d.message.c_str());
+      }
+    }
+    if (!report.bucket.empty()) {
       std::printf("  shape %s -> bucket %s (%s, %lld transfer-seeded config(s))\n",
-                  r.compiled.report.shape.c_str(), r.compiled.report.bucket.c_str(),
-                  r.compiled.report.bucket_hit ? "bucket hit" : "tuned cold",
-                  static_cast<long long>(r.compiled.report.transfer_seeded));
+                  report.shape.c_str(), report.bucket.c_str(),
+                  report.bucket_hit ? "bucket hit" : "tuned cold",
+                  static_cast<long long>(report.transfer_seeded));
     }
     if (!emit_kernels_dir.empty()) {
       int pairs = EmitKernelSources(emit_kernels_dir, r.model, r.compiled);

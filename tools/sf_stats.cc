@@ -31,8 +31,8 @@ int Usage() {
                "\n"
                "  RUN / BASE / CURRENT  a report directory (SPACEFUSION_REPORT_DIR), an\n"
                "                        sf-compile --json file, a single *.report.json,\n"
-               "                        a BENCH_compile.json from sf-bench-json, or a\n"
-               "                        BENCH_exec.json from fig_wallclock\n"
+               "                        a BENCH_compile.json from table5_model_compile\n"
+               "                        --json, or a BENCH_exec.json from fig_wallclock\n"
                "  --top N               how many slowest models/passes to list (default 5)\n"
                "  --threshold PCT       regression threshold in percent (default 10)\n"
                "  --include-wall        also diff wall-clock keys (machine dependent)\n"
