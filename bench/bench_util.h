@@ -113,8 +113,9 @@ inline void PrintRow(const std::string& label, const std::vector<double>& values
 
 // Simulated time of one subgraph under SpaceFusion (µs), or -1 on failure.
 inline double SpaceFusionTimeUs(const Graph& graph, const GpuArch& arch) {
-  StatusOr<ExecutionReport> report = EstimateGraphWithSpaceFusion(graph, arch);
-  return report.ok() ? report->time_us : -1.0;
+  CompilerEngine engine{CompileOptions(arch)};
+  StatusOr<CompiledSubprogram> compiled = engine.Compile(graph);
+  return compiled.ok() ? compiled->estimate.time_us : -1.0;
 }
 
 // Simulated time of one subgraph under a baseline (µs), or -1 if the

@@ -13,7 +13,8 @@ namespace spacefusion {
 namespace {
 
 double SpaceFusionModelTimeUs(const ModelGraph& model, const GpuArch& arch) {
-  StatusOr<CompiledModel> compiled = CompileModelWithSpaceFusion(model, CompileOptions(arch));
+  CompilerEngine engine{CompileOptions(arch)};
+  StatusOr<CompiledModel> compiled = engine.CompileModel(model);
   return compiled.ok() ? compiled->total.time_us : -1.0;
 }
 

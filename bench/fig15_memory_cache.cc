@@ -24,8 +24,8 @@ struct Workload {
 };
 
 std::vector<KernelSpec> SpaceFusionKernels(const Graph& graph, const GpuArch& arch) {
-  Compiler compiler{CompileOptions(arch)};
-  StatusOr<CompiledSubprogram> compiled = compiler.Compile(graph);
+  CompilerEngine engine{CompileOptions(arch)};
+  StatusOr<CompiledSubprogram> compiled = engine.Compile(graph);
   if (!compiled.ok()) {
     return {};
   }

@@ -13,7 +13,8 @@ namespace spacefusion {
 namespace {
 
 double ModelTimeUs(const ModelGraph& model, const CompileOptions& options) {
-  StatusOr<CompiledModel> compiled = CompileModelWithSpaceFusion(model, options);
+  CompilerEngine engine{options};
+  StatusOr<CompiledModel> compiled = engine.CompileModel(model);
   return compiled.ok() ? compiled->total.time_us : -1.0;
 }
 

@@ -56,8 +56,8 @@ double BestOfUs(int repeats, const std::function<void()>& run) {
 
 StatusOr<Timing> TimeGraph(const Graph& g, int repeats, JitExecutor* fused,
                            JitExecutor* unfused) {
-  Compiler compiler{CompileOptions(AmpereA100())};
-  SF_ASSIGN_OR_RETURN(CompiledSubprogram compiled, compiler.Compile(g));
+  CompilerEngine engine{CompileOptions(AmpereA100())};
+  SF_ASSIGN_OR_RETURN(CompiledSubprogram compiled, engine.Compile(g));
   const TensorEnv inputs = MakeGraphInputs(g, /*seed=*/7);
 
   Timing t;
@@ -118,7 +118,6 @@ int Run(int argc, char** argv) {
   JitExecutorOptions unfused_options;
   unfused_options.cache.dir = cache_dir;
   unfused_options.codegen.reference_mode = true;
-  unfused_options.codegen.fuse_elementwise = false;
   JitExecutor unfused(unfused_options);
 
   std::vector<Workload> workloads;
@@ -181,7 +180,7 @@ int Run(int argc, char** argv) {
   const int model_repeats = std::min(repeats, 3);
   for (ModelKind kind : AllModelKinds()) {
     ModelGraph model = BuildModel(GetModelConfig(kind, /*batch=*/1, /*seq=*/64));
-    Compiler compiler{CompileOptions(AmpereA100())};
+    CompilerEngine engine{CompileOptions(AmpereA100())};
     // Distinct subprograms once each (repeat counts would only scale every
     // column by the same factor); the compiler's program cache makes the
     // repeated Compile calls free.
@@ -199,7 +198,7 @@ int Run(int argc, char** argv) {
         continue;
       }
       seen.push_back(fp);
-      StatusOr<CompiledSubprogram> compiled = compiler.Compile(sub.graph);
+      StatusOr<CompiledSubprogram> compiled = engine.Compile(sub.graph);
       if (!compiled.ok()) {
         std::fprintf(stderr, "fig_wallclock: %s/%s: %s\n", ModelKindName(kind),
                      sub.graph.name().c_str(), compiled.status().ToString().c_str());

@@ -63,8 +63,8 @@ void BM_CompileSubgraph(benchmark::State& state) {
   graphs.push_back(BuildLayerNormGraph(8192, 8192));
   const Graph& g = graphs[static_cast<size_t>(state.range(0))];
   for (auto _ : state) {
-    Compiler compiler{CompileOptions(AmpereA100())};  // fresh: no cache hits
-    auto compiled = compiler.Compile(g);
+    CompilerEngine engine{CompileOptions(AmpereA100())};  // fresh: no cache hits
+    auto compiled = engine.Compile(g);
     benchmark::DoNotOptimize(compiled);
   }
 }
@@ -110,8 +110,8 @@ BENCHMARK(BM_MemorySimKernel)->Arg(0)->Arg(1);
 void BM_CompileBertModel(benchmark::State& state) {
   ModelGraph model = BuildModel(GetModelConfig(ModelKind::kBert, 32, 512));
   for (auto _ : state) {
-    Compiler compiler{CompileOptions(AmpereA100())};
-    auto compiled = compiler.CompileModel(model);
+    CompilerEngine engine{CompileOptions(AmpereA100())};
+    auto compiled = engine.CompileModel(model);
     benchmark::DoNotOptimize(compiled);
   }
 }

@@ -86,7 +86,8 @@ struct SpaceFusionCompile {
 SpaceFusionCompile CompileWithSpaceFusion(const ModelGraph& model, const CompileOptions& options) {
   SpaceFusionCompile r;
   WallTimer timer;
-  StatusOr<CompiledModel> compiled = CompileModelWithSpaceFusion(model, options);
+  CompilerEngine engine{options};
+  StatusOr<CompiledModel> compiled = engine.CompileModel(model);
   r.wall_ms = timer.ElapsedMs();
   if (!compiled.ok()) {
     return r;

@@ -60,11 +60,11 @@ int main() {
   auto pytorch = MakePyTorchBaseline();
   for (std::int64_t seq : {256, 512, 1024, 2048, 4096}) {
     Graph g = BuildMha(32 * 12, seq, seq, 64);
-    auto sf = EstimateGraphWithSpaceFusion(g, arch);
+    auto sf = CompilerEngine{CompileOptions(arch)}.Compile(g);
     auto fa = EstimateGraphWithBaseline(g, *fa2, arch);
     auto pt = EstimateGraphWithBaseline(g, *pytorch, arch);
     std::printf("  %-8lld %11.1f us %11.1f us %11.1f us\n", static_cast<long long>(seq),
-                sf.ok() ? sf->time_us : -1.0, fa ? fa->time_us : -1.0,
+                sf.ok() ? sf->estimate.time_us : -1.0, fa ? fa->time_us : -1.0,
                 pt ? pt->time_us : -1.0);
   }
   return 0;

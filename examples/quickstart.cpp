@@ -20,8 +20,8 @@ int main() {
 
   // 2. Compile with SpaceFusion for an A100.
   GpuArch arch = AmpereA100();
-  Compiler compiler{CompileOptions(arch)};
-  StatusOr<CompiledSubprogram> compiled = compiler.Compile(mha);
+  CompilerEngine engine{CompileOptions(arch)};
+  StatusOr<CompiledSubprogram> compiled = engine.Compile(mha);
   if (!compiled.ok()) {
     std::printf("compilation failed: %s\n", compiled.status().ToString().c_str());
     return 1;

@@ -21,8 +21,8 @@ int main() {
                 static_cast<long long>(config.seq), config.num_layers,
                 static_cast<long long>(config.hidden));
 
-    Compiler compiler{CompileOptions(arch)};
-    StatusOr<CompiledModel> compiled = compiler.CompileModel(model);
+    CompilerEngine engine{CompileOptions(arch)};
+    StatusOr<CompiledModel> compiled = engine.CompileModel(model);
     if (!compiled.ok()) {
       std::printf("  compile failed: %s\n", compiled.status().ToString().c_str());
       continue;

@@ -19,11 +19,10 @@
 namespace spacefusion {
 
 std::uint64_t CppCodegenOptionsDigest(const CppCodegenOptions& options) {
-  std::string blob = "sfcpp-options-v1|";
-  blob += options.emit_comments ? "c1|" : "c0|";
-  blob += options.fuse_elementwise ? "f1|" : "f0|";
-  blob += options.reference_mode ? "r1" : "r0";
-  return Fnv1a64(blob);
+  // Fixed byte strings (comments on; inlining off exactly in reference
+  // mode) that kernel keys, symbols and cached .sfk.so files depend on.
+  return Fnv1a64(options.reference_mode ? "sfcpp-options-v1|c1|f0|r1"
+                                        : "sfcpp-options-v1|c1|f1|r0");
 }
 
 namespace {
@@ -215,7 +214,7 @@ void CppEmitter::PlanAbi() {
 
 void CppEmitter::PlanInline() {
   inlined_.assign(g_.tensors().size(), false);
-  if (!opt_.fuse_elementwise || opt_.reference_mode) {
+  if (opt_.reference_mode) {
     return;
   }
   for (const Op& op : g_.ops()) {
@@ -300,11 +299,7 @@ void CppEmitter::Line(const std::string& text) {
   body_ += '\n';
 }
 
-void CppEmitter::Comment(const std::string& text) {
-  if (opt_.emit_comments) {
-    Line("// " + text);
-  }
-}
+void CppEmitter::Comment(const std::string& text) { Line("// " + text); }
 
 std::string CppEmitter::NewVar(const char* stem) { return stem + I64(var_counter_++); }
 

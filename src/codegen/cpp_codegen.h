@@ -32,16 +32,10 @@
 namespace spacefusion {
 
 struct CppCodegenOptions {
-  // Annotate the emitted source with op/schedule provenance comments.
-  bool emit_comments = true;
-  // Inline single-consumer element-wise producers into their consumer's
-  // loop (loop fusion). Preserves the per-element expression tree, so the
-  // result stays bit-identical to the materialized form.
-  bool fuse_elementwise = true;
   // Emit the *unfused* baseline instead: one full-extent loop nest per op,
-  // every intermediate materialized, no temporal tiling and no inlining.
-  // This is RunReference as native code — the fair "unfused" side of the
-  // wall-clock comparison.
+  // every intermediate materialized, no temporal tiling and no inlining of
+  // element-wise producers into their consumers. This is RunReference as
+  // native code — the fair "unfused" side of the wall-clock comparison.
   bool reference_mode = false;
 };
 

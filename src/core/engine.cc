@@ -66,12 +66,6 @@ void FillResultSummary(const CompiledSubprogram& compiled, CompileReport* report
   report->transfer_seeded = compiled.tuning.configs_transfer_seeded;
 }
 
-void AddLabeledCounter(const char* base, const std::string& request_id) {
-  MetricsRegistry::Global()
-      .GetCounter(LabeledMetricName(base, "request_id", request_id))
-      .Increment(1);
-}
-
 }  // namespace
 
 std::uint64_t CompileOptionsDigest(const CompileOptions& options) {
@@ -101,7 +95,9 @@ std::uint64_t CompileOptionsDigest(const CompileOptions& options) {
   MixInto(&h, static_cast<std::uint64_t>(options.search.max_block));
   MixInto(&h, static_cast<std::uint64_t>(options.search.min_block));
   MixInto(&h, static_cast<std::uint64_t>(options.search.max_configs));
-  MixInto(&h, options.search.prune_dominated ? 13u : 17u);
+  // The slot of the deleted dominance-pruning option, fixed at its old
+  // "off" value so digests and persisted .sfpc entries stay valid.
+  MixInto(&h, 17u);
 
   MixInto(&h, DoubleBits(options.tuner.early_quit_alpha));
   MixInto(&h, static_cast<std::uint64_t>(options.tuner.warmup_runs));
@@ -240,13 +236,19 @@ StatusOr<CompiledSubprogram> CompilerEngine::CompileWithReport(const Graph& grap
   // this method for each subprogram, one at a time).
   ObsCompileLock obs_lock;
   const auto request_start = std::chrono::steady_clock::now();
-  const std::uint64_t digest =
-      &options == &options_.compile ? default_digest_ : CompileOptionsDigest(options);
-  const std::uint64_t fingerprint = Fingerprint(graph);
+  RequestKey key;
+  key.digest = &options == &options_.compile ? default_digest_ : CompileOptionsDigest(options);
+  key.fingerprint = Fingerprint(graph);
+  if (options_.enable_program_cache) {
+    key.cache_key = 1469598103934665603ULL;
+    MixInto(&key.cache_key, key.fingerprint);
+    MixInto(&key.cache_key, key.digest);
+    key.canonical = graph.CanonicalForm();
+  }
   report->request_id = NextRequestId();
   report->model = model_name;
-  report->graph_fingerprint = fingerprint;
-  report->options_digest = digest;
+  report->graph_fingerprint = key.fingerprint;
+  report->options_digest = key.digest;
   // Subprogram graphs are built at the bucket shape, so at this level the
   // shape *is* the bucket; CompileModelForShape stamps the exact request
   // shape onto the model-level report.
@@ -256,151 +258,129 @@ StatusOr<CompiledSubprogram> CompilerEngine::CompileWithReport(const Graph& grap
       report->request_id, "engine",
       StrCat("request start: graph ", graph.name(), ", ", graph.ops().size(), " op(s)"));
 
-  std::uint64_t key = 0;
-  std::string canonical;
-  if (options_.enable_program_cache) {
-    key = 1469598103934665603ULL;
-    MixInto(&key, fingerprint);
-    MixInto(&key, digest);
-    canonical = graph.CanonicalForm();
-    bool hit = false;
-    bool collided = false;
-    CompiledSubprogram cached;
-    {
-      MutexLock lock(cache_mu_);
-      auto it = cache_.find(key);
-      if (it != cache_.end()) {
-        for (const CacheEntry& entry : it->second) {
-          if (entry.digest == digest && entry.canonical == canonical) {
-            ++stats_.hits;
-            hit = true;
-            cached = entry.compiled;
-            break;
-          }
-          collided = true;
-        }
-      }
-      if (hit) {
-        SF_COUNTER_ADD("engine.cache.hits", 1);
-        SF_COUNTER_ADD("compiler.cache_hits", 1);
-      } else {
-        if (collided) {
-          ++stats_.collisions;
-          SF_COUNTER_ADD("engine.cache.collisions", 1);
-        }
-        ++stats_.misses;
-        SF_COUNTER_ADD("engine.cache.misses", 1);
-        SF_COUNTER_ADD("compiler.cache_misses", 1);
-      }
-    }
-    if (options_.label_metrics_by_request) {
-      AddLabeledCounter(hit ? "engine.cache.hits" : "engine.cache.misses", report->request_id);
-    }
-    if (hit) {
-      cached.request_id = report->request_id;
-      FillResultSummary(cached, report);
-      report->outcome = "cache_hit";
-      report->bucket_hit = !options.shape_bucket.empty();
-      PrewarmJit(cached, report);
-      report->wall_ms = MsSince(request_start);
-      FlightRecorder::Global().Record(report->request_id, "engine",
-                                      "request served from program cache");
-      EmitReport(*report);
-      return cached;
-    }
-    if (collided) {
-      // A fingerprint alias: worth a post-mortem even though the request
-      // recovers by compiling fresh into the same bucket.
-      report->cache_collision = true;
-      if (options_.label_metrics_by_request) {
-        AddLabeledCounter("engine.cache.collisions", report->request_id);
-      }
-      FlightRecorder::Global().Record(
-          report->request_id, "engine",
-          StrCat("cache collision: fingerprint aliased, canonical form mismatched (graph ",
-                 graph.name(), ")"));
-      FlightRecorder::Global().DumpToFailureLog(report->request_id,
-                                                "program-cache fingerprint collision");
-    }
-    if (persistent_ != nullptr) {
-      CompiledSubprogram from_disk;
-      std::string detail;
-      const PersistentProgramCache::LoadResult loaded =
-          persistent_->Load(fingerprint, digest, options.arch.name, canonical, &from_disk,
-                            &detail, options.shape_bucket);
-      switch (loaded) {
-        case PersistentProgramCache::LoadResult::kHit: {
-          {
-            MutexLock lock(cache_mu_);
-            ++stats_.persistent_hits;
-            InsertIfAbsent(key, digest, std::move(canonical), from_disk);
-          }
-          SF_COUNTER_ADD("engine.cache.persistent_hits", 1);
-          if (options_.label_metrics_by_request) {
-            AddLabeledCounter("engine.cache.persistent_hits", report->request_id);
-          }
-          from_disk.request_id = report->request_id;
-          FillResultSummary(from_disk, report);
-          report->outcome = "persistent_hit";
-          report->bucket_hit = !options.shape_bucket.empty();
-          PrewarmJit(from_disk, report);
-          report->wall_ms = MsSince(request_start);
-          FlightRecorder::Global().Record(report->request_id, "engine",
-                                          "request warmed from persistent cache");
-          EmitReport(*report);
-          return from_disk;
-        }
-        case PersistentProgramCache::LoadResult::kStale: {
-          // Options or code drifted since the entry was written: by design a
-          // silent cold fallback, never an error surfaced to the caller.
-          {
-            MutexLock lock(cache_mu_);
-            ++stats_.persistent_stale;
-          }
-          SF_COUNTER_ADD("engine.cache.persistent_stale", 1);
-          FlightRecorder::Global().Record(report->request_id, "engine",
-                                          StrCat("persistent cache entry stale: ", detail));
-          break;
-        }
-        case PersistentProgramCache::LoadResult::kCorrupt: {
-          {
-            MutexLock lock(cache_mu_);
-            ++stats_.persistent_corrupt;
-          }
-          SF_COUNTER_ADD("engine.cache.persistent_corrupt", 1);
-          SF_LOG(Warning) << "persistent cache entry corrupt, recompiling cold: " << detail;
-          FlightRecorder::Global().Record(report->request_id, "engine",
-                                          StrCat("persistent cache entry corrupt: ", detail));
-          break;
-        }
-        case PersistentProgramCache::LoadResult::kMiss:
-          break;
-      }
-    }
+  CompiledSubprogram cached;
+  const Served* served = Lookup(graph, options, key, report, &cached);
+  StatusOr<CompiledSubprogram> result = std::move(cached);
+  if (served == nullptr) {
+    served = &kCold;
+    result = CompileCold(graph, options, key, report);
+  }
+
+  // The finish tail, one for every outcome.
+  if (result.ok()) {
+    result->request_id = report->request_id;
+    FillResultSummary(*result, report);
+    report->outcome = served->outcome;
+    report->bucket_hit = served != &kCold && !options.shape_bucket.empty();
+    PrewarmJit(*result, report);
+    report->wall_ms = MsSince(request_start);
+    FlightRecorder::Global().Record(report->request_id, "engine", served->event);
   } else {
+    report->outcome = "error";
+    report->status_message = result.status().ToString();
+    report->wall_ms = MsSince(request_start);
+    FlightRecorder::Global().Record(report->request_id, "engine",
+                                    StrCat("request failed: ", result.status().message()));
+    FlightRecorder::Global().DumpToFailureLog(report->request_id, result.status().message());
+  }
+  EmitReport(*report);
+  return result;
+}
+
+const CompilerEngine::Served* CompilerEngine::Lookup(const Graph& graph,
+                                                      const CompileOptions& options,
+                                                      const RequestKey& key,
+                                                      CompileReport* report,
+                                                      CompiledSubprogram* out) {
+  if (!options_.enable_program_cache) {
     MutexLock lock(cache_mu_);
     ++stats_.misses;
     SF_COUNTER_ADD("engine.cache.misses", 1);
     SF_COUNTER_ADD("compiler.cache_misses", 1);
+    return nullptr;
   }
-
-  StatusOr<CompiledSubprogram> compiled =
-      CompileUncached(graph, options, digest, report->request_id, report);
-  report->wall_ms = MsSince(request_start);
-  if (!compiled.ok()) {
-    report->outcome = "error";
-    report->status_message = compiled.status().ToString();
-    FlightRecorder::Global().Record(report->request_id, "engine",
-                                    StrCat("request failed: ", compiled.status().message()));
-    FlightRecorder::Global().DumpToFailureLog(report->request_id, compiled.status().message());
-    EmitReport(*report);
-    return compiled.status();
+  bool collided = false;
+  {
+    MutexLock lock(cache_mu_);
+    auto it = cache_.find(key.cache_key);
+    if (it != cache_.end()) {
+      for (const CacheEntry& entry : it->second) {
+        if (entry.digest == key.digest && entry.canonical == key.canonical) {
+          ++stats_.hits;
+          SF_COUNTER_ADD("engine.cache.hits", 1);
+          SF_COUNTER_ADD("compiler.cache_hits", 1);
+          *out = entry.compiled;
+          return &kCacheHit;
+        }
+        collided = true;
+      }
+    }
+    if (collided) {
+      ++stats_.collisions;
+      SF_COUNTER_ADD("engine.cache.collisions", 1);
+    }
+    ++stats_.misses;
+    SF_COUNTER_ADD("engine.cache.misses", 1);
+    SF_COUNTER_ADD("compiler.cache_misses", 1);
   }
-  CompiledSubprogram result = std::move(compiled).value();
-  result.request_id = report->request_id;
-  FillResultSummary(result, report);
-  report->outcome = "cold";
+  if (collided) {
+    // A fingerprint alias: worth a post-mortem even though the request
+    // recovers by compiling fresh into the same bucket.
+    report->cache_collision = true;
+    FlightRecorder::Global().Record(
+        report->request_id, "engine",
+        StrCat("cache collision: fingerprint aliased, canonical form mismatched (graph ",
+               graph.name(), ")"));
+    FlightRecorder::Global().DumpToFailureLog(report->request_id,
+                                              "program-cache fingerprint collision");
+  }
+  if (persistent_ == nullptr) {
+    return nullptr;
+  }
+  std::string detail;
+  switch (persistent_->Load(key.fingerprint, key.digest, options.arch.name, key.canonical, out,
+                            &detail, options.shape_bucket)) {
+    case PersistentProgramCache::LoadResult::kHit: {
+      MutexLock lock(cache_mu_);
+      ++stats_.persistent_hits;
+      InsertIfAbsent(key, *out);
+      SF_COUNTER_ADD("engine.cache.persistent_hits", 1);
+      return &kPersistentHit;
+    }
+    case PersistentProgramCache::LoadResult::kStale: {
+      // Options or code drifted since the entry was written: by design a
+      // silent cold fallback, never an error surfaced to the caller.
+      {
+        MutexLock lock(cache_mu_);
+        ++stats_.persistent_stale;
+      }
+      SF_COUNTER_ADD("engine.cache.persistent_stale", 1);
+      FlightRecorder::Global().Record(report->request_id, "engine",
+                                      StrCat("persistent cache entry stale: ", detail));
+      return nullptr;
+    }
+    case PersistentProgramCache::LoadResult::kCorrupt: {
+      {
+        MutexLock lock(cache_mu_);
+        ++stats_.persistent_corrupt;
+      }
+      SF_COUNTER_ADD("engine.cache.persistent_corrupt", 1);
+      SF_LOG(Warning) << "persistent cache entry corrupt, recompiling cold: " << detail;
+      FlightRecorder::Global().Record(report->request_id, "engine",
+                                      StrCat("persistent cache entry corrupt: ", detail));
+      return nullptr;
+    }
+    case PersistentProgramCache::LoadResult::kMiss:
+      break;
+  }
+  return nullptr;
+}
 
+StatusOr<CompiledSubprogram> CompilerEngine::CompileCold(const Graph& graph,
+                                                         const CompileOptions& options,
+                                                         const RequestKey& key,
+                                                         CompileReport* report) {
+  SF_ASSIGN_OR_RETURN(CompiledSubprogram result, RunPassList(graph, options, key.digest, report));
   if (persistent_ != nullptr) {
     // Admission gate: a racy program must never be persisted — a later
     // daemon would serve it without recompiling, so disk is where a bad
@@ -425,8 +405,8 @@ StatusOr<CompiledSubprogram> CompilerEngine::CompileWithReport(const Graph& grap
     } else {
       // Best effort: a full disk or unwritable directory costs persistence,
       // never the compile result.
-      Status stored = persistent_->Store(fingerprint, digest, options.arch.name, canonical,
-                                         result, options.shape_bucket);
+      Status stored = persistent_->Store(key.fingerprint, key.digest, options.arch.name,
+                                         key.canonical, result, options.shape_bucket);
       if (stored.ok()) {
         SF_COUNTER_ADD("engine.cache.persistent_stores", 1);
       } else {
@@ -436,31 +416,25 @@ StatusOr<CompiledSubprogram> CompilerEngine::CompileWithReport(const Graph& grap
   }
   if (options_.enable_program_cache) {
     MutexLock lock(cache_mu_);
-    InsertIfAbsent(key, digest, std::move(canonical), result);
+    InsertIfAbsent(key, result);
   }
-  PrewarmJit(result, report);
-  report->wall_ms = MsSince(request_start);
-  FlightRecorder::Global().Record(report->request_id, "engine", "request done");
-  EmitReport(*report);
   return result;
 }
 
-void CompilerEngine::InsertIfAbsent(std::uint64_t key, std::uint64_t digest, std::string canonical,
-                                    const CompiledSubprogram& compiled) {
-  std::vector<CacheEntry>& bucket = cache_[key];
+void CompilerEngine::InsertIfAbsent(const RequestKey& key, const CompiledSubprogram& compiled) {
+  std::vector<CacheEntry>& bucket = cache_[key.cache_key];
   for (const CacheEntry& entry : bucket) {
-    if (entry.digest == digest && entry.canonical == canonical) {
+    if (entry.digest == key.digest && entry.canonical == key.canonical) {
       return;  // a concurrent request stored it first
     }
   }
-  bucket.push_back(CacheEntry{digest, std::move(canonical), compiled});
+  bucket.push_back(CacheEntry{key.digest, key.canonical, compiled});
 }
 
-StatusOr<CompiledSubprogram> CompilerEngine::CompileUncached(const Graph& graph,
-                                                             const CompileOptions& options,
-                                                             std::uint64_t digest,
-                                                             const std::string& request_id,
-                                                             CompileReport* report) {
+StatusOr<CompiledSubprogram> CompilerEngine::RunPassList(const Graph& graph,
+                                                         const CompileOptions& options,
+                                                         std::uint64_t digest,
+                                                         CompileReport* report) {
   ScopedSpan compile_span("compiler.compile");
   compile_span.Arg("graph", graph.name()).Arg("ops", static_cast<std::int64_t>(graph.ops().size()));
   SF_COUNTER_ADD("compiler.subprograms_compiled", 1);
@@ -475,10 +449,7 @@ StatusOr<CompiledSubprogram> CompilerEngine::CompileUncached(const Graph& graph,
   state.fusion = &fusion_;
 
   PassManagerOptions pm_options;
-  pm_options.request_id = request_id;
-  if (options_.label_metrics_by_request) {
-    pm_options.metric_label = LabeledMetricName("", "request_id", request_id);
-  }
+  pm_options.request_id = report->request_id;
   PassManager manager(BuildCompilePassList(options), std::move(pm_options));
   Status run_status = manager.Run(&state);
   // Pass timings and diagnostics reach the report even when a pass failed:
@@ -534,15 +505,17 @@ StatusOr<CompiledModel> CompilerEngine::CompileModel(const ModelGraph& model,
   bool any_cold = false;
   bool any_persistent = false;
   // Intra-request dedup: repeated subprograms of *this* model compile once
-  // and count into CompiledModel::cache_hits (the paper's statistic).
+  // and count into CompiledModel::cache_hits (the paper's statistic). They
+  // are grouped by canonical form, as the program cache confirms its hits,
+  // so a fingerprint collision cannot alias two different subprograms.
   // Cross-request reuse happens inside CompileWithReport via the program
   // cache.
-  std::map<std::uint64_t, size_t> compiled_index;
+  std::map<std::string, size_t> unique_index;
   for (const Subprogram& sub : model.subprograms) {
-    std::uint64_t key = Fingerprint(sub.graph);
-    MixInto(&model_fingerprint, key);
-    auto it = compiled_index.find(key);
-    if (it == compiled_index.end()) {
+    MixInto(&model_fingerprint, Fingerprint(sub.graph));
+    auto [it, first_seen] =
+        unique_index.try_emplace(sub.graph.CanonicalForm(), out.unique_subprograms.size());
+    if (first_seen) {
       CompileReport sub_report;
       SF_ASSIGN_OR_RETURN(CompiledSubprogram compiled,
                           CompileWithReport(sub.graph, options, model.config.name, &sub_report));
@@ -552,12 +525,12 @@ StatusOr<CompiledModel> CompilerEngine::CompileModel(const ModelGraph& model,
       any_cold = any_cold || sub_report.outcome == "cold";
       any_persistent = any_persistent || sub_report.outcome == "persistent_hit";
       out.report.Merge(sub_report);
-      it = compiled_index.emplace(key, out.unique_subprograms.size()).first;
       out.unique_subprograms.push_back(std::move(compiled));
     } else {
       ++out.cache_hits;
       SF_COUNTER_ADD("compiler.cache_hits", 1);
     }
+    out.sub_to_unique.push_back(it->second);
     out.total += out.unique_subprograms[it->second].estimate.Scaled(sub.repeat);
   }
   out.report.graph_fingerprint = model_fingerprint;
@@ -568,11 +541,8 @@ StatusOr<CompiledModel> CompilerEngine::CompileModel(const ModelGraph& model,
                                                                   : "cache_hit";
   out.report.bucket_hit = !out.report.bucket.empty() && !any_cold && !out.unique_subprograms.empty();
   out.report.modeled_time_us = out.total.time_us;
-  out.report.wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - model_start)
-          .count();
+  out.report.wall_ms = MsSince(model_start);
   model_span.Arg("cache_hits", out.cache_hits).Arg("total_us", out.total.time_us);
-  out.metrics = MetricsRegistry::Global().Snapshot();
   return out;
 }
 

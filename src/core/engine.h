@@ -1,11 +1,17 @@
-// CompilerEngine: the concurrently-callable compile service behind the
-// Compiler facade.
+// CompilerEngine: the SpaceFusion compile API (paper Fig. 9).
+//
+// Program pre-processing segments a model into subprograms (done by the
+// model builders); each subprogram request builds a CompilationState and
+// runs the BuildCompilePassList pass list through a PassManager: one fused
+// SMG per subprogram, then resource-aware slicing and SMG partitioning
+// until every SMG has a schedule, the auto-tuner measuring the enumerated
+// configurations on the GPU simulator, and the best schedules lowered to
+// kernels. The CompileTimeBreakdown derives from the pass timings.
 //
 // The engine owns what a single compile request must not: the cross-model
 // structural program cache, the per-options-digest CostCaches, and the
-// Table 6 fusion-pattern recorder. Each Compile/CompileModel request builds
-// a CompilationState, runs the BuildCompilePassList pass list through a
-// PassManager, and derives the CompileTimeBreakdown from the pass timings.
+// Table 6 fusion-pattern recorder. Every method is safe to call from
+// several threads at once.
 //
 // Program cache key anatomy: (canonical graph fingerprint, options digest).
 // The fingerprint is Graph::StructuralHash (name-insensitive) by default —
@@ -25,7 +31,6 @@
 #include <vector>
 
 #include "src/codegen/jit_cache.h"
-#include "src/core/compiler.h"
 #include "src/core/program_store.h"
 #include "src/graph/models.h"
 #include "src/graph/shape_bucket.h"
@@ -44,6 +49,27 @@ std::uint64_t CompileOptionsDigest(const CompileOptions& options);
 // The SPACEFUSION_CACHE_DIR environment variable, read fresh on every call
 // ("" when unset) so tests and daemons can repoint it between engines.
 std::string CacheDirFromEnv();
+
+// What CompileModel returns.
+struct CompiledModel {
+  // One entry per *unique* subprogram (repetitions compile once), in
+  // first-seen order.
+  std::vector<CompiledSubprogram> unique_subprograms;
+  // The unique_subprograms index of each model subprogram, in model order.
+  // Repetitions are grouped by Graph::CanonicalForm, so a fingerprint
+  // collision never makes two different subprograms share a program.
+  std::vector<size_t> sub_to_unique;
+  // Execution estimate of the whole model (repeat counts expanded).
+  ExecutionReport total;
+  CompileTimeBreakdown compile_time;
+  int cache_hits = 0;  // repeated subprograms served from the compile cache
+  // Merged observability report of this model's compile: per-pass timings
+  // summed by pass name across the unique-subprogram requests, tuning
+  // funnel and memory summary folded the same way. Carried here (not
+  // emitted to sinks — the per-request reports already were) so callers can
+  // inspect one compile without installing a ReportSink.
+  CompileReport report;
+};
 
 // What CompileModelForShape returns: the bucket's compiled programs plus
 // everything runtime dispatch needs to serve the exact request shape.
@@ -100,12 +126,6 @@ struct EngineOptions {
   // "<cache_dir>/kernels" when cache_dir is set (kernels persist next to
   // the .sfpc program cache), else KernelCacheDirFromEnv().
   JitCacheOptions jit_cache;
-  // Additionally record engine/pass metrics under per-request labeled names
-  // (engine.cache.hits{request_id="req-000001"}, ...) so concurrent
-  // compiles stay attributable in the OpenMetrics exposition. Off by
-  // default: every request adds new time series, so enable only where the
-  // request volume is bounded (tests, short-lived tools).
-  bool label_metrics_by_request = false;
 
   EngineOptions() = default;
   explicit EngineOptions(CompileOptions c) : compile(std::move(c)) {}
@@ -139,9 +159,10 @@ class CompilerEngine {
   StatusOr<CompiledSubprogram> Compile(const Graph& graph);
   StatusOr<CompiledSubprogram> Compile(const Graph& graph, const CompileOptions& options);
 
-  // Compiles a whole model; repeated subprograms are compiled once.
-  // CompiledModel::cache_hits counts the intra-model repeats (the paper's
-  // compile-once statistic); cross-model reuse shows up in engine.cache.*.
+  // Compiles a whole model; repeated subprograms (equal
+  // Graph::CanonicalForm) are compiled once. CompiledModel::cache_hits
+  // counts the intra-model repeats (the paper's compile-once statistic);
+  // cross-model reuse shows up in engine.cache.*.
   StatusOr<CompiledModel> CompileModel(const ModelGraph& model);
   StatusOr<CompiledModel> CompileModel(const ModelGraph& model, const CompileOptions& options);
 
@@ -179,24 +200,49 @@ class CompilerEngine {
     CompiledSubprogram compiled;
   };
 
+  // Program-cache coordinates of one request.
+  struct RequestKey {
+    std::uint64_t fingerprint = 0;
+    std::uint64_t digest = 0;
+    std::uint64_t cache_key = 0;  // cache_ key mixing fingerprint and digest
+    std::string canonical;        // Graph::CanonicalForm ("" with the cache off)
+  };
+  // How a request was served: its CompileReport outcome and the
+  // flight-recorder event that closes it.
+  struct Served {
+    const char* outcome;
+    const char* event;
+  };
+  static constexpr Served kCold{"cold", "request done"};
+  static constexpr Served kCacheHit{"cache_hit", "request served from program cache"};
+  static constexpr Served kPersistentHit{"persistent_hit", "request warmed from persistent cache"};
+
   std::uint64_t Fingerprint(const Graph& graph) const;
   // Stores `compiled` in the program cache unless an entry with the same
   // (digest, canonical form) is already there.
-  void InsertIfAbsent(std::uint64_t key, std::uint64_t digest, std::string canonical,
-                      const CompiledSubprogram& compiled) SF_REQUIRES(cache_mu_);
+  void InsertIfAbsent(const RequestKey& key, const CompiledSubprogram& compiled)
+      SF_REQUIRES(cache_mu_);
   // CostCache keys are (kernel signature, config) — arch-blind — so each
   // options digest gets its own cache.
   CostCache* CostCacheFor(std::uint64_t digest);
-  // One engine request: cache lookup, compile on miss, and the request's
-  // CompileReport (written into *report and emitted to the sinks).
+  // One engine request: Lookup, CompileCold on a miss, then one finish
+  // tail for every outcome that writes the request's CompileReport into
+  // *report and emits it to the sinks.
   StatusOr<CompiledSubprogram> CompileWithReport(const Graph& graph,
                                                  const CompileOptions& options,
                                                  const std::string& model_name,
                                                  CompileReport* report);
-  StatusOr<CompiledSubprogram> CompileUncached(const Graph& graph, const CompileOptions& options,
-                                               std::uint64_t digest,
-                                               const std::string& request_id,
-                                               CompileReport* report);
+  // Serves a request from the in-memory program cache, then from the
+  // persistent one: fills *out and returns how it was served, or nullptr
+  // on a miss.
+  const Served* Lookup(const Graph& graph, const CompileOptions& options, const RequestKey& key,
+                       CompileReport* report, CompiledSubprogram* out);
+  // Runs the pass list, then persists the result (when race analysis admits
+  // it) and stores it in the program cache.
+  StatusOr<CompiledSubprogram> CompileCold(const Graph& graph, const CompileOptions& options,
+                                           const RequestKey& key, CompileReport* report);
+  StatusOr<CompiledSubprogram> RunPassList(const Graph& graph, const CompileOptions& options,
+                                           std::uint64_t digest, CompileReport* report);
   // Forwards a finished report to the options sink and the
   // SPACEFUSION_REPORT_DIR sink (when set).
   void EmitReport(const CompileReport& report);

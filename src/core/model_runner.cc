@@ -1,6 +1,5 @@
 #include "src/core/model_runner.h"
 
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace spacefusion {
@@ -35,38 +34,6 @@ std::optional<ExecutionReport> EstimateModelWithBaseline(const ModelGraph& model
     total += cost.Estimate(kernels).Scaled(sub.repeat);
   }
   return total;
-}
-
-StatusOr<CompiledModel> CompileModelWithSpaceFusion(const ModelGraph& model,
-                                                    const CompileOptions& options,
-                                                    CompilerEngine* engine) {
-  ScopedSpan span("runner.compile_model", "runner");
-  span.Arg("model", model.config.name);
-  if (engine != nullptr) {
-    return engine->CompileModel(model, options);
-  }
-  CompilerEngine local{EngineOptions(options)};
-  return local.CompileModel(model);
-}
-
-StatusOr<CompiledSubprogram> CompileGraphWithSpaceFusion(const Graph& graph,
-                                                         const CompileOptions& options,
-                                                         CompilerEngine* engine) {
-  ScopedSpan span("runner.compile_graph", "runner");
-  span.Arg("graph", graph.name());
-  if (engine != nullptr) {
-    return engine->Compile(graph, options);
-  }
-  CompilerEngine local{EngineOptions(options)};
-  return local.Compile(graph);
-}
-
-StatusOr<ExecutionReport> EstimateGraphWithSpaceFusion(const Graph& graph, const GpuArch& arch) {
-  ScopedSpan span("runner.estimate_spacefusion", "runner");
-  span.Arg("graph", graph.name());
-  SF_ASSIGN_OR_RETURN(CompiledSubprogram compiled,
-                      CompileGraphWithSpaceFusion(graph, CompileOptions(arch)));
-  return compiled.estimate;
 }
 
 ExecutionReport SimulateMemory(const std::vector<KernelSpec>& kernels, const GpuArch& arch) {

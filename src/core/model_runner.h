@@ -1,29 +1,18 @@
 // Convenience entry points for the evaluation harness: estimating whole
-// models under SpaceFusion or under a baseline, on a given architecture.
+// models and subprograms under a baseline on a given architecture, and the
+// trace-driven memory simulation. SpaceFusion itself compiles through a
+// CompilerEngine (src/core/engine.h).
 #ifndef SPACEFUSION_SRC_CORE_MODEL_RUNNER_H_
 #define SPACEFUSION_SRC_CORE_MODEL_RUNNER_H_
 
 #include <optional>
 
 #include "src/baselines/baseline.h"
-#include "src/core/compiler.h"
-#include "src/core/engine.h"
+#include "src/graph/models.h"
+#include "src/sim/cost_model.h"
 #include "src/sim/memory_sim.h"
 
 namespace spacefusion {
-
-// Compiles a whole model through the engine API. The one entry point the
-// bench targets (table5, fig14, fig16) and sf-compile share:
-// with `engine == nullptr` a fresh CompilerEngine serves the request (cold
-// compile); passing an engine reuses its cross-model program cache.
-StatusOr<CompiledModel> CompileModelWithSpaceFusion(const ModelGraph& model,
-                                                    const CompileOptions& options,
-                                                    CompilerEngine* engine = nullptr);
-
-// Compiles one subprogram through the engine API (same engine semantics).
-StatusOr<CompiledSubprogram> CompileGraphWithSpaceFusion(const Graph& graph,
-                                                         const CompileOptions& options,
-                                                         CompilerEngine* engine = nullptr);
 
 // Executes a model under a baseline planner on the cost model. Returns
 // nullopt when the baseline does not support any subprogram on this
@@ -37,9 +26,6 @@ std::optional<ExecutionReport> EstimateModelWithBaseline(const ModelGraph& model
 std::optional<ExecutionReport> EstimateGraphWithBaseline(const Graph& graph,
                                                          const Baseline& baseline,
                                                          const GpuArch& arch);
-
-// Compiles + estimates one subprogram with SpaceFusion.
-StatusOr<ExecutionReport> EstimateGraphWithSpaceFusion(const Graph& graph, const GpuArch& arch);
 
 // Cache-level statistics (Fig. 15) for a kernel plan, via the trace-driven
 // memory simulator.

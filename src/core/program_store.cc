@@ -58,38 +58,6 @@ Status DeserializeCompiledSubprogram(ByteReader* r, CompiledSubprogram* sub) {
   return Status::Ok();
 }
 
-void SerializeCompiledModel(const CompiledModel& model, ByteWriter* w) {
-  w->U64(model.unique_subprograms.size());
-  for (const CompiledSubprogram& sub : model.unique_subprograms) {
-    SerializeCompiledSubprogram(sub, w);
-  }
-  SerializeExecutionReport(model.total, w);
-  w->F64(model.compile_time.slicing_ms);
-  w->F64(model.compile_time.enum_cfg_ms);
-  w->F64(model.compile_time.tuning_s);
-  w->I32(model.cache_hits);
-}
-
-Status DeserializeCompiledModel(ByteReader* r, CompiledModel* model) {
-  CompiledModel out;
-  std::uint64_t num_subs = 0;
-  SF_RETURN_IF_ERROR(r->Count(&num_subs, 1));
-  out.unique_subprograms.resize(num_subs);
-  for (std::uint64_t i = 0; i < num_subs; ++i) {
-    SF_RETURN_IF_ERROR(DeserializeCompiledSubprogram(r, &out.unique_subprograms[i]));
-  }
-  SF_RETURN_IF_ERROR(DeserializeExecutionReport(r, &out.total));
-  SF_RETURN_IF_ERROR(r->F64(&out.compile_time.slicing_ms));
-  SF_RETURN_IF_ERROR(r->F64(&out.compile_time.enum_cfg_ms));
-  SF_RETURN_IF_ERROR(r->F64(&out.compile_time.tuning_s));
-  SF_RETURN_IF_ERROR(r->I32(&out.cache_hits));
-  if (out.cache_hits < 0) {
-    return DataLoss(StrCat("negative cache_hits ", out.cache_hits));
-  }
-  *model = std::move(out);
-  return Status::Ok();
-}
-
 std::string EncodePersistedProgram(const PersistedProgram& program) {
   ByteWriter payload;
   payload.Str(program.arch);

@@ -18,26 +18,20 @@
 // CompiledSubprogram::request_id is deliberately not persisted: it names the
 // request that produced the result for one caller, is rewritten on every
 // cache hit anyway, and omitting it keeps serialization canonical
-// (decode + re-encode reproduces the blob byte for byte). Similarly,
-// CompiledModel's process-wide MetricsSnapshot and merged CompileReport are
-// observability of one past process and are not serialized.
+// (decode + re-encode reproduces the blob byte for byte).
 #ifndef SPACEFUSION_SRC_CORE_PROGRAM_STORE_H_
 #define SPACEFUSION_SRC_CORE_PROGRAM_STORE_H_
 
 #include <cstdint>
 #include <string>
 
-#include "src/core/compiler.h"
+#include "src/pass/pass.h"
 #include "src/support/binary_io.h"
 
 namespace spacefusion {
 
 void SerializeCompiledSubprogram(const CompiledSubprogram& sub, ByteWriter* w);
 Status DeserializeCompiledSubprogram(ByteReader* r, CompiledSubprogram* sub);
-
-// CompiledModel minus `metrics` and `report` (see file comment).
-void SerializeCompiledModel(const CompiledModel& model, ByteWriter* w);
-Status DeserializeCompiledModel(ByteReader* r, CompiledModel* model);
 
 inline constexpr char kProgramBlobMagic[4] = {'S', 'F', 'P', 'C'};
 // v2 adds the shape-bucket tag to the payload key context. v1 blobs still

@@ -1,5 +1,6 @@
 #include "src/core/shape_dispatch.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/support/string_util.h"
@@ -12,25 +13,19 @@ Status ShapeDispatchTable::Add(ShapeCompileResult result) {
     return InvalidArgument(StrCat("bucketed model carries ", result.bucketed.layouts.size(),
                                   " layouts for ", model.subprograms.size(), " subprograms"));
   }
-  auto entry = std::make_unique<Entry>();
-  // Replay CompileModel's intra-request dedup (first-seen fingerprint order)
-  // so subprogram i maps to the unique program that compiled it. Dispatch
-  // assumes the engine's default StructuralHash fingerprint.
-  std::map<std::uint64_t, size_t> unique_index;
-  for (const Subprogram& sub : model.subprograms) {
-    const std::uint64_t key = sub.graph.StructuralHash();
-    auto it = unique_index.find(key);
-    if (it == unique_index.end()) {
-      it = unique_index.emplace(key, unique_index.size()).first;
-    }
-    entry->sub_to_unique.push_back(it->second);
-  }
-  if (unique_index.size() != result.compiled.unique_subprograms.size()) {
+  const CompiledModel& compiled = result.compiled;
+  const bool aligned =
+      compiled.sub_to_unique.size() == model.subprograms.size() &&
+      std::all_of(compiled.sub_to_unique.begin(), compiled.sub_to_unique.end(),
+                  [&](size_t unique) { return unique < compiled.unique_subprograms.size(); });
+  if (!aligned) {
     return InvalidArgument(StrCat("bucket ", result.bucketed.bucket_key.Label(), " compiled ",
-                                  result.compiled.unique_subprograms.size(),
-                                  " unique programs but the model dedupes to ",
-                                  unique_index.size()));
+                                  compiled.unique_subprograms.size(),
+                                  " unique programs that do not align with the model's ",
+                                  model.subprograms.size(), " subprograms"));
   }
+  auto entry = std::make_unique<Entry>();
+  entry->sub_to_unique = compiled.sub_to_unique;
   entry->result = std::move(result);
   const std::string label = entry->result.bucketed.bucket_key.Label();
   MutexLock lock(mu_);

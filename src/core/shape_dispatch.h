@@ -36,9 +36,8 @@ struct BucketRunOptions {
 // once added (Route/EntryFor pointers stay valid across later Adds).
 class ShapeDispatchTable {
  public:
-  // One compiled bucket plus the subprogram -> unique-program index map
-  // (CompileModel dedupes repeated subprograms; dispatch must follow the
-  // same first-seen StructuralHash order to find each subprogram's program).
+  // One compiled bucket plus the subprogram -> unique-program index map,
+  // copied from CompiledModel::sub_to_unique.
   struct Entry {
     ShapeCompileResult result;
     std::vector<size_t> sub_to_unique;

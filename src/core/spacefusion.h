@@ -5,9 +5,9 @@
 //   #include "src/core/spacefusion.h"
 //
 //   spacefusion::Graph mha = spacefusion::BuildMha(12, 512, 512, 64);
-//   spacefusion::Compiler compiler{
+//   spacefusion::CompilerEngine engine{
 //       spacefusion::CompileOptions(spacefusion::AmpereA100())};
-//   auto compiled = compiler.Compile(mha);
+//   auto compiled = engine.Compile(mha);
 //   // compiled->kernels: fused kernel launches
 //   // compiled->estimate: simulated execution report
 //
@@ -20,7 +20,6 @@
 #define SPACEFUSION_SRC_CORE_SPACEFUSION_H_
 
 #include "src/baselines/baseline.h"        // IWYU pragma: export
-#include "src/core/compiler.h"             // IWYU pragma: export
 #include "src/core/engine.h"               // IWYU pragma: export
 #include "src/core/model_runner.h"         // IWYU pragma: export
 #include "src/pass/pass.h"                 // IWYU pragma: export

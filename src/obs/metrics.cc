@@ -159,114 +159,68 @@ std::string MetricsSnapshot::ToText() const {
 
 namespace {
 
-// Splits "engine.cache.hits{request_id=\"r\"}" into the sanitized family
-// name and the verbatim label block ("" when unlabeled).
-struct MetricNameParts {
+// Sanitizes a metric name to an OpenMetrics family name: [a-zA-Z0-9_:],
+// never starting with a digit.
+std::string FamilyName(const std::string& name) {
   std::string family;
-  std::string labels;  // includes the surrounding braces
-};
-
-MetricNameParts SplitMetricName(const std::string& name) {
-  MetricNameParts parts;
-  size_t brace = name.find('{');
-  std::string base = brace == std::string::npos ? name : name.substr(0, brace);
-  if (brace != std::string::npos) {
-    parts.labels = name.substr(brace);
-  }
-  parts.family.reserve(base.size());
-  for (char c : base) {
+  family.reserve(name.size());
+  for (char c : name) {
     bool valid = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
                  c == '_' || c == ':';
-    parts.family.push_back(valid ? c : '_');
+    family.push_back(valid ? c : '_');
   }
-  if (parts.family.empty() || (parts.family[0] >= '0' && parts.family[0] <= '9')) {
-    parts.family.insert(parts.family.begin(), '_');
+  if (family.empty() || (family[0] >= '0' && family[0] <= '9')) {
+    family.insert(family.begin(), '_');
   }
-  return parts;
-}
-
-// Merges an extra label into a (possibly empty) verbatim label block.
-std::string WithExtraLabel(const std::string& labels, const std::string& extra) {
-  if (labels.empty()) {
-    return StrCat("{", extra, "}");
-  }
-  // Insert before the closing brace.
-  return StrCat(labels.substr(0, labels.size() - 1), ",", extra, "}");
+  return family;
 }
 
 }  // namespace
 
 std::string RenderOpenMetrics(const MetricsSnapshot& snapshot) {
-  std::string out;
-  // Group label variants under one family so each family gets exactly one
-  // TYPE line. std::map keys keep families sorted.
-  struct Series {
-    std::string labels;
-    const std::int64_t* counter = nullptr;
-    const double* gauge = nullptr;
-    const HistogramStats* histogram = nullptr;
+  // Families sorted by name across kinds, each with one TYPE line.
+  struct Family {
+    const char* type = "";
+    std::string samples;
   };
-  std::map<std::string, std::pair<const char*, std::vector<Series>>> families;
+  std::map<std::string, Family> families;
   for (const auto& [name, value] : snapshot.counters) {
-    MetricNameParts parts = SplitMetricName(name);
-    auto& family = families[parts.family];
-    family.first = "counter";
-    family.second.push_back({parts.labels, &value, nullptr, nullptr});
+    const std::string family = FamilyName(name);
+    Family& f = families[family];
+    f.type = "counter";
+    f.samples += StrCat(family, "_total ", value, "\n");
   }
   for (const auto& [name, value] : snapshot.gauges) {
-    MetricNameParts parts = SplitMetricName(name);
-    auto& family = families[parts.family];
-    family.first = "gauge";
-    family.second.push_back({parts.labels, nullptr, &value, nullptr});
+    const std::string family = FamilyName(name);
+    Family& f = families[family];
+    f.type = "gauge";
+    f.samples += StrCat(family, " ", FormatNumber(value), "\n");
   }
   for (const auto& [name, h] : snapshot.histograms) {
-    MetricNameParts parts = SplitMetricName(name);
-    auto& family = families[parts.family];
-    family.first = "histogram";
-    family.second.push_back({parts.labels, nullptr, nullptr, &h});
+    const std::string family = FamilyName(name);
+    Family& f = families[family];
+    f.type = "histogram";
+    std::int64_t cumulative = 0;
+    for (size_t i = 0; i < h.bucket_counts.size(); ++i) {
+      cumulative += h.bucket_counts[i];
+      std::string le = i + 1 == h.bucket_counts.size()
+                           ? std::string("+Inf")
+                           : FormatNumber(std::pow(4.0, static_cast<double>(i)));
+      f.samples += StrCat(family, "_bucket{le=\"", le, "\"} ", cumulative, "\n");
+    }
+    if (h.bucket_counts.empty()) {
+      f.samples += StrCat(family, "_bucket{le=\"+Inf\"} 0\n");
+    }
+    f.samples += StrCat(family, "_sum ", FormatNumber(h.sum), "\n");
+    f.samples += StrCat(family, "_count ", h.count, "\n");
   }
 
+  std::string out;
   for (const auto& [family, entry] : families) {
-    out += StrCat("# TYPE ", family, " ", entry.first, "\n");
-    for (const Series& series : entry.second) {
-      if (series.counter != nullptr) {
-        out += StrCat(family, "_total", series.labels, " ", *series.counter, "\n");
-      } else if (series.gauge != nullptr) {
-        out += StrCat(family, series.labels, " ", FormatNumber(*series.gauge), "\n");
-      } else {
-        const HistogramStats& h = *series.histogram;
-        std::int64_t cumulative = 0;
-        for (size_t i = 0; i < h.bucket_counts.size(); ++i) {
-          cumulative += h.bucket_counts[i];
-          std::string le = i + 1 == h.bucket_counts.size()
-                               ? std::string("+Inf")
-                               : FormatNumber(std::pow(4.0, static_cast<double>(i)));
-          out += StrCat(family, "_bucket", WithExtraLabel(series.labels, StrCat("le=\"", le, "\"")),
-                        " ", cumulative, "\n");
-        }
-        if (h.bucket_counts.empty()) {
-          out += StrCat(family, "_bucket", WithExtraLabel(series.labels, "le=\"+Inf\""), " 0\n");
-        }
-        out += StrCat(family, "_sum", series.labels, " ", FormatNumber(h.sum), "\n");
-        out += StrCat(family, "_count", series.labels, " ", h.count, "\n");
-      }
-    }
+    out += StrCat("# TYPE ", family, " ", entry.type, "\n", entry.samples);
   }
   out += "# EOF\n";
   return out;
-}
-
-std::string LabeledMetricName(const std::string& base, const std::string& label_key,
-                              const std::string& label_value) {
-  std::string escaped;
-  escaped.reserve(label_value.size());
-  for (char c : label_value) {
-    if (c == '"' || c == '\\') {
-      escaped.push_back('\\');
-    }
-    escaped.push_back(c == '\n' ? ' ' : c);
-  }
-  return StrCat(base, "{", label_key, "=\"", escaped, "\"}");
 }
 
 namespace obs_internal {

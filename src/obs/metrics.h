@@ -4,8 +4,7 @@
 // as they run (configs tried / early-quit, partition rounds, compile-cache
 // hits, graph splits, simulated DRAM bytes, cache hit rates, kernel
 // launches, ...). A MetricsSnapshot freezes every value and serializes to
-// JSON — CompiledModel carries one, and the bench harness writes one next
-// to each table/figure's timings.
+// JSON — the bench harness writes one next to each table/figure's timings.
 //
 // All types are thread-safe. Metric objects are never destroyed or
 // re-created once registered (Reset() zeroes values in place), so hot paths
@@ -103,20 +102,10 @@ struct MetricsSnapshot {
 
 // Renders a snapshot as OpenMetrics / Prometheus text exposition: metric
 // names are sanitized to [a-zA-Z0-9_:] ("engine.cache.hits" becomes family
-// "engine_cache_hits" with a "_total" counter sample), histograms expose
-// cumulative le="" buckets plus _sum/_count, and a label block embedded in
-// the metric name (see LabeledMetricName) is emitted verbatim on the
-// samples. The document always ends with "# EOF".
+// "engine_cache_hits" with a "_total" counter sample), and histograms
+// expose cumulative le="" buckets plus _sum/_count. The document always
+// ends with "# EOF".
 std::string RenderOpenMetrics(const MetricsSnapshot& snapshot);
-
-// Builds a labeled metric name: LabeledMetricName("engine.cache.hits",
-// "request_id", "req-000001") == R"(engine.cache.hits{request_id="req-000001"})".
-// The registry treats the result as an independent metric (a time series in
-// Prometheus terms); RenderOpenMetrics groups it under the base family.
-// Label values are escaped; keep cardinality bounded — label per-request
-// metrics only behind an explicit opt-in.
-std::string LabeledMetricName(const std::string& base, const std::string& label_key,
-                              const std::string& label_value);
 
 class MetricsRegistry {
  public:

@@ -161,12 +161,8 @@ Status PassManager::Run(CompilationState* state) {
     double ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
                     .count();
     timings_.push_back({pass->name(), ms, cpu_ms});
-    MetricsRegistry::Global()
-        .GetCounter(StrCat("pass.", pass->name(), ".runs", options_.metric_label))
-        .Increment(1);
-    MetricsRegistry::Global()
-        .GetHistogram(StrCat("pass.", pass->name(), ".ms", options_.metric_label))
-        .Observe(ms);
+    MetricsRegistry::Global().GetCounter(StrCat(span_name, ".runs")).Increment(1);
+    MetricsRegistry::Global().GetHistogram(StrCat(span_name, ".ms")).Observe(ms);
     if (!status.ok()) {
       FlightRecorder::Global().Record(
           options_.request_id, "pass",

@@ -201,12 +201,6 @@ struct PassManagerOptions {
   std::function<void(const std::string& pass_name, const std::string& text)> dump_sink;
   // Request id stamped onto flight-recorder events ("" = unattributed).
   std::string request_id;
-  // Suffix appended to the pass.<name>.{runs,ms} metric names, normally a
-  // LabeledMetricName label block like {request_id="req-000001"} so
-  // concurrent compiles stay attributable. Empty (the default) keeps the
-  // unlabeled process-wide series; per-request labeling is opt-in at the
-  // engine (EngineOptions::label_metrics_by_request) to bound cardinality.
-  std::string metric_label;
 
   PassManagerOptions();
 };

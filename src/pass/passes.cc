@@ -1,8 +1,7 @@
 // The Fig. 9 compile pipeline, one pass per phase. Behavior (selected
-// schedules, tuning statistics, metric/span names) is kept identical to the
-// former monolithic Compiler::CompileUncached: pieces, candidates and
-// kernels are visited in order, and the argmin over candidates uses strict
-// less-than (first wins).
+// schedules, tuning statistics, metric/span names) is deterministic:
+// pieces, candidates and kernels are visited in order, and the argmin over
+// candidates uses strict less-than (first wins).
 #include <algorithm>
 
 #include "src/obs/metrics.h"

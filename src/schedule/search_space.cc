@@ -1,7 +1,6 @@
 #include "src/schedule/search_space.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -11,35 +10,7 @@
 
 namespace spacefusion {
 
-bool PruneDominatedFromEnv() {
-  static const bool cached = [] {
-    const char* env = std::getenv("SPACEFUSION_PRUNE_DOMINATED");
-    return env != nullptr && *env != '\0' && *env != '0';
-  }();
-  return cached;
-}
-
 namespace {
-
-// True when `fp` is dominated by an already-kept config of this enumeration
-// pass (entries from `first` on): no better on any performance-relevant axis
-// and strictly worse on at least one of the pruning axes (smem footprint,
-// projected read traffic, parallelism).
-bool IsDominated(const ConfigFootprint& fp, const std::vector<ConfigFootprint>& kept,
-                 size_t first) {
-  for (size_t i = first; i < kept.size(); ++i) {
-    const ConfigFootprint& g = kept[i];
-    bool no_better = g.smem_bytes <= fp.smem_bytes && g.reg_bytes <= fp.reg_bytes &&
-                     g.read_traffic_bytes <= fp.read_traffic_bytes && g.grid >= fp.grid &&
-                     g.intra_steps <= fp.intra_steps && g.compute_eff >= fp.compute_eff;
-    bool strictly_worse = g.smem_bytes < fp.smem_bytes ||
-                          g.read_traffic_bytes < fp.read_traffic_bytes || g.grid > fp.grid;
-    if (no_better && strictly_worse) {
-      return true;
-    }
-  }
-  return false;
-}
 
 // Candidate tile extents for one spatial dim.
 std::vector<std::int64_t> SpatialCandidates(const Smg& smg, DimId dim, std::int64_t max_block,
@@ -98,15 +69,7 @@ std::vector<ScheduleConfig> EnumerateConfigs(SmgSchedule* schedule, const Resour
     temporal_steps = {0};  // sentinel: temporal disabled
   }
 
-  // Footprints of kept configs: needed for the screening caller and for the
-  // dominance filter. Kept locally when the caller passed none.
-  std::vector<ConfigFootprint> local_footprints;
-  std::vector<ConfigFootprint>* kept_footprints = footprints != nullptr ? footprints : &local_footprints;
-  const size_t footprint_base = kept_footprints->size();
-  const bool want_footprints = footprints != nullptr || options.prune_dominated;
-
   std::vector<ScheduleConfig> feasible;
-  std::int64_t pruned = 0;
   bool capped = false;
   std::vector<size_t> index(per_dim.size(), 0);
   bool done = per_dim.empty() && temporal_steps.empty();
@@ -125,13 +88,8 @@ std::vector<ScheduleConfig> EnumerateConfigs(SmgSchedule* schedule, const Resour
       if (!CheckResources(*schedule, rc)) {
         continue;
       }
-      if (want_footprints) {
-        ConfigFootprint fp = ComputeConfigFootprint(*schedule);
-        if (options.prune_dominated && IsDominated(fp, *kept_footprints, footprint_base)) {
-          ++pruned;
-          continue;
-        }
-        kept_footprints->push_back(fp);
+      if (footprints != nullptr) {
+        footprints->push_back(ComputeConfigFootprint(*schedule));
       }
       feasible.push_back(std::move(config));
       if (static_cast<int>(feasible.size()) >= options.max_configs) {
@@ -156,11 +114,7 @@ std::vector<ScheduleConfig> EnumerateConfigs(SmgSchedule* schedule, const Resour
   if (capped) {
     span.Arg("capped", 1);
   }
-  if (pruned > 0) {
-    span.Arg("pruned", pruned);
-  }
   SF_COUNTER_ADD("search.configs_enumerated", static_cast<std::int64_t>(feasible.size()));
-  SF_COUNTER_ADD("search.configs_pruned", pruned);
   SF_HISTOGRAM_OBSERVE("search.configs_per_kernel", static_cast<double>(feasible.size()));
   return feasible;
 }

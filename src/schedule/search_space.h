@@ -13,10 +13,6 @@
 
 namespace spacefusion {
 
-// Default for SearchOptions::prune_dominated, from SPACEFUSION_PRUNE_DOMINATED
-// (unset/0 => false). Cached after the first read.
-bool PruneDominatedFromEnv();
-
 struct SearchOptions {
   // Largest tile extent enumerated along any dim.
   std::int64_t max_block = 256;
@@ -25,11 +21,6 @@ struct SearchOptions {
   std::int64_t min_block = 1;
   // Hard cap on emitted configs (exhaustive tuning stays cheap).
   int max_configs = 256;
-  // Skip configs whose footprint is strictly dominated in (smem footprint,
-  // projected read traffic, parallelism) by an already-kept feasible config.
-  // Off by default: pruning shrinks the enumerated space itself, which the
-  // Table 4/5 sweep sizes and the full-mode verifier observe.
-  bool prune_dominated = PruneDominatedFromEnv();
 };
 
 // Enumerates resource-feasible block-size configurations for the schedule.

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "src/analysis/race_analyzer.h"
-#include "src/core/compiler.h"
+#include "src/core/engine.h"
 #include "src/core/engine.h"
 #include "src/graph/builder.h"
 #include "src/graph/models.h"
@@ -234,7 +234,7 @@ TEST(RaceAnalyzerTest, RecordedArenaAtPeakIsClean) {
 
 TEST(RaceAnalyzerTest, CompiledProgramContextNamesKernels) {
   Graph g = SoftmaxGraph();
-  Compiler compiler((CompileOptions()));
+  CompilerEngine compiler((CompileOptions()));
   StatusOr<CompiledSubprogram> compiled = compiler.Compile(g);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   DiagnosticReport report = AnalyzeCompiledProgram(compiled.value().program, g);
@@ -250,7 +250,7 @@ TEST(RaceAnalyzerTest, AllBuiltinModelsAnalyzeClean) {
   options.analyze = AnalyzeMode::kPhase;
   for (ModelKind kind : AllModelKinds()) {
     ModelGraph model = BuildModel(GetModelConfig(kind, /*batch=*/1, /*seq=*/64));
-    Compiler compiler(options);
+    CompilerEngine compiler(options);
     StatusOr<CompiledModel> compiled = compiler.CompileModel(model);
     ASSERT_TRUE(compiled.ok()) << ModelKindName(kind) << ": " << compiled.status().ToString();
     EXPECT_GT(compiled->report.PassWallMs("Analyze"), 0.0) << ModelKindName(kind);
@@ -271,8 +271,8 @@ TEST(RaceAnalyzerTest, AnalyzerOnOffCompilesBitIdentical) {
   EXPECT_EQ(CompileOptionsDigest(off), CompileOptionsDigest(on))
       << "analyze mode must not change the cache key";
 
-  Compiler compiler_off(off);
-  Compiler compiler_on(on);
+  CompilerEngine compiler_off(off);
+  CompilerEngine compiler_on(on);
   StatusOr<CompiledSubprogram> a = compiler_off.Compile(g);
   StatusOr<CompiledSubprogram> b = compiler_on.Compile(g);
   ASSERT_TRUE(a.ok()) << a.status().ToString();

@@ -1,4 +1,4 @@
-// Compiler facade and tuner tests: end-to-end compilation, compile caching,
+// Compiler and tuner tests: end-to-end compilation, compile caching,
 // fusion-pattern statistics, ablation variants, and numerical validation of
 // tuned, compiled programs.
 #include <gtest/gtest.h>
@@ -14,12 +14,12 @@
 namespace spacefusion {
 namespace {
 
-Compiler MakeCompiler(GpuArch arch = AmpereA100()) {
-  return Compiler{CompileOptions(std::move(arch))};
+CompilerEngine MakeCompiler(GpuArch arch = AmpereA100()) {
+  return CompilerEngine{CompileOptions(std::move(arch))};
 }
 
 TEST(CompilerTest, MhaCompilesToOneFusedKernel) {
-  Compiler compiler = MakeCompiler();
+  CompilerEngine compiler = MakeCompiler();
   auto compiled = compiler.Compile(BuildMha(8, 512, 512, 64));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   EXPECT_EQ(compiled->kernels.size(), 1u);
@@ -28,7 +28,7 @@ TEST(CompilerTest, MhaCompilesToOneFusedKernel) {
 }
 
 TEST(CompilerTest, CompiledMhaIsNumericallyExact) {
-  Compiler compiler = MakeCompiler();
+  CompilerEngine compiler = MakeCompiler();
   Graph g = BuildMha(3, 32, 96, 16);
   auto compiled = compiler.Compile(g);
   ASSERT_TRUE(compiled.ok());
@@ -64,7 +64,7 @@ TEST_P(CompiledSubgraphNumericsTest, TunedProgramMatchesReference) {
         return BuildQkvProj(24, 48, 48);
     }
   }();
-  Compiler compiler = MakeCompiler();
+  CompilerEngine compiler = MakeCompiler();
   auto compiled = compiler.Compile(g);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
 
@@ -82,7 +82,7 @@ TEST_P(CompiledSubgraphNumericsTest, TunedProgramMatchesReference) {
 INSTANTIATE_TEST_SUITE_P(Subgraphs, CompiledSubgraphNumericsTest, ::testing::Range(0, 7));
 
 TEST(CompilerTest, CacheHitsForRepeatedSubprograms) {
-  Compiler compiler = MakeCompiler();
+  CompilerEngine compiler = MakeCompiler();
   Graph g = BuildMha(4, 128, 128, 32);
   auto first = compiler.Compile(g);
   ASSERT_TRUE(first.ok());
@@ -93,7 +93,7 @@ TEST(CompilerTest, CacheHitsForRepeatedSubprograms) {
 }
 
 TEST(CompilerTest, ModelCompilationCompilesUniqueSubprogramsOnce) {
-  Compiler compiler = MakeCompiler();
+  CompilerEngine compiler = MakeCompiler();
   ModelGraph bert = BuildModel(GetModelConfig(ModelKind::kBert, 1, 128));
   auto compiled = compiler.CompileModel(bert);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
@@ -105,7 +105,7 @@ TEST(CompilerTest, ModelCompilationCompilesUniqueSubprogramsOnce) {
 TEST(CompilerTest, AlbertBenefitsFromCompileCache) {
   // ALBERT's layers share weights: the model is literally the same
   // subprogram repeated, compiled once (paper Sec. 5 pre-processing).
-  Compiler compiler = MakeCompiler();
+  CompilerEngine compiler = MakeCompiler();
   ModelGraph albert = BuildModel(GetModelConfig(ModelKind::kAlbert, 1, 128));
   auto compiled = compiler.CompileModel(albert);
   ASSERT_TRUE(compiled.ok());
@@ -117,7 +117,7 @@ TEST(CompilerTest, AlbertBenefitsFromCompileCache) {
 }
 
 TEST(CompilerTest, FusionStatsCountMultiReductionPatterns) {
-  Compiler compiler = MakeCompiler();
+  CompilerEngine compiler = MakeCompiler();
   ASSERT_TRUE(compiler.Compile(BuildMha(4, 128, 128, 32)).ok());
   ASSERT_TRUE(compiler.Compile(BuildLayerNormGraph(64, 128)).ok());
   ASSERT_TRUE(compiler.Compile(BuildMlp(3, 64, 32, 32)).ok());
@@ -134,7 +134,7 @@ TEST(CompilerTest, FusionStatsCountMultiReductionPatterns) {
 }
 
 TEST(CompilerTest, CompileTimeBreakdownPopulated) {
-  Compiler compiler = MakeCompiler();
+  CompilerEngine compiler = MakeCompiler();
   auto compiled = compiler.Compile(BuildMha(8, 1024, 1024, 64));
   ASSERT_TRUE(compiled.ok());
   EXPECT_GT(compiled->compile_time.tuning_s, 0.0);  // emulated measurement time
@@ -159,7 +159,7 @@ TEST_P(AblationVariantTest, VariantsCompileAndOrderSensibly) {
     default:  // full SpaceFusion
       break;
   }
-  Compiler compiler{options};
+  CompilerEngine compiler{options};
   auto compiled = compiler.Compile(BuildMha(8, 512, 512, 64));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   EXPECT_GT(compiled->estimate.time_us, 0);
@@ -174,7 +174,7 @@ TEST(AblationTest, FullSpaceFusionIsFastest) {
     CompileOptions options{AmpereA100()};
     options.enable_temporal_slicing = v == 2 || v == 3;
     options.enable_auto_scheduling = v == 1 || v == 3;
-    Compiler compiler{options};
+    CompilerEngine compiler{options};
     auto compiled = compiler.Compile(g);
     ASSERT_TRUE(compiled.ok());
     times[v] = compiled->estimate.time_us;
@@ -234,10 +234,10 @@ TEST(TunerTest, EarlyQuitSavesMeasurementTime) {
   EXPECT_EQ(quick.best_time_us, slow.best_time_us);  // same winner
 }
 
-// The facade delegates to a CompilerEngine, so one Compiler instance must
-// serve concurrent Compile calls (run under TSan by the concurrency CI job).
+// One CompilerEngine must serve concurrent Compile calls (run under TSan
+// by the concurrency CI job).
 TEST(CompilerTest, ConcurrentCompileOnOneInstance) {
-  Compiler compiler = MakeCompiler();
+  CompilerEngine compiler = MakeCompiler();
   constexpr int kThreads = 6;
   std::vector<std::string> fingerprints(kThreads);
   std::vector<Status> statuses(kThreads, Status::Ok());
@@ -268,8 +268,7 @@ TEST(CompilerTest, ConcurrentCompileOnOneInstance) {
   for (int t = 2; t < kThreads; ++t) {
     EXPECT_EQ(fingerprints[static_cast<size_t>(t)], fingerprints[static_cast<size_t>(t % 2)]);
   }
-  EXPECT_EQ(compiler.engine().cache_stats().hits + compiler.engine().cache_stats().misses,
-            kThreads);
+  EXPECT_EQ(compiler.cache_stats().hits + compiler.cache_stats().misses, kThreads);
 }
 
 TEST(TunerTest, ExpertConfigPrefersTemporalAnd64Tiles) {

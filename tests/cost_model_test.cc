@@ -132,7 +132,7 @@ TEST(ScreeningTest, OnOffPicksSameScheduleOnAllModels) {
     auto compile = [&](int screen_top_k) {
       CompileOptions options(AmpereA100());
       options.tuner.screen_top_k = screen_top_k;
-      Compiler compiler{options};
+      CompilerEngine compiler{options};
       StatusOr<CompiledModel> compiled = compiler.CompileModel(model);
       EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
       return compiled;

@@ -45,7 +45,7 @@ TEST(ComponentsTest, SharedInputDoesNotConnectChains) {
 
 TEST(ComponentsTest, CompiledComponentsRunByName) {
   Graph g = BuildQkvProj(16, 32, 32);
-  Compiler compiler{CompileOptions(AmpereA100())};
+  CompilerEngine compiler{CompileOptions(AmpereA100())};
   auto compiled = compiler.Compile(g);
   ASSERT_TRUE(compiled.ok());
   EXPECT_GE(compiled->kernels.size(), 3u);
@@ -92,7 +92,7 @@ TEST(ComputeBoundaryTest, TunerPrefersSplitForGiantWeights) {
   // Llama-scale FFN: fusing all three 4096x11008 GEMMs into one kernel
   // re-streams ~90MB weights per block; the split candidate must win.
   Graph g = BuildSwigluFfn(2048, 4096, 11008);
-  Compiler compiler{CompileOptions(AmpereA100())};
+  CompilerEngine compiler{CompileOptions(AmpereA100())};
   auto compiled = compiler.Compile(g);
   ASSERT_TRUE(compiled.ok());
   EXPECT_GT(compiled->kernels.size(), 1u);
@@ -101,7 +101,7 @@ TEST(ComputeBoundaryTest, TunerPrefersSplitForGiantWeights) {
 
 TEST(ComputeBoundaryTest, TunerKeepsMhaFused) {
   Graph g = BuildMha(8, 512, 512, 64);
-  Compiler compiler{CompileOptions(AmpereA100())};
+  CompilerEngine compiler{CompileOptions(AmpereA100())};
   auto compiled = compiler.Compile(g);
   ASSERT_TRUE(compiled.ok());
   EXPECT_EQ(compiled->kernels.size(), 1u);  // fused candidate wins
@@ -156,7 +156,7 @@ TEST(MeanAggregationTest, MeanFeedingReductionSinkIsExactUnderSlicing) {
   Graph g = b.Build();
   ASSERT_TRUE(g.Validate().ok());
 
-  Compiler compiler{CompileOptions(AmpereA100())};
+  CompilerEngine compiler{CompileOptions(AmpereA100())};
   auto compiled = compiler.Compile(g);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   TensorEnv inputs = MakeGraphInputs(g, 6);

@@ -92,7 +92,7 @@ TEST(DeterminismTest, EmittedKernelSourceIdenticalAcrossJobCounts) {
   Graph g = BuildMha(/*batch_heads=*/12, /*seq_q=*/128, /*seq_kv=*/128, /*head_dim=*/64);
 
   auto emit = [&]() {
-    Compiler compiler{CompileOptions(AmpereA100())};
+    CompilerEngine compiler{CompileOptions(AmpereA100())};
     StatusOr<CompiledSubprogram> compiled = compiler.Compile(g);
     EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
     std::string triton = EmitTritonProgram(compiled->program);
@@ -171,7 +171,7 @@ TEST(DeterminismTest, ScreeningPreservesSelectionAcrossJobCounts) {
     auto fingerprint = [&](int screen_top_k) {
       CompileOptions options(AmpereA100());
       options.tuner.screen_top_k = screen_top_k;
-      Compiler compiler{options};
+      CompilerEngine compiler{options};
       StatusOr<CompiledModel> compiled = compiler.CompileModel(model);
       EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
       std::string out;
@@ -406,7 +406,6 @@ TEST(DeterminismTest, SchedulesBitIdenticalWithReportingOnAndOff) {
   NullReportSink sink;
   EngineOptions reporting{CompileOptions(AmpereA100())};
   reporting.report_sink = &sink;
-  reporting.label_metrics_by_request = true;
   CompilerEngine observed{reporting};
   StatusOr<CompiledModel> on = observed.CompileModel(model);
   ASSERT_TRUE(on.ok()) << on.status().ToString();
@@ -420,9 +419,9 @@ TEST(DeterminismTest, SchedulesBitIdenticalWithReportingOnAndOff) {
 
 TEST(DeterminismTest, ReportingOverheadIsNegligible) {
   // Median cold-compile wall time with default (sink-less) reporting vs a
-  // live sink + labeled metrics. Locally the delta is well under 1%; the
-  // bound is deliberately loose (2x on the median of 5) so scheduler noise
-  // on shared CI runners can never flake this test while a real O(compile)
+  // live sink. Locally the delta is well under 1%; the bound is
+  // deliberately loose (2x on the median of 5) so scheduler noise on shared
+  // CI runners can never flake this test while a real O(compile)
   // regression — e.g. rendering every report to JSON on the hot path —
   // still trips it.
   Graph g = BuildMha(4, 128, 128, 64);
@@ -435,7 +434,6 @@ TEST(DeterminismTest, ReportingOverheadIsNegligible) {
       options.enable_program_cache = false;  // every iteration compiles cold
       if (with_reporting) {
         options.report_sink = &sink;
-        options.label_metrics_by_request = true;
       }
       CompilerEngine engine{options};
       auto start = std::chrono::steady_clock::now();

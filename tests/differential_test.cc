@@ -18,7 +18,7 @@ using testing_util::RandomGraph;
 // unfused reference on every graph output.
 void ExpectFusedMatchesReference(const Graph& g, const CompileOptions& options,
                                  std::uint64_t input_seed) {
-  Compiler compiler{options};
+  CompilerEngine compiler{options};
   StatusOr<CompiledSubprogram> compiled = compiler.Compile(g);
   ASSERT_TRUE(compiled.ok()) << g.ToString() << "\n" << compiled.status().ToString();
 

@@ -25,7 +25,7 @@ TEST_P(FuzzCompileTest, CompiledProgramMatchesReference) {
   Graph g = RandomGraph(static_cast<std::uint64_t>(GetParam()) * 1000003ULL);
   ASSERT_TRUE(g.Validate().ok());
 
-  Compiler compiler{CompileOptions(AmpereA100())};
+  CompilerEngine compiler{CompileOptions(AmpereA100())};
   StatusOr<CompiledSubprogram> compiled = compiler.Compile(g);
   ASSERT_TRUE(compiled.ok()) << g.ToString() << "\n" << compiled.status().ToString();
 
@@ -50,7 +50,7 @@ class FuzzArchTest : public ::testing::TestWithParam<int> {};
 TEST_P(FuzzArchTest, SchedulesAreFeasibleOnEveryArch) {
   Graph g = RandomGraph(static_cast<std::uint64_t>(GetParam()) * 7777ULL + 13);
   for (const GpuArch& arch : AllArchitectures()) {
-    Compiler compiler{CompileOptions(arch)};
+    CompilerEngine compiler{CompileOptions(arch)};
     StatusOr<CompiledSubprogram> compiled = compiler.Compile(g);
     ASSERT_TRUE(compiled.ok()) << arch.name << "\n" << g.ToString();
     EXPECT_GT(compiled->estimate.time_us, 0.0);
@@ -71,7 +71,7 @@ TEST_P(FuzzVerifyCleanTest, AcceptedProgramsVerifyClean) {
   Graph g = RandomGraph(static_cast<std::uint64_t>(GetParam()) * 424243ULL + 7);
   CompileOptions options{AmpereA100()};
   options.verify = VerifyMode::kFull;
-  Compiler compiler{options};
+  CompilerEngine compiler{options};
   // Full mode checks every candidate program and enumerated config along the
   // way; any diagnostic fails the compile.
   StatusOr<CompiledSubprogram> compiled = compiler.Compile(g);
@@ -115,7 +115,7 @@ TEST_P(FuzzVerifyRejectTest, MutatedGraphsCarryDiagnostics) {
 
   // The compiler's entry check rejects the same graph with the SFV codes
   // embedded in the returned status rather than crashing.
-  Compiler compiler{CompileOptions(AmpereA100())};
+  CompilerEngine compiler{CompileOptions(AmpereA100())};
   StatusOr<CompiledSubprogram> compiled = compiler.Compile(g);
   ASSERT_FALSE(compiled.ok());
   EXPECT_EQ(compiled.status().code(), StatusCode::kInvalidArgument);
@@ -137,7 +137,7 @@ class FuzzAnalyzerTest : public ::testing::TestWithParam<int> {};
 TEST_P(FuzzAnalyzerTest, MutatedSchedulesNeverCrashTheAnalyzer) {
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam()) * 2654435761ULL + 99;
   Graph g = RandomGraph(seed);
-  Compiler compiler{CompileOptions(AmpereA100())};
+  CompilerEngine compiler{CompileOptions(AmpereA100())};
   StatusOr<CompiledSubprogram> compiled = compiler.Compile(g);
   ASSERT_TRUE(compiled.ok()) << g.ToString();
 

@@ -61,7 +61,7 @@ JitExecutor& SharedExecutor() {
 }
 
 StatusOr<CompiledSubprogram> CompileGraph(const Graph& g) {
-  Compiler compiler{CompileOptions(AmpereA100())};
+  CompilerEngine compiler{CompileOptions(AmpereA100())};
   return compiler.Compile(g);
 }
 
@@ -404,7 +404,6 @@ TEST(CppCodegenTest, ReferenceModeMatchesInterpreter) {
   JitExecutorOptions options;
   options.cache.dir = UniqueTestDir("refmode");
   options.codegen.reference_mode = true;
-  options.codegen.fuse_elementwise = false;
   JitExecutor executor(options);
   Graph g = BuildMha(2, 16, 16, 8);
   ExpectJitMatchesInterpreter(g, /*seed=*/41, executor, /*tolerance=*/1e-4f);

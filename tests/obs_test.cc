@@ -591,31 +591,6 @@ TEST(OpenMetricsTest, CountersGaugesAndHistogramsRender) {
   EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
 }
 
-TEST(OpenMetricsTest, LabeledSeriesGroupUnderOneFamily) {
-  MetricsSnapshot snapshot;
-  snapshot.counters["engine.cache.hits"] = 1;
-  snapshot.counters[LabeledMetricName("engine.cache.hits", "request_id", "req-000001")] = 2;
-  snapshot.counters[LabeledMetricName("engine.cache.hits", "request_id", "req-000002")] = 3;
-
-  std::string text = RenderOpenMetrics(snapshot);
-  // One # TYPE line for the family, three samples.
-  size_t first_type = text.find("# TYPE engine_cache_hits counter");
-  ASSERT_NE(first_type, std::string::npos) << text;
-  EXPECT_EQ(text.find("# TYPE engine_cache_hits counter", first_type + 1), std::string::npos);
-  EXPECT_NE(text.find("engine_cache_hits_total 1"), std::string::npos) << text;
-  EXPECT_NE(text.find("engine_cache_hits_total{request_id=\"req-000001\"} 2"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("engine_cache_hits_total{request_id=\"req-000002\"} 3"), std::string::npos)
-      << text;
-}
-
-TEST(OpenMetricsTest, LabelValuesAreEscaped) {
-  std::string name = LabeledMetricName("m", "k", "quote\" backslash\\ newline\n");
-  EXPECT_NE(name.find("\\\""), std::string::npos);
-  EXPECT_NE(name.find("\\\\"), std::string::npos);
-  EXPECT_EQ(name.find('\n'), std::string::npos);
-}
-
 TEST(MetricsTest, SnapshotToTextListsEveryMetricOnce) {
   MetricsRegistry::Global().Reset();
   MetricsRegistry::Global().GetCounter("obs_test.text_counter").Increment(4);
@@ -1081,7 +1056,7 @@ TEST(ObsIntegrationTest, CompileRecordsPhaseSpansAndMetrics) {
   TraceSession session;
 
   Graph mha = BuildMha(/*batch_heads=*/4, /*seq_q=*/128, /*seq_kv=*/128, /*head_dim=*/64);
-  Compiler compiler{CompileOptions(AmpereA100())};
+  CompilerEngine compiler{CompileOptions(AmpereA100())};
   StatusOr<CompiledSubprogram> compiled = compiler.Compile(mha);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   ASSERT_TRUE(session.Stop().ok());
@@ -1116,23 +1091,12 @@ TEST(ObsIntegrationTest, CompileRecordsPhaseSpansAndMetrics) {
 TEST(ObsIntegrationTest, CompileCacheHitsAreCounted) {
   MetricsRegistry::Global().Reset();
   Graph mha = BuildMha(4, 64, 64, 64);
-  Compiler compiler{CompileOptions(AmpereA100())};
+  CompilerEngine compiler{CompileOptions(AmpereA100())};
   ASSERT_TRUE(compiler.Compile(mha).ok());
   ASSERT_TRUE(compiler.Compile(mha).ok());  // structural-hash cache hit
   MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
   EXPECT_EQ(snapshot.counter("compiler.cache_misses"), 1);
   EXPECT_EQ(snapshot.counter("compiler.cache_hits"), 1);
-}
-
-TEST(ObsIntegrationTest, CompiledModelCarriesMetricsSnapshot) {
-  MetricsRegistry::Global().Reset();
-  ModelGraph model = BuildModel(GetModelConfig(ModelKind::kBert, /*batch=*/1, /*seq=*/64));
-  Compiler compiler{CompileOptions(AmpereA100())};
-  StatusOr<CompiledModel> compiled = compiler.CompileModel(model);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  EXPECT_GT(compiled->metrics.counter("compiler.subprograms_compiled"), 0);
-  EXPECT_GT(compiled->metrics.counter("tuner.configs_tried"), 0);
-  EXPECT_TRUE(JsonChecker(compiled->metrics.ToJson()).Valid());
 }
 
 }  // namespace

@@ -29,9 +29,9 @@ CompiledModel CompileFor(ModelKind kind) {
   return std::move(compiled).value();
 }
 
-std::string ModelBytes(const CompiledModel& model) {
+std::string SubprogramBytes(const CompiledSubprogram& sub) {
   ByteWriter w;
-  SerializeCompiledModel(model, &w);
+  SerializeCompiledSubprogram(sub, &w);
   return w.Take();
 }
 
@@ -57,35 +57,34 @@ PersistedProgram MakePersisted(ModelKind kind) {
   return persisted;
 }
 
+// The .sfpc store persists subprograms, so every unique subprogram of every
+// model must round-trip through the subprogram codec.
 TEST(SerializeTest, EveryModelRoundTripsByteIdentical) {
   for (ModelKind kind : AllModelKinds()) {
-    CompiledModel original = CompileFor(kind);
-    const std::string bytes = ModelBytes(original);
+    CompiledModel model = CompileFor(kind);
+    ASSERT_FALSE(model.unique_subprograms.empty()) << ModelKindName(kind);
+    for (const CompiledSubprogram& original : model.unique_subprograms) {
+      const std::string bytes = SubprogramBytes(original);
 
-    ByteReader r(bytes);
-    CompiledModel reloaded;
-    Status status = DeserializeCompiledModel(&r, &reloaded);
-    ASSERT_TRUE(status.ok()) << ModelKindName(kind) << ": " << status.ToString();
-    EXPECT_EQ(r.remaining(), 0u);
+      ByteReader r(bytes);
+      CompiledSubprogram reloaded;
+      Status status = DeserializeCompiledSubprogram(&r, &reloaded);
+      ASSERT_TRUE(status.ok()) << ModelKindName(kind) << ": " << status.ToString();
+      EXPECT_EQ(r.remaining(), 0u);
 
-    // Canonical: re-serialization reproduces the exact bytes (request_id is
-    // not part of the format, so the originals' ids don't perturb this).
-    EXPECT_EQ(ModelBytes(reloaded), ModelBytes(original)) << ModelKindName(kind);
+      // Canonical: re-serialization reproduces the exact bytes (request_id
+      // is not part of the format, so the original's id doesn't perturb it).
+      EXPECT_EQ(SubprogramBytes(reloaded), bytes) << ModelKindName(kind);
 
-    // Bit-identical modeled results, the warm-start contract.
-    EXPECT_TRUE(ReportsBitIdentical(reloaded.total, original.total)) << ModelKindName(kind);
-    ASSERT_EQ(reloaded.unique_subprograms.size(), original.unique_subprograms.size());
-    for (size_t i = 0; i < reloaded.unique_subprograms.size(); ++i) {
-      const CompiledSubprogram& a = reloaded.unique_subprograms[i];
-      const CompiledSubprogram& b = original.unique_subprograms[i];
-      EXPECT_TRUE(ReportsBitIdentical(a.estimate, b.estimate));
-      EXPECT_EQ(a.tuning.simulated_tuning_seconds, b.tuning.simulated_tuning_seconds);
-      EXPECT_EQ(a.tuning.best_time_us, b.tuning.best_time_us);
-      EXPECT_EQ(a.kernels.size(), b.kernels.size());
-      EXPECT_TRUE(a.request_id.empty());  // deliberately dropped
+      // Bit-identical modeled results, the warm-start contract.
+      EXPECT_TRUE(ReportsBitIdentical(reloaded.estimate, original.estimate));
+      EXPECT_EQ(reloaded.tuning.simulated_tuning_seconds,
+                original.tuning.simulated_tuning_seconds);
+      EXPECT_EQ(reloaded.tuning.best_time_us, original.tuning.best_time_us);
+      EXPECT_EQ(reloaded.compile_time.tuning_s, original.compile_time.tuning_s);
+      EXPECT_EQ(reloaded.kernels.size(), original.kernels.size());
+      EXPECT_TRUE(reloaded.request_id.empty());  // deliberately dropped
     }
-    EXPECT_EQ(reloaded.cache_hits, original.cache_hits);
-    EXPECT_EQ(reloaded.compile_time.tuning_s, original.compile_time.tuning_s);
   }
 }
 
@@ -223,26 +222,29 @@ TEST(SerializeTest, FuzzedBlobsNeverCrashTheDecoder) {
 TEST(SerializeTest, FuzzedPayloadsNeverCrashTheValidators) {
   // The checksum shields DecodePersistedProgram from most mutations; the
   // structural validators behind it must hold on their own. Feed mutated
-  // *payload* bytes straight to DeserializeCompiledModel.
+  // *payload* bytes of every unique subprogram straight to
+  // DeserializeCompiledSubprogram, the decoder the .sfpc store runs.
   CompiledModel model = CompileFor(ModelKind::kT5);
-  const std::string bytes = ModelBytes(model);
   Rng rng(0xf022edULL);
-  for (int round = 0; round < 300; ++round) {
-    std::string mutated = bytes;
-    const int flips = 1 + static_cast<int>(rng.Next() % 6);
-    for (int f = 0; f < flips; ++f) {
-      mutated[rng.Next() % mutated.size()] = static_cast<char>(rng.Next());
-    }
-    if (rng.Next() % 3 == 0) {
-      mutated.resize(rng.Next() % (mutated.size() + 1));
-    }
-    ByteReader r(mutated);
-    CompiledModel reloaded;
-    // Either outcome is legal (a flip inside a double payload decodes
-    // fine); crashing or hanging is not — and an accepted decode must
-    // re-serialize canonically.
-    if (DeserializeCompiledModel(&r, &reloaded).ok() && r.remaining() == 0) {
-      EXPECT_EQ(ModelBytes(reloaded), mutated);
+  for (const CompiledSubprogram& sub : model.unique_subprograms) {
+    const std::string bytes = SubprogramBytes(sub);
+    for (int round = 0; round < 300; ++round) {
+      std::string mutated = bytes;
+      const int flips = 1 + static_cast<int>(rng.Next() % 6);
+      for (int f = 0; f < flips; ++f) {
+        mutated[rng.Next() % mutated.size()] = static_cast<char>(rng.Next());
+      }
+      if (rng.Next() % 3 == 0) {
+        mutated.resize(rng.Next() % (mutated.size() + 1));
+      }
+      ByteReader r(mutated);
+      CompiledSubprogram reloaded;
+      // Either outcome is legal (a flip inside a double payload decodes
+      // fine); crashing or hanging is not — and an accepted decode must
+      // re-serialize canonically.
+      if (DeserializeCompiledSubprogram(&r, &reloaded).ok() && r.remaining() == 0) {
+        EXPECT_EQ(SubprogramBytes(reloaded), mutated);
+      }
     }
   }
 }

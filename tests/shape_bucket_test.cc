@@ -240,7 +240,7 @@ TEST(ShapeBucketKeyTest, OptionsDigestMixesTheBucket) {
 
 TEST(ShapeBucketKeyTest, PersistentEntriesGoStaleAcrossBuckets) {
   const Graph g = BuildMha(2, 16, 16, 8);
-  Compiler compiler{CompileOptions(AmpereA100())};
+  CompilerEngine compiler{CompileOptions(AmpereA100())};
   StatusOr<CompiledSubprogram> compiled = compiler.Compile(g);
   ASSERT_TRUE(compiled.ok());
 
@@ -266,7 +266,7 @@ TEST(ShapeBucketKeyTest, PersistentEntriesGoStaleAcrossBuckets) {
 
 TEST(ShapeBucketKeyTest, PersistedProgramRoundTripsItsBucket) {
   const Graph g = BuildMha(2, 16, 16, 8);
-  Compiler compiler{CompileOptions(AmpereA100())};
+  CompilerEngine compiler{CompileOptions(AmpereA100())};
   StatusOr<CompiledSubprogram> compiled = compiler.Compile(g);
   ASSERT_TRUE(compiled.ok());
 
@@ -460,10 +460,40 @@ TEST(ShapeDispatchTableTest, RoutesShapesToTheirBucketEntry) {
   EXPECT_EQ(table.Route({1, 33}), nullptr);
   EXPECT_EQ(table.Route({2, 20}), nullptr);
   EXPECT_EQ(table.Buckets(), std::vector<std::string>{"b1s32"});
-  // The dedupe replay aligns every subprogram with a compiled program.
+  // The engine's dedupe aligns every subprogram with a compiled program.
   ASSERT_EQ(entry->sub_to_unique.size(), entry->result.bucketed.model.subprograms.size());
   for (size_t unique : entry->sub_to_unique) {
     EXPECT_LT(unique, entry->result.compiled.unique_subprograms.size());
+  }
+}
+
+// Dispatch follows the engine's own dedupe: with every fingerprint
+// colliding, the bucket still adds, and each subprogram routes to the
+// program compiled from its own graph.
+TEST(ShapeDispatchTableTest, CollidingFingerprintsRouteEachSubprogramToItsOwnProgram) {
+  ScopedEnv env("SPACEFUSION_SHAPE_BUCKETS", nullptr);
+  EngineOptions options{CompileOptions(AmpereA100())};
+  options.fingerprint_fn = [](const Graph&) { return 42ULL; };
+  CompilerEngine engine{options};
+  StatusOr<ShapeCompileResult> compiled = engine.CompileModelForShape(ModelKind::kBert, {1, 64});
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  ShapeDispatchTable table(BucketingPolicy::PowersOfTwo());
+  const Status added = table.Add(std::move(compiled).value());
+  ASSERT_TRUE(added.ok()) << added.ToString();
+  const ShapeDispatchTable::Entry* entry = table.Route({1, 64});
+  ASSERT_NE(entry, nullptr);
+
+  CompilerEngine reference{CompileOptions(AmpereA100())};
+  StatusOr<ShapeCompileResult> expected =
+      reference.CompileModelForShape(ModelKind::kBert, {1, 64});
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  const CompiledModel& want = expected->compiled;
+  ASSERT_EQ(entry->sub_to_unique, want.sub_to_unique);
+  for (size_t i = 0; i < want.sub_to_unique.size(); ++i) {
+    EXPECT_EQ(
+        ProgramFingerprint(entry->result.compiled.unique_subprograms[entry->sub_to_unique[i]]),
+        ProgramFingerprint(want.unique_subprograms[want.sub_to_unique[i]]))
+        << "subprogram " << i;
   }
 }
 
@@ -645,7 +675,7 @@ TEST(ShapeDispatchDifferentialTest, DispatchMatchesExactCompileOnEveryZooModel) 
     const std::vector<std::int64_t> seqs =
         vit ? std::vector<std::int64_t>{20, 24, 32} : std::vector<std::int64_t>{2, 3, 4};
     ShapeDispatchTable table(BucketingPolicy::PowersOfTwo());
-    Compiler exact_compiler{CompileOptions(AmpereA100())};
+    CompilerEngine exact_compiler{CompileOptions(AmpereA100())};
     for (std::int64_t seq : seqs) {
       const ShapeKey shape{1, seq};
       if (table.Route(shape) == nullptr) {

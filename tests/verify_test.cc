@@ -7,7 +7,7 @@
 #include <string>
 #include <utility>
 
-#include "src/core/compiler.h"
+#include "src/core/engine.h"
 #include "src/graph/builder.h"
 #include "src/schedule/memory_planner.h"
 #include "src/schedule/resource_aware.h"
@@ -538,7 +538,7 @@ TEST(CompilerVerifyTest, PhaseModeRejectsBrokenGraphWithDiagnostics) {
   raw.AddUnary(x, y);
   CompileOptions options;
   options.verify = VerifyMode::kPhase;
-  Compiler compiler(options);
+  CompilerEngine compiler(options);
   StatusOr<CompiledSubprogram> compiled = compiler.Compile(raw.g);
   ASSERT_FALSE(compiled.ok());
   EXPECT_EQ(compiled.status().code(), StatusCode::kInvalidArgument);
@@ -549,7 +549,7 @@ TEST(CompilerVerifyTest, PhaseModeRejectsBrokenGraphWithDiagnostics) {
 TEST(CompilerVerifyTest, FullModeCompilesCleanGraph) {
   CompileOptions options;
   options.verify = VerifyMode::kFull;
-  Compiler compiler(options);
+  CompilerEngine compiler(options);
   StatusOr<CompiledSubprogram> compiled = compiler.Compile(SoftmaxGraph());
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
 
@@ -562,7 +562,7 @@ TEST(CompilerVerifyTest, FullModeCompilesCleanGraph) {
 TEST(CompilerVerifyTest, OffModeStillCompiles) {
   CompileOptions options;
   options.verify = VerifyMode::kOff;
-  Compiler compiler(options);
+  CompilerEngine compiler(options);
   EXPECT_TRUE(compiler.Compile(SoftmaxGraph()).ok());
 }
 

@@ -27,8 +27,8 @@
 #include "src/codegen/cpp_codegen.h"
 #include "src/codegen/triton_codegen.h"
 #include "src/core/engine.h"
-#include "src/core/model_runner.h"
 #include "src/graph/models.h"
+#include "src/obs/metrics.h"
 #include "src/support/file_util.h"
 #include "src/support/logging.h"
 #include "src/support/string_util.h"
@@ -279,7 +279,7 @@ int Run(int argc, char** argv) {
         all_ok = false;
       }
     } else {
-      StatusOr<CompiledModel> compiled = CompileModelWithSpaceFusion(model, options, &engine);
+      StatusOr<CompiledModel> compiled = engine.CompileModel(model, options);
       r.wall_ms =
           std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
               .count();
