@@ -1,12 +1,12 @@
 // Quickstart: compile a fused multi-head attention subgraph with
 // SpaceFusion, inspect the Space-Mapping Graph and the generated schedule,
-// validate the fused numerics against the unfused reference, and estimate
-// the speedup on an A100.
+// validate the fused numerics against the unfused reference, estimate the
+// speedup on an A100, and print the C++ kernel the JIT would build.
 //
 //   $ ./build/examples/quickstart
 #include <cstdio>
 
-#include "src/codegen/triton_codegen.h"
+#include "src/codegen/cpp_codegen.h"
 #include "src/core/spacefusion.h"
 #include "src/support/logging.h"
 
@@ -60,8 +60,12 @@ int main() {
     }
   }
 
-  // 5. Show the generated Triton kernel.
-  std::printf("\n== Generated kernel ==\n%s\n",
-              EmitTritonKernel(compiled->program.kernels[0]).c_str());
+  // 5. Show the generated kernel: the C++ the JIT builds and runs.
+  StatusOr<CppKernel> kernel = EmitCppKernel(compiled->program.kernels[0]);
+  if (!kernel.ok()) {
+    std::printf("emission failed: %s\n", kernel.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("\n== Generated kernel ==\n%s\n", kernel->source.c_str());
   return 0;
 }

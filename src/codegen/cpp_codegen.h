@@ -1,7 +1,7 @@
 // Native C++ code generation for fused kernels.
 //
-// Where triton_codegen renders the Triton text a schedule *would* lower to,
-// this backend emits C++ that actually runs on the host: one translation
+// The repository's one kernel backend, standing in for the paper's Triton
+// lowering: it emits C++ that actually runs on the host, one translation
 // unit per kernel, with every extent, stride, tile width, and
 // Update-then-Aggregate multiplier baked in as compile-time constants so
 // the host compiler can unroll and vectorize the contiguous inner loops.

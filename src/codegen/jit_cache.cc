@@ -13,6 +13,7 @@
 #include "src/obs/metrics.h"
 #include "src/support/binary_io.h"
 #include "src/support/file_util.h"
+#include "src/support/logging.h"
 
 namespace spacefusion {
 
@@ -100,16 +101,10 @@ StatusOr<double> JitKernelCache::Build(const CppKernel& kernel, const std::strin
     }
     std::remove(tmp_so.c_str());
     std::remove(log_path.c_str());
-    if (!options_.keep_sources) {
-      std::remove(cc_path.c_str());
-    }
     return Internal("jit: '" + compiler_ + "' failed (exit " + std::to_string(rc) +
                     ") building " + kernel.symbol + ": " + log);
   }
   std::remove(log_path.c_str());
-  if (!options_.keep_sources) {
-    std::remove(cc_path.c_str());
-  }
   if (std::rename(tmp_so.c_str(), so_path.c_str()) != 0) {
     std::remove(tmp_so.c_str());
     return Internal("jit: rename into " + so_path + " failed");
@@ -123,32 +118,27 @@ StatusOr<JitKernelCache::Kernel> JitKernelCache::GetOrBuild(const CppKernel& ker
 
   auto it = loaded_.find(entry_key);
   if (it != loaded_.end()) {
+    if (it->second.fn == nullptr) {
+      return it->second.failure;  // logged and counted when it happened
+    }
     ++stats_.memory_hits;
     SF_COUNTER_ADD("jit.cache.hits", 1);
-    Kernel result;
-    result.fn = it->second.fn;
-    result.scratch_floats = it->second.scratch_floats;
-    result.key = entry_key;
-    return result;
+    return Kernel{it->second.fn, it->second.scratch_floats, entry_key};
   }
   SF_COUNTER_ADD("jit.cache.misses", 1);
 
   const std::string so_path = EntryPath(entry_key, ".sfk.so");
   void* handle = nullptr;
   CppKernelFn fn = nullptr;
-  bool from_disk = false;
-  bool built = false;
 
   if (::access(so_path.c_str(), F_OK) == 0) {
     handle = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
     if (handle != nullptr) {
       fn = reinterpret_cast<CppKernelFn>(::dlsym(handle, kernel.symbol.c_str()));
     }
-    if (handle != nullptr && fn != nullptr) {
-      from_disk = true;
-    } else {
+    if (handle == nullptr || fn == nullptr) {
       // Undlopenable or missing its symbol: a corrupt (or stale-emitter)
-      // entry. Evict it; rebuild below if allowed.
+      // entry. Evict it and rebuild below.
       if (handle != nullptr) {
         ::dlclose(handle);
       }
@@ -161,52 +151,41 @@ StatusOr<JitKernelCache::Kernel> JitKernelCache::GetOrBuild(const CppKernel& ker
   }
 
   if (fn == nullptr) {
-    if (!options_.allow_compile) {
-      ++stats_.failures;
-      return NotFound("jit: kernel " + kernel.symbol +
-                      " not in cache and compilation is disabled");
-    }
     StatusOr<double> build_ms = Build(kernel, so_path);
-    if (!build_ms.ok()) {
-      ++stats_.failures;
+    if (build_ms.ok()) {
+      handle = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
+      if (handle != nullptr) {
+        fn = reinterpret_cast<CppKernelFn>(::dlsym(handle, kernel.symbol.c_str()));
+      }
+    } else {
       SF_COUNTER_ADD("jit.cache.build_failures", 1);
-      return build_ms.status();
     }
-    handle = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
-    if (handle != nullptr) {
-      fn = reinterpret_cast<CppKernelFn>(::dlsym(handle, kernel.symbol.c_str()));
-    }
-    if (handle == nullptr || fn == nullptr) {
-      const char* err = ::dlerror();
+    if (fn == nullptr) {
+      Status failure = build_ms.status();
+      if (failure.ok()) {
+        const char* err = ::dlerror();
+        failure = Internal("jit: freshly built " + kernel.symbol + " failed to load: " +
+                           (err != nullptr ? err : "unknown dlerror"));
+      }
       if (handle != nullptr) {
         ::dlclose(handle);
       }
+      // Remembered: the toolchain runs at most once per kernel and cache.
       ++stats_.failures;
-      return Internal("jit: freshly built " + kernel.symbol +
-                      " failed to load: " + (err != nullptr ? err : "unknown dlerror"));
+      SF_LOG(Warning) << failure.message() << " (not retried for this cache's lifetime)";
+      loaded_[entry_key].failure = failure;
+      return failure;
     }
     ++stats_.builds;
     stats_.build_ms += build_ms.value();
     SF_COUNTER_ADD("jit.cache.builds", 1);
-    built = true;
   } else {
     ++stats_.disk_hits;
     SF_COUNTER_ADD("jit.cache.disk_hits", 1);
   }
 
-  Loaded loaded;
-  loaded.handle = handle;
-  loaded.fn = fn;
-  loaded.scratch_floats = kernel.scratch_floats;
-  loaded_[entry_key] = loaded;
-
-  Kernel result;
-  result.fn = fn;
-  result.scratch_floats = kernel.scratch_floats;
-  result.key = entry_key;
-  result.built = built;
-  result.from_disk = from_disk;
-  return result;
+  loaded_[entry_key] = Loaded{handle, fn, kernel.scratch_floats, Status::Ok()};
+  return Kernel{fn, kernel.scratch_floats, entry_key};
 }
 
 JitKernelCache::Stats JitKernelCache::stats() const {

@@ -11,10 +11,12 @@
 //   <dir>/<16-hex-key>.sfk.cc    the source it was built from (debugging)
 //
 // Lookup ladder per kernel: in-memory handle -> dlopen of the on-disk .so
-// -> toolchain build (unless allow_compile is off). A .so that fails to
-// dlopen or lacks the expected symbol is *corrupt*: it is counted
-// (jit.cache.corrupt), unlinked, and rebuilt — callers that cannot rebuild
-// fall back to the interpreter, never crash.
+// -> toolchain build. A .so that fails to dlopen or lacks the expected
+// symbol is *corrupt*: it is counted (jit.cache.corrupt), unlinked, and
+// rebuilt. A build or load that fails is logged once and remembered for the
+// cache's lifetime: later lookups of that kernel return the same error
+// without re-running the toolchain, and callers fall back to the
+// interpreter, never crash.
 #ifndef SPACEFUSION_SRC_CODEGEN_JIT_CACHE_H_
 #define SPACEFUSION_SRC_CODEGEN_JIT_CACHE_H_
 
@@ -43,12 +45,6 @@ struct JitCacheOptions {
   // contracting a*b+c into fma, which would break bit-parity with the
   // separately compiled interpreter.
   std::string flags = "-O3 -std=c++17 -fPIC -shared -ffp-contract=off";
-  // When false, a kernel that is not already on disk is a NotFound error
-  // instead of a toolchain invocation (callers then fall back to the
-  // interpreter). Serving can use this to bound tail latency.
-  bool allow_compile = true;
-  // Keep the .sfk.cc source next to the .so for inspection.
-  bool keep_sources = true;
 };
 
 class JitKernelCache {
@@ -70,8 +66,6 @@ class JitKernelCache {
     CppKernelFn fn = nullptr;
     std::int64_t scratch_floats = 0;
     std::uint64_t key = 0;    // cache entry key (kernel key x toolchain)
-    bool built = false;       // this call invoked the toolchain
-    bool from_disk = false;   // this call dlopened a prebuilt entry
   };
 
   explicit JitKernelCache(JitCacheOptions options = JitCacheOptions());
@@ -89,10 +83,13 @@ class JitKernelCache {
   const std::string& dir() const { return dir_; }
 
  private:
+  // A loaded entry, or (fn == nullptr) the error its build or load failed
+  // with.
   struct Loaded {
     void* handle = nullptr;
     CppKernelFn fn = nullptr;
     std::int64_t scratch_floats = 0;
+    Status failure;
   };
 
   std::uint64_t EntryKey(const CppKernel& kernel) const;

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "src/codegen/cpp_codegen.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -126,14 +125,6 @@ CompilerEngine::CompilerEngine(EngineOptions options) : options_(std::move(optio
   if (options_.enable_program_cache && !options_.cache_dir.empty()) {
     persistent_ = std::make_unique<PersistentProgramCache>(options_.cache_dir);
   }
-  if (options_.prewarm_jit) {
-    JitCacheOptions jit = options_.jit_cache;
-    if (jit.dir.empty()) {
-      jit.dir = !options_.cache_dir.empty() ? options_.cache_dir + "/kernels"
-                                            : KernelCacheDirFromEnv();
-    }
-    jit_cache_ = std::make_unique<JitKernelCache>(std::move(jit));
-  }
 }
 
 CompilerEngine::CompilerEngine(CompileOptions options)
@@ -178,51 +169,6 @@ void CompilerEngine::EmitReport(const CompileReport& report) {
   }
   if (ReportSink* env_sink = EnvReportSink(); env_sink != nullptr) {
     env_sink->Emit(report);
-  }
-}
-
-void CompilerEngine::PrewarmJit(const CompiledSubprogram& result, CompileReport* report) {
-  if (jit_cache_ == nullptr) {
-    return;
-  }
-  ScopedSpan span("engine.jit_prewarm");
-  span.Arg("kernels", static_cast<std::int64_t>(result.program.kernels.size()));
-  for (const SmgSchedule& kernel : result.program.kernels) {
-    StatusOr<CppKernel> emitted = EmitCppKernel(kernel);
-    if (!emitted.ok()) {
-      SF_COUNTER_ADD("codegen.emit_failures", 1);
-      SF_LOG(Warning) << "jit prewarm: cannot emit " << kernel.graph.name() << ": "
-                      << emitted.status().message();
-      FlightRecorder::Global().Record(
-          report->request_id, "jit",
-          StrCat("emit failed for ", kernel.graph.name(), ": ", emitted.status().message()));
-      continue;
-    }
-    SF_COUNTER_ADD("codegen.kernels_emitted", 1);
-    const auto build_start = std::chrono::steady_clock::now();
-    StatusOr<JitKernelCache::Kernel> built = jit_cache_->GetOrBuild(emitted.value());
-    if (!built.ok()) {
-      // Best effort by contract: execution falls back to the interpreter
-      // for this kernel, so a broken toolchain degrades speed, not service.
-      SF_LOG(Warning) << "jit prewarm: " << built.status().message();
-      FlightRecorder::Global().Record(report->request_id, "jit",
-                                      StrCat("build failed: ", built.status().message()));
-      continue;
-    }
-    if (built->built) {
-      ++report->jit_kernels_built;
-      report->jit_build_ms += MsSince(build_start);
-      FlightRecorder::Global().Record(
-          report->request_id, "jit",
-          StrCat("built kernel ", emitted->symbol, " for ", kernel.graph.name()));
-    } else {
-      ++report->jit_kernels_cached;
-      if (built->from_disk) {
-        FlightRecorder::Global().Record(
-            report->request_id, "jit",
-            StrCat("kernel ", emitted->symbol, " warmed from disk cache"));
-      }
-    }
   }
 }
 
@@ -272,7 +218,6 @@ StatusOr<CompiledSubprogram> CompilerEngine::CompileWithReport(const Graph& grap
     FillResultSummary(*result, report);
     report->outcome = served->outcome;
     report->bucket_hit = served != &kCold && !options.shape_bucket.empty();
-    PrewarmJit(*result, report);
     report->wall_ms = MsSince(request_start);
     FlightRecorder::Global().Record(report->request_id, "engine", served->event);
   } else {

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "src/codegen/jit_cache.h"
 #include "src/core/program_store.h"
 #include "src/graph/models.h"
 #include "src/graph/shape_bucket.h"
@@ -114,18 +113,6 @@ struct EngineOptions {
   // or failed). Non-owning; must outlive the engine and be thread-safe.
   // Independent of (and in addition to) the SPACEFUSION_REPORT_DIR sink.
   ReportSink* report_sink = nullptr;
-  // Prewarm the native-kernel JIT on every served program (cold, cache
-  // hit, or persistent hit): each kernel is emitted to C++ and pushed
-  // through the JIT kernel cache, so by the time an executor asks for it
-  // the shared object is already built (or was already on disk — a warm
-  // daemon restart performs zero toolchain invocations). Failures are
-  // logged and counted, never surfaced: execution falls back to the
-  // interpreter per kernel. Results land in CompileReport::jit_*.
-  bool prewarm_jit = false;
-  // Kernel-cache configuration for prewarm_jit. An empty dir defaults to
-  // "<cache_dir>/kernels" when cache_dir is set (kernels persist next to
-  // the .sfpc program cache), else KernelCacheDirFromEnv().
-  JitCacheOptions jit_cache;
 
   EngineOptions() = default;
   explicit EngineOptions(CompileOptions c) : compile(std::move(c)) {}
@@ -188,11 +175,6 @@ class CompilerEngine {
   // Number of cached programs (across all buckets).
   std::int64_t program_cache_size() const;
 
-  // The engine's JIT kernel cache; null unless prewarm_jit is on. Shared
-  // with executors (JitExecutor's shared-cache constructor) so serving
-  // runs exactly the kernels the engine prewarmed.
-  JitKernelCache* jit_cache() const { return jit_cache_.get(); }
-
  private:
   struct CacheEntry {
     std::uint64_t digest = 0;
@@ -246,9 +228,6 @@ class CompilerEngine {
   // Forwards a finished report to the options sink and the
   // SPACEFUSION_REPORT_DIR sink (when set).
   void EmitReport(const CompileReport& report);
-  // prewarm_jit: emit + build every kernel of `result` through the JIT
-  // cache, recording build/cached counts into *report. Best effort.
-  void PrewarmJit(const CompiledSubprogram& result, CompileReport* report);
   // Process-wide deterministic request ids: "req-000001", "req-000002", ...
   static std::string NextRequestId();
 
@@ -256,8 +235,6 @@ class CompilerEngine {
   std::uint64_t default_digest_ = 0;
   // Null unless options_.cache_dir names a directory.
   std::unique_ptr<PersistentProgramCache> persistent_;
-  // Null unless options_.prewarm_jit is on.
-  std::unique_ptr<JitKernelCache> jit_cache_;
 
   mutable Mutex cache_mu_;
   std::map<std::uint64_t, std::vector<CacheEntry>> cache_ SF_GUARDED_BY(cache_mu_);

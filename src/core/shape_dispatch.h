@@ -25,8 +25,8 @@
 namespace spacefusion {
 
 // How a dispatched subprogram executes: kInterpret runs the schedule
-// interpreter; kJit runs `jit` (e.g. a JitExecutor sharing the engine's
-// prewarmed kernel cache), which must then be non-null.
+// interpreter; kJit runs `jit`, which must then be non-null and builds or
+// loads each kernel through its kernel cache.
 struct BucketRunOptions {
   ExecBackend backend = ExecBackend::kInterpret;
   JitExecutor* jit = nullptr;

@@ -73,11 +73,10 @@ Status JitExecutor::RunKernel(const SmgSchedule& schedule, TensorEnv* env) {
     ++stats_.jit_runs;
     return jit;
   }
-  if (!options_.fallback_to_interpret) {
-    return jit;
-  }
-  SF_LOG(Warning) << "jit: falling back to interpreter for " << schedule.graph.name() << ": "
-                  << jit.message();
+  // The reason rides on the span, not the log: a fallback repeats on every
+  // call of its kernel, and the kernel cache already logged a failed build
+  // once.
+  span.Arg("fallback", jit.message());
   SF_COUNTER_ADD("exec.jit.fallbacks", 1);
   {
     MutexLock lock(mu_);

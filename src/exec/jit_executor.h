@@ -2,10 +2,13 @@
 //
 // The JitExecutor emits specialized C++ for each kernel (cpp_codegen),
 // compiles it through the persistent JIT kernel cache (jit_cache), and runs
-// the resulting shared object. Every jit failure — emission, toolchain,
-// dlopen, corrupt cache entry — falls back to the schedule interpreter
-// (fallback ladder jit -> interpret), so the JIT can never produce fewer
-// answers than the interpreter, only faster ones.
+// the resulting shared object. Execution is the only place kernels are
+// built: the CompilerEngine produces schedules and never builds one. Every
+// jit failure — emission, toolchain, dlopen, corrupt cache entry — falls
+// back to the schedule interpreter (fallback ladder jit -> interpret), so
+// the JIT can never produce fewer answers than the interpreter, only faster
+// ones. A kernel whose build failed stays on the interpreter without
+// re-running the toolchain (the cache remembers the failure).
 //
 // Numerics: the emitted code replays the interpreter's exact per-element
 // operation order and is compiled with -ffp-contract=off, so outputs are
@@ -33,9 +36,6 @@ struct JitExecutorOptions {
   // KernelCacheDirFromEnv() (SPACEFUSION_KERNEL_CACHE_DIR, then
   // "<SPACEFUSION_CACHE_DIR>/kernels", then a per-process temp dir).
   JitCacheOptions cache;
-  // Fall back to the interpreter when the jit path fails. Disable only in
-  // tests that assert on jit errors.
-  bool fallback_to_interpret = true;
 };
 
 class JitExecutor {
@@ -46,9 +46,9 @@ class JitExecutor {
   };
 
   explicit JitExecutor(JitExecutorOptions options = JitExecutorOptions());
-  // Runs against an externally owned kernel cache (e.g. the engine's, so
-  // serving and execution share one persistent cache). `shared_cache` must
-  // outlive the executor.
+  // Runs against an externally owned kernel cache (e.g. one a deployment
+  // filled ahead of its first request). `shared_cache` must outlive the
+  // executor.
   JitExecutor(JitExecutorOptions options, JitKernelCache* shared_cache);
 
   // Executes one fused kernel's schedule over `env`, natively when

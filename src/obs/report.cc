@@ -61,9 +61,6 @@ std::string CompileReport::ToJson() const {
                 "},\"verifier\":", VerifierJson(),
                 ",\"memory\":{\"kernels\":", kernels, ",\"smem_bytes\":", smem_bytes,
                 ",\"reg_bytes\":", reg_bytes,
-                "},\"jit\":{\"kernels_built\":", jit_kernels_built,
-                ",\"kernels_cached\":", jit_kernels_cached,
-                ",\"build_ms\":", FormatNumber(jit_build_ms),
                 "},\"modeled_time_us\":", FormatNumber(modeled_time_us),
                 ",\"shape\":\"", JsonEscape(shape),
                 "\",\"bucket\":\"", JsonEscape(bucket),
@@ -142,12 +139,6 @@ StatusOr<CompileReport> CompileReport::FromJson(const std::string& json) {
     report.smem_bytes = static_cast<std::int64_t>(memory->GetNumber("smem_bytes"));
     report.reg_bytes = static_cast<std::int64_t>(memory->GetNumber("reg_bytes"));
   }
-  // Absent in pre-jit documents: fields default to zero.
-  if (const JsonValue* jit = doc.Get("jit"); jit != nullptr && jit->is_object()) {
-    report.jit_kernels_built = static_cast<std::int64_t>(jit->GetNumber("kernels_built"));
-    report.jit_kernels_cached = static_cast<std::int64_t>(jit->GetNumber("kernels_cached"));
-    report.jit_build_ms = jit->GetNumber("build_ms");
-  }
   report.modeled_time_us = doc.GetNumber("modeled_time_us");
   // Absent in pre-bucket documents: fields default to empty/zero.
   report.shape = doc.GetString("shape");
@@ -181,9 +172,6 @@ void CompileReport::Merge(const CompileReport& other) {
   kernels += other.kernels;
   smem_bytes = std::max(smem_bytes, other.smem_bytes);
   reg_bytes = std::max(reg_bytes, other.reg_bytes);
-  jit_kernels_built += other.jit_kernels_built;
-  jit_kernels_cached += other.jit_kernels_cached;
-  jit_build_ms += other.jit_build_ms;
   transfer_seeded += other.transfer_seeded;
 }
 

@@ -75,14 +75,6 @@ struct CompileReport {
   std::int64_t reg_bytes = 0;
   double modeled_time_us = 0.0;      // simulator estimate of one execution
 
-  // Native-kernel prewarm (engines with prewarm_jit): how many of this
-  // program's kernels the JIT cache built with the toolchain vs served
-  // warm (memory or disk), and the toolchain wall time spent. All zero
-  // when prewarm is off. A warm serve restart shows built == 0.
-  std::int64_t jit_kernels_built = 0;
-  std::int64_t jit_kernels_cached = 0;
-  double jit_build_ms = 0.0;
-
   // Dynamic shapes. For a shape-routed request (CompileModelForShape):
   // `shape` is the request's ShapeKey label, `bucket` the bucket it was
   // routed to, bucket_hit whether the whole request was served without a
@@ -102,14 +94,15 @@ struct CompileReport {
 
   std::string ToJson() const;
   // Inverse of ToJson; rejects documents whose schema_version is newer than
-  // this build understands.
+  // this build understands and ignores keys it does not know (such as the
+  // "jit" block older engines wrote).
   static StatusOr<CompileReport> FromJson(const std::string& json);
   // The "verifier" object of ToJson: {"errors":N,"warnings":N,"diagnostics":[...]}.
   std::string VerifierJson() const;
 
   // Folds another request's report into this one, as CompiledModel's report
   // folds its unique subprograms: passes summed by name, tuning funnel,
-  // verifier, kernel, JIT and transfer counts added, memory maxima kept,
+  // verifier, kernel and transfer counts added, memory maxima kept,
   // diagnostics appended, a cache collision kept. The identity fields
   // (request id, model, fingerprint, digest, outcome, status, wall time,
   // shape, bucket, modeled time) stay the caller's.

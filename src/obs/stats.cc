@@ -45,16 +45,12 @@ void AddReportSeries(const CompileReport& report, std::map<std::string, double>*
   (*series)[StrCat(base, "/configs_screened")] = static_cast<double>(report.configs_screened);
   (*series)[StrCat(base, "/configs_admitted")] = static_cast<double>(report.configs_admitted);
   (*series)[StrCat(base, "/modeled_time_us")] = report.modeled_time_us;
-  // Only the *built* count and the (wall) build time: jit_kernels_cached
-  // grows as caches warm, so diffing it cold-vs-warm would flag the warm
-  // run's extra hits as a "regression".
-  (*series)[StrCat(base, "/jit_kernels_built")] = static_cast<double>(report.jit_kernels_built);
-  (*series)[StrCat(base, "/wall/jit_build_ms")] = report.jit_build_ms;
   // Shape-bucketed requests: deterministic routing/transfer counters (a
   // cold-vs-warm diff catching a bucket that re-tuned is the point), only
-  // present when the report was bucket-routed.
+  // present when the report was bucket-routed. Misses, not hits: --diff
+  // reads growth as a regression, so a warm run's bucket hit must show as
+  // a miss going away.
   if (!report.bucket.empty()) {
-    (*series)[StrCat(base, "/bucket/hits")] = report.bucket_hit ? 1.0 : 0.0;
     (*series)[StrCat(base, "/bucket/misses")] = report.bucket_hit ? 0.0 : 1.0;
     (*series)[StrCat(base, "/bucket/transfer_seeded")] =
         static_cast<double>(report.transfer_seeded);

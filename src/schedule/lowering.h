@@ -1,9 +1,10 @@
 // Lowers an SmgSchedule to a simulator KernelSpec.
 //
-// This is the analogue of the paper's code-generation stage (which emits
-// Triton): it translates slicing decisions and the memory plan into the
-// grid geometry, resource usage, arithmetic work, and global-memory traffic
-// that the GPU simulator executes.
+// This is the simulator's side of the paper's code-generation stage (which
+// emits Triton): it translates slicing decisions and the memory plan into
+// the grid geometry, resource usage, arithmetic work, and global-memory
+// traffic that the GPU simulator executes. The host-executed side is
+// src/codegen/cpp_codegen, which emits the same schedule as C++.
 #ifndef SPACEFUSION_SRC_SCHEDULE_LOWERING_H_
 #define SPACEFUSION_SRC_SCHEDULE_LOWERING_H_
 

@@ -20,7 +20,6 @@ void Mix(std::uint64_t* h, std::uint64_t v) {
 ServeServer::ServeServer(ServeServerOptions options) : options_(std::move(options)) {
   EngineOptions engine_options(options_.compile);
   engine_options.cache_dir = options_.cache_dir;
-  engine_options.prewarm_jit = options_.prewarm_jit;
   engine_ = std::make_unique<CompilerEngine>(std::move(engine_options));
   paused_ = options_.start_paused;
   pool_ = std::make_unique<ThreadPool>(std::max(1, options_.workers));

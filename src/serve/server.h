@@ -60,11 +60,6 @@ struct ServeServerOptions {
   // Persistent program cache directory for the wrapped engine; defaults to
   // SPACEFUSION_CACHE_DIR. Empty disables persistence.
   std::string cache_dir = CacheDirFromEnv();
-  // Prewarm the native-kernel JIT on every served program (see
-  // EngineOptions::prewarm_jit). Kernels persist in "<cache_dir>/kernels"
-  // next to the .sfpc program cache, so a daemon restart warms programs
-  // AND kernels: the second start performs zero toolchain invocations.
-  bool prewarm_jit = false;
   // Start with the job gate closed (tests).
   bool start_paused = false;
 

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/codegen/cpp_codegen.h"
-#include "src/codegen/triton_codegen.h"
 #include "src/core/engine.h"
 #include "src/core/program_store.h"
 #include "src/core/spacefusion.h"
@@ -83,11 +82,10 @@ TEST(DeterminismTest, TuneKernelIdenticalAcrossJobCountsAndCache) {
   EXPECT_EQ(cache.stats().misses, cached_stats.configs_tried);
 }
 
-// Both code emitters — Triton text and the native C++ the JIT compiles —
-// must be byte-identical across repeated compiles: the jit cache
-// content-addresses kernels by a hash of the emitted source,
-// so any nondeterminism here would shatter cache hit rates (and the
-// --emit-kernels artifacts would churn between CI runs).
+// The native C++ the JIT compiles must be byte-identical across repeated
+// compiles: the jit cache content-addresses kernels by a hash of the
+// emitted source, so any nondeterminism here would shatter cache hit rates
+// (and the --emit-kernels artifacts would churn between CI runs).
 TEST(DeterminismTest, EmittedKernelSourceIdenticalAcrossJobCounts) {
   Graph g = BuildMha(/*batch_heads=*/12, /*seq_q=*/128, /*seq_kv=*/128, /*head_dim=*/64);
 
@@ -95,16 +93,15 @@ TEST(DeterminismTest, EmittedKernelSourceIdenticalAcrossJobCounts) {
     CompilerEngine compiler{CompileOptions(AmpereA100())};
     StatusOr<CompiledSubprogram> compiled = compiler.Compile(g);
     EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
-    std::string triton = EmitTritonProgram(compiled->program);
     StatusOr<std::string> cpp = EmitCppProgram(compiled->program);
     EXPECT_TRUE(cpp.ok()) << cpp.status().ToString();
-    return triton + "\n=====\n" + (cpp.ok() ? cpp.value() : "");
+    return cpp.ok() ? cpp.value() : "";
   };
 
   std::string first = emit();
   std::string again = emit();
   EXPECT_FALSE(first.empty());
-  EXPECT_EQ(first, again) << "emitters are nondeterministic across repeated compiles";
+  EXPECT_EQ(first, again) << "emitter is nondeterministic across repeated compiles";
 }
 
 // Regression pin for the Table 4/5 fix: simulated_tuning_seconds models the

@@ -780,44 +780,66 @@ CompileReport FullyPopulatedReport() {
   return report;
 }
 
+// FullyPopulatedReport() as an engine that still prewarmed JIT kernels
+// wrote it: same schema_version, plus a non-zero "jit" block.
+constexpr char kReportWithJitBlock[] =
+    R"({"schema_version":1,"request_id":"req-000007","model":"Bert",)"
+    R"("graph_fingerprint":"16045690984503111693","options_digest":"18446744073709551615",)"
+    R"("outcome":"cold","status_message":"","cache_collision":true,"wall_ms":12.5,)"
+    R"("passes":[{"pass":"BuildSmg","wall_ms":1.25,"cpu_ms":1},)"
+    R"({"pass":"Tune","wall_ms":8,"cpu_ms":31.5}],)"
+    R"("tuning":{"configs_enumerated":400,"configs_screened":100,"configs_admitted":25,)"
+    R"("tuning_seconds":1.75},"verifier":{"errors":1,"warnings":2,"diagnostics":)"
+    R"([{"code":"SFV0103","severity":"error",)"
+    R"("message":"SFV0103 [error] graph(m): shape mismatch"}]},)"
+    R"("memory":{"kernels":3,"smem_bytes":49152,"reg_bytes":65536},)"
+    R"("jit":{"kernels_built":2,"kernels_cached":1,"build_ms":480.25},)"
+    R"("modeled_time_us":321.5,"shape":"","bucket":"","bucket_hit":false,)"
+    R"("transfer_seeded":0,"measured_speedup":0})";
+
 TEST(CompileReportTest, JsonRoundTripPreservesEveryField) {
   CompileReport report = FullyPopulatedReport();
   std::string json = report.ToJson();
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  EXPECT_EQ(json.find("\"jit\""), std::string::npos) << json;
 
-  StatusOr<CompileReport> restored = CompileReport::FromJson(json);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  const CompileReport& r = restored.value();
-  EXPECT_EQ(r.request_id, report.request_id);
-  EXPECT_EQ(r.model, report.model);
-  EXPECT_EQ(r.graph_fingerprint, report.graph_fingerprint);
-  EXPECT_EQ(r.options_digest, report.options_digest);
-  EXPECT_EQ(r.outcome, report.outcome);
-  EXPECT_EQ(r.status_message, report.status_message);
-  EXPECT_EQ(r.cache_collision, report.cache_collision);
-  EXPECT_DOUBLE_EQ(r.wall_ms, report.wall_ms);
-  ASSERT_EQ(r.passes.size(), report.passes.size());
-  for (size_t i = 0; i < r.passes.size(); ++i) {
-    EXPECT_EQ(r.passes[i].pass, report.passes[i].pass);
-    EXPECT_DOUBLE_EQ(r.passes[i].wall_ms, report.passes[i].wall_ms);
-    EXPECT_DOUBLE_EQ(r.passes[i].cpu_ms, report.passes[i].cpu_ms);
+  // This build's output, and a saved report whose "jit" block is ignored.
+  for (const std::string& input : {json, std::string(kReportWithJitBlock)}) {
+    StatusOr<CompileReport> restored = CompileReport::FromJson(input);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    const CompileReport& r = restored.value();
+    EXPECT_EQ(r.ToJson(), json);
+    EXPECT_EQ(r.request_id, report.request_id);
+    EXPECT_EQ(r.model, report.model);
+    EXPECT_EQ(r.graph_fingerprint, report.graph_fingerprint);
+    EXPECT_EQ(r.options_digest, report.options_digest);
+    EXPECT_EQ(r.outcome, report.outcome);
+    EXPECT_EQ(r.status_message, report.status_message);
+    EXPECT_EQ(r.cache_collision, report.cache_collision);
+    EXPECT_DOUBLE_EQ(r.wall_ms, report.wall_ms);
+    ASSERT_EQ(r.passes.size(), report.passes.size());
+    for (size_t i = 0; i < r.passes.size(); ++i) {
+      EXPECT_EQ(r.passes[i].pass, report.passes[i].pass);
+      EXPECT_DOUBLE_EQ(r.passes[i].wall_ms, report.passes[i].wall_ms);
+      EXPECT_DOUBLE_EQ(r.passes[i].cpu_ms, report.passes[i].cpu_ms);
+    }
+    EXPECT_EQ(r.configs_enumerated, report.configs_enumerated);
+    EXPECT_EQ(r.configs_screened, report.configs_screened);
+    EXPECT_EQ(r.configs_admitted, report.configs_admitted);
+    EXPECT_DOUBLE_EQ(r.tuning_seconds, report.tuning_seconds);
+    EXPECT_EQ(r.verifier_errors, report.verifier_errors);
+    EXPECT_EQ(r.verifier_warnings, report.verifier_warnings);
+    ASSERT_EQ(r.diagnostics.size(), 1u);
+    EXPECT_EQ(r.diagnostics[0].code, "SFV0103");
+    EXPECT_EQ(r.diagnostics[0].severity, "error");
+    EXPECT_EQ(r.diagnostics[0].message, report.diagnostics[0].message);
+    EXPECT_EQ(r.kernels, report.kernels);
+    EXPECT_EQ(r.smem_bytes, report.smem_bytes);
+    EXPECT_EQ(r.reg_bytes, report.reg_bytes);
+    EXPECT_DOUBLE_EQ(r.modeled_time_us, report.modeled_time_us);
+    EXPECT_DOUBLE_EQ(r.PassWallMs("Tune"), 8.0);
+    EXPECT_DOUBLE_EQ(r.PassWallMs("NoSuchPass"), 0.0);
   }
-  EXPECT_EQ(r.configs_enumerated, report.configs_enumerated);
-  EXPECT_EQ(r.configs_screened, report.configs_screened);
-  EXPECT_EQ(r.configs_admitted, report.configs_admitted);
-  EXPECT_DOUBLE_EQ(r.tuning_seconds, report.tuning_seconds);
-  EXPECT_EQ(r.verifier_errors, report.verifier_errors);
-  EXPECT_EQ(r.verifier_warnings, report.verifier_warnings);
-  ASSERT_EQ(r.diagnostics.size(), 1u);
-  EXPECT_EQ(r.diagnostics[0].code, "SFV0103");
-  EXPECT_EQ(r.diagnostics[0].severity, "error");
-  EXPECT_EQ(r.diagnostics[0].message, report.diagnostics[0].message);
-  EXPECT_EQ(r.kernels, report.kernels);
-  EXPECT_EQ(r.smem_bytes, report.smem_bytes);
-  EXPECT_EQ(r.reg_bytes, report.reg_bytes);
-  EXPECT_DOUBLE_EQ(r.modeled_time_us, report.modeled_time_us);
-  EXPECT_DOUBLE_EQ(r.PassWallMs("Tune"), 8.0);
-  EXPECT_DOUBLE_EQ(r.PassWallMs("NoSuchPass"), 0.0);
 }
 
 TEST(CompileReportTest, MergeFoldsSubprogramReports) {
@@ -838,7 +860,6 @@ TEST(CompileReportTest, MergeFoldsSubprogramReports) {
   second.kernels = 2;
   second.smem_bytes = 1024;     // below the first report's maximum
   second.reg_bytes = 131072;    // above it
-  second.jit_kernels_built = 1;
   second.transfer_seeded = 3;
   model.Merge(second);
 
@@ -862,7 +883,6 @@ TEST(CompileReportTest, MergeFoldsSubprogramReports) {
   EXPECT_EQ(model.kernels, 5);
   EXPECT_EQ(model.smem_bytes, 49152);
   EXPECT_EQ(model.reg_bytes, 131072);
-  EXPECT_EQ(model.jit_kernels_built, 1);
   EXPECT_EQ(model.transfer_seeded, 3);
   // Diagnostics concatenated in merge order.
   EXPECT_EQ(model.verifier_errors, 1);

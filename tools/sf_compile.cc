@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "src/codegen/cpp_codegen.h"
-#include "src/codegen/triton_codegen.h"
 #include "src/core/engine.h"
 #include "src/graph/models.h"
 #include "src/obs/metrics.h"
@@ -58,9 +57,9 @@ int Usage() {
          "  --json            write per-model timing/metrics JSON to PATH\n"
          "  --report-dir      write one CompileReport JSON per engine request to DIR\n"
          "                    (same as setting SPACEFUSION_REPORT_DIR)\n"
-         "  --emit-kernels    dump the generated code of every compiled kernel to DIR:\n"
-         "                    <model>-s<I>-k<J>.cc (native C++ the JIT builds, named\n"
-         "                    inside by its content-hash symbol) and .triton (GPU text)\n"
+         "  --emit-kernels    dump every compiled kernel to DIR as <model>-s<I>-k<J>.cc:\n"
+         "                    the native C++ the JIT builds, named inside by its\n"
+         "                    content-hash symbol\n"
          "  --metrics         print the final MetricsSnapshot as text to stdout\n"
          "  --metrics-json    print the final MetricsSnapshot as JSON to stdout\n"
          "  --openmetrics     print the final snapshot as OpenMetrics exposition\n"
@@ -119,27 +118,24 @@ std::string ModelJson(const ModelResult& r, const CompilerEngine& engine) {
   return StrCat(json, "},\"verifier\":", m.report.VerifierJson(), "}");
 }
 
-// --emit-kernels: one .cc (the exact native C++ source the JIT compiles,
-// named inside by its content-hash symbol) and one .triton (GPU text) per
-// kernel of every unique subprogram. Returns pairs written.
+// --emit-kernels: one .cc per kernel of every unique subprogram, holding
+// the exact native C++ source the JIT compiles (named inside by its
+// content-hash symbol). Returns files written.
 int EmitKernelSources(const std::string& dir, const std::string& model,
                       const CompiledModel& compiled) {
   int written = 0;
   for (size_t s = 0; s < compiled.unique_subprograms.size(); ++s) {
     const ScheduledProgram& program = compiled.unique_subprograms[s].program;
     for (size_t k = 0; k < program.kernels.size(); ++k) {
-      const std::string base =
-          StrCat(dir, "/", model, "-s", static_cast<int>(s), "-k", static_cast<int>(k));
+      const std::string path = StrCat(dir, "/", model, "-s", static_cast<int>(s), "-k",
+                                      static_cast<int>(k), ".cc");
       StatusOr<CppKernel> cpp = EmitCppKernel(program.kernels[k]);
-      Status cc_written = cpp.ok() ? AtomicWriteFile(base + ".cc", cpp.value().source)
-                                   : cpp.status();
-      Status triton_written =
-          AtomicWriteFile(base + ".triton", EmitTritonKernel(program.kernels[k]));
-      if (cc_written.ok() && triton_written.ok()) {
+      Status cc_written = cpp.ok() ? AtomicWriteFile(path, cpp.value().source) : cpp.status();
+      if (cc_written.ok()) {
         ++written;
       } else {
-        std::cerr << "sf-compile: --emit-kernels failed for " << base << ": "
-                  << (cc_written.ok() ? triton_written : cc_written).ToString() << "\n";
+        std::cerr << "sf-compile: --emit-kernels failed for " << path << ": "
+                  << cc_written.ToString() << "\n";
       }
     }
   }
@@ -327,8 +323,8 @@ int Run(int argc, char** argv) {
                   static_cast<long long>(report.transfer_seeded));
     }
     if (!emit_kernels_dir.empty()) {
-      int pairs = EmitKernelSources(emit_kernels_dir, r.model, r.compiled);
-      std::printf("  emitted %d kernel source pair(s) to %s\n", pairs, emit_kernels_dir.c_str());
+      int sources = EmitKernelSources(emit_kernels_dir, r.model, r.compiled);
+      std::printf("  emitted %d kernel source(s) to %s\n", sources, emit_kernels_dir.c_str());
     }
   }
   json += StrCat("],\n\"metrics\":", MetricsRegistry::Global().Snapshot().ToJson(), "}\n");

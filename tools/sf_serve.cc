@@ -62,8 +62,6 @@ int Usage() {
          "  --quota N         max unfinished requests per client (default: 8)\n"
          "  --cache-dir DIR   persistent program cache directory\n"
          "                    (default: SPACEFUSION_CACHE_DIR; empty disables)\n"
-         "  --jit             prewarm native kernels through the JIT cache at\n"
-         "                    <cache-dir>/kernels; a warm restart rebuilds nothing\n"
          "\n"
          "protocol: one JSON request per line in, one JSON response per line out;\n"
          "a request with \"model\":\"shutdown\" stops the daemon after the reply.\n";
@@ -203,10 +201,6 @@ int Run(int argc, char** argv) {
     const std::string flag = argv[i];
     if (flag == "--stdio") {
       stdio = true;
-      continue;
-    }
-    if (flag == "--jit") {
-      options.prewarm_jit = true;
       continue;
     }
     if (flag == "--socket" || flag == "--workers" || flag == "--max-inflight" ||
