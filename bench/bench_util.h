@@ -1,20 +1,11 @@
 // Shared helpers for the evaluation harness: every bench binary regenerates
 // one table or figure of the paper (see DESIGN.md's per-experiment index)
 // and prints the same rows/series the paper reports.
-//
-// Besides the human-readable tables, each bench can emit a machine-readable
-// metrics JSON: RecordBenchValue() collects the headline numbers the bench
-// prints, and EmitBenchMetrics() writes them together with a snapshot of
-// the process-wide metrics registry to
-// $SPACEFUSION_METRICS_DIR/<bench>.metrics.json (a no-op when the variable
-// is unset, so default runs stay side-effect free).
 #ifndef SPACEFUSION_BENCH_BENCH_UTIL_H_
 #define SPACEFUSION_BENCH_BENCH_UTIL_H_
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,49 +29,6 @@ class WallTimer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
-
-// Headline values this bench binary has produced (label -> number).
-inline std::map<std::string, double>& BenchValues() {
-  static std::map<std::string, double> values;
-  return values;
-}
-
-inline void RecordBenchValue(const std::string& key, double value) {
-  BenchValues()[key] = value;
-}
-
-// Writes <SPACEFUSION_METRICS_DIR>/<bench_name>.metrics.json with the
-// recorded headline values and the global metrics snapshot. Returns true if
-// a file was written.
-inline bool EmitBenchMetrics(const std::string& bench_name) {
-  const char* dir = std::getenv("SPACEFUSION_METRICS_DIR");
-  if (dir == nullptr || dir[0] == '\0') {
-    return false;
-  }
-  std::string json = "{\"bench\":\"" + bench_name + "\",\"values\":{";
-  bool first = true;
-  for (const auto& [key, value] : BenchValues()) {
-    if (!first) {
-      json += ",";
-    }
-    first = false;
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
-    json += "\"" + key + "\":" + buf;
-  }
-  json += "},\"metrics\":" + MetricsRegistry::Global().Snapshot().ToJson() + "}\n";
-
-  std::string path = std::string(dir) + "/" + bench_name + ".metrics.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    SF_LOG(Warning) << "cannot write bench metrics to " << path;
-    return false;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::printf("\n[metrics written to %s]\n", path.c_str());
-  return true;
-}
 
 inline void PrintHeader(const std::string& title) {
   std::printf("\n================================================================\n");

@@ -77,6 +77,5 @@ int main() {
   spacefusion::SetLogThreshold(spacefusion::LogLevel::kWarning);
   spacefusion::RunMlp();
   spacefusion::RunLstm();
-  spacefusion::EmitBenchMetrics("fig11_mlp_lstm");
   return 0;
 }

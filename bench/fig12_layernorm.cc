@@ -62,6 +62,5 @@ void Run() {
 int main() {
   spacefusion::SetLogThreshold(spacefusion::LogLevel::kWarning);
   spacefusion::Run();
-  spacefusion::EmitBenchMetrics("fig12_layernorm");
   return 0;
 }

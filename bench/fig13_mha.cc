@@ -71,6 +71,5 @@ void Run() {
 int main() {
   spacefusion::SetLogThreshold(spacefusion::LogLevel::kWarning);
   spacefusion::Run();
-  spacefusion::EmitBenchMetrics("fig13_mha");
   return 0;
 }

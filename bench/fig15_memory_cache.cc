@@ -94,6 +94,5 @@ void Run() {
 int main() {
   spacefusion::SetLogThreshold(spacefusion::LogLevel::kWarning);
   spacefusion::Run();
-  spacefusion::EmitBenchMetrics("fig15_memory_cache");
   return 0;
 }

@@ -121,6 +121,5 @@ int main() {
   spacefusion::RunAblation();
   spacefusion::RunInputSensitivity();
   spacefusion::RunArchSensitivity();
-  spacefusion::EmitBenchMetrics("fig16_ablation");
   return 0;
 }

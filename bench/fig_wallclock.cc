@@ -20,7 +20,6 @@
 
 #include "bench/bench_util.h"
 #include "src/exec/jit_executor.h"
-#include "src/obs/report.h"
 
 namespace spacefusion {
 namespace {
@@ -144,21 +143,6 @@ int Run(int argc, char** argv) {
     const double speedup = t.fused_us > 0.0 ? t.unfused_us / t.fused_us : 0.0;
     std::printf("%-12s %14.1f %14.1f %14.1f %9.2fx\n", w.name.c_str(), t.fused_us, t.unfused_us,
                 t.interpret_us, speedup);
-    RecordBenchValue(w.name + "/fused_jit_us", t.fused_us);
-    RecordBenchValue(w.name + "/unfused_jit_us", t.unfused_us);
-    // The measured fused/unfused ratio goes out as a CompileReport (when
-    // SPACEFUSION_REPORT_DIR is set): the calibration record that pairs the
-    // modeled cost path with a real wall-clock observation.
-    if (ReportSink* sink = EnvReportSink(); sink != nullptr) {
-      CompileReport measured;
-      measured.request_id = "wallclock-" + w.name;
-      measured.model = w.name;
-      measured.graph_fingerprint = w.graph.StructuralHash();
-      measured.outcome = "measured";
-      measured.wall_ms = t.fused_us / 1000.0;
-      measured.measured_speedup = speedup;
-      sink->Emit(measured);
-    }
     if (!workloads_json.empty()) {
       workloads_json += ",";
     }
@@ -181,36 +165,33 @@ int Run(int argc, char** argv) {
   for (ModelKind kind : AllModelKinds()) {
     ModelGraph model = BuildModel(GetModelConfig(kind, /*batch=*/1, /*seq=*/64));
     CompilerEngine engine{CompileOptions(AmpereA100())};
+    StatusOr<CompiledModel> compiled = engine.CompileModel(model);
+    if (!compiled.ok()) {
+      std::fprintf(stderr, "fig_wallclock: %s: %s\n", ModelKindName(kind),
+                   compiled.status().ToString().c_str());
+      return 1;
+    }
     // Distinct subprograms once each (repeat counts would only scale every
-    // column by the same factor); the compiler's program cache makes the
-    // repeated Compile calls free.
+    // column by the same factor), each on the graph of the first model
+    // subprogram that maps to it.
+    std::vector<const Graph*> graphs(compiled->unique_subprograms.size(), nullptr);
+    for (size_t i = 0; i < model.subprograms.size(); ++i) {
+      const Graph*& graph = graphs[compiled->sub_to_unique[i]];
+      if (graph == nullptr) {
+        graph = &model.subprograms[i].graph;
+      }
+    }
     double jit_us = 0.0;
     double interpret_us = 0.0;
-    std::uint64_t sub_seed = 1;
-    std::vector<std::uint64_t> seen;
-    for (const Subprogram& sub : model.subprograms) {
-      const std::uint64_t fp = sub.graph.StructuralHash();
-      bool dup = false;
-      for (std::uint64_t s : seen) {
-        dup = dup || s == fp;
-      }
-      if (dup) {
-        continue;
-      }
-      seen.push_back(fp);
-      StatusOr<CompiledSubprogram> compiled = engine.Compile(sub.graph);
-      if (!compiled.ok()) {
-        std::fprintf(stderr, "fig_wallclock: %s/%s: %s\n", ModelKindName(kind),
-                     sub.graph.name().c_str(), compiled.status().ToString().c_str());
-        return 1;
-      }
-      const TensorEnv inputs = MakeGraphInputs(sub.graph, sub_seed++);
+    for (size_t u = 0; u < graphs.size(); ++u) {
+      const ScheduledProgram& program = compiled->unique_subprograms[u].program;
+      const TensorEnv inputs = MakeGraphInputs(*graphs[u], /*seed=*/u + 1);
       TensorEnv out;
       jit_us += BestOfUs(model_repeats, [&] {
-        SF_CHECK(fused.RunProgram(compiled->program, sub.graph, inputs, &out).ok());
+        SF_CHECK(fused.RunProgram(program, *graphs[u], inputs, &out).ok());
       });
       interpret_us += BestOfUs(model_repeats, [&] {
-        SF_CHECK(RunScheduledProgram(compiled->program, sub.graph, inputs, &out).ok());
+        SF_CHECK(RunScheduledProgram(program, *graphs[u], inputs, &out).ok());
       });
     }
     std::printf("%-12s %14.1f %14.1f\n", ModelKindName(kind), jit_us, interpret_us);
@@ -243,7 +224,6 @@ int Run(int argc, char** argv) {
         << ",\"hit_rate\":" << Json(hit_rate) << ",\"build_time_ms\":" << Json(cache.build_ms)
         << "}}\n";
   }
-  EmitBenchMetrics("fig_wallclock");
 
   if (!mha_wins || !layernorm_wins) {
     std::fprintf(stderr,

@@ -11,7 +11,6 @@
 // 33.04s, total 36.33s; MHA(32,256): tuning 29.55s, total 33.41s.
 #include "bench/bench_util.h"
 #include "src/schedule/search_space.h"
-#include "src/support/string_util.h"
 #include "src/slicing/slicers.h"
 #include "src/tuning/tuner.h"
 
@@ -78,12 +77,6 @@ void Run() {
     double total_s = stats.simulated_tuning_seconds + (ss_ms + ts_ms + enum_ms) * 1e-3;
     char label[32];
     std::snprintf(label, sizeof(label), "MHA(32,%lld)", static_cast<long long>(seq));
-    RecordBenchValue(StrCat(label, ".scheduling_ms"), ss_ms + ts_ms + enum_ms);
-    RecordBenchValue(StrCat(label, ".tuning_s"), stats.simulated_tuning_seconds);
-    RecordBenchValue(StrCat(label, ".total_s"), total_s);
-    RecordBenchValue(StrCat(label, ".configs_screened"), stats.configs_screened);
-    RecordBenchValue(StrCat(label, ".configs_tried"), stats.configs_tried);
-    RecordBenchValue(StrCat(label, ".tune_wall_ms"), tune_wall_ms);
     std::printf("%-16s %19.2f ms %9.2f ms %19.2f ms %10.2f s %10.2f s\n", label, ts_ms, enum_ms,
                 ss_ms, stats.simulated_tuning_seconds, total_s);
     std::printf("  (%d configs screened, %d measured, %d early-quit; host sweep %.3f ms)\n",
@@ -100,6 +93,5 @@ void Run() {
 int main() {
   spacefusion::SetLogThreshold(spacefusion::LogLevel::kWarning);
   spacefusion::Run();
-  spacefusion::EmitBenchMetrics("table4_compile_time");
   return 0;
 }

@@ -205,9 +205,7 @@ int Run(int argc, char** argv) {
   SetLogThreshold(LogLevel::kWarning);
   const GpuArch arch = AmpereA100();
   std::vector<Table5Model> models = RunTable5(arch);
-  int code = json_path.empty() ? 0 : WriteScreeningJson(models, arch, json_path);
-  EmitBenchMetrics("table5_model_compile");
-  return code;
+  return json_path.empty() ? 0 : WriteScreeningJson(models, arch, json_path);
 }
 
 }  // namespace

@@ -205,6 +205,5 @@ void Run() {
 int main() {
   spacefusion::SetLogThreshold(spacefusion::LogLevel::kWarning);
   spacefusion::Run();
-  spacefusion::EmitBenchMetrics("table6_fusion_patterns");
   return 0;
 }

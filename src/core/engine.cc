@@ -7,11 +7,9 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/support/logging.h"
-#include "src/support/string_util.h"
 
 namespace spacefusion {
 
@@ -122,7 +120,7 @@ std::string CacheDirFromEnv() {
 
 CompilerEngine::CompilerEngine(EngineOptions options) : options_(std::move(options)) {
   default_digest_ = CompileOptionsDigest(options_.compile);
-  if (options_.enable_program_cache && !options_.cache_dir.empty()) {
+  if (!options_.cache_dir.empty()) {
     persistent_ = std::make_unique<PersistentProgramCache>(options_.cache_dir);
   }
 }
@@ -185,12 +183,10 @@ StatusOr<CompiledSubprogram> CompilerEngine::CompileWithReport(const Graph& grap
   RequestKey key;
   key.digest = &options == &options_.compile ? default_digest_ : CompileOptionsDigest(options);
   key.fingerprint = Fingerprint(graph);
-  if (options_.enable_program_cache) {
-    key.cache_key = 1469598103934665603ULL;
-    MixInto(&key.cache_key, key.fingerprint);
-    MixInto(&key.cache_key, key.digest);
-    key.canonical = graph.CanonicalForm();
-  }
+  key.cache_key = 1469598103934665603ULL;
+  MixInto(&key.cache_key, key.fingerprint);
+  MixInto(&key.cache_key, key.digest);
+  key.canonical = graph.CanonicalForm();
   report->request_id = NextRequestId();
   report->model = model_name;
   report->graph_fingerprint = key.fingerprint;
@@ -200,50 +196,35 @@ StatusOr<CompiledSubprogram> CompilerEngine::CompileWithReport(const Graph& grap
   // shape onto the model-level report.
   report->shape = options.shape_bucket;
   report->bucket = options.shape_bucket;
-  FlightRecorder::Global().Record(
-      report->request_id, "engine",
-      StrCat("request start: graph ", graph.name(), ", ", graph.ops().size(), " op(s)"));
 
   CompiledSubprogram cached;
-  const Served* served = Lookup(graph, options, key, report, &cached);
+  const char* outcome = Lookup(options, key, report, &cached);
   StatusOr<CompiledSubprogram> result = std::move(cached);
-  if (served == nullptr) {
-    served = &kCold;
+  const bool cold = outcome == nullptr;
+  if (cold) {
+    outcome = "cold";
     result = CompileCold(graph, options, key, report);
   }
 
-  // The finish tail, one for every outcome.
+  // The finish tail, one for every outcome. A failed request's report is
+  // its post-mortem: the status, the pass timings up to and including the
+  // failing pass, and every diagnostic.
+  report->wall_ms = MsSince(request_start);
   if (result.ok()) {
     result->request_id = report->request_id;
     FillResultSummary(*result, report);
-    report->outcome = served->outcome;
-    report->bucket_hit = served != &kCold && !options.shape_bucket.empty();
-    report->wall_ms = MsSince(request_start);
-    FlightRecorder::Global().Record(report->request_id, "engine", served->event);
+    report->outcome = outcome;
+    report->bucket_hit = !cold && !options.shape_bucket.empty();
   } else {
     report->outcome = "error";
     report->status_message = result.status().ToString();
-    report->wall_ms = MsSince(request_start);
-    FlightRecorder::Global().Record(report->request_id, "engine",
-                                    StrCat("request failed: ", result.status().message()));
-    FlightRecorder::Global().DumpToFailureLog(report->request_id, result.status().message());
   }
   EmitReport(*report);
   return result;
 }
 
-const CompilerEngine::Served* CompilerEngine::Lookup(const Graph& graph,
-                                                      const CompileOptions& options,
-                                                      const RequestKey& key,
-                                                      CompileReport* report,
-                                                      CompiledSubprogram* out) {
-  if (!options_.enable_program_cache) {
-    MutexLock lock(cache_mu_);
-    ++stats_.misses;
-    SF_COUNTER_ADD("engine.cache.misses", 1);
-    SF_COUNTER_ADD("compiler.cache_misses", 1);
-    return nullptr;
-  }
+const char* CompilerEngine::Lookup(const CompileOptions& options, const RequestKey& key,
+                                   CompileReport* report, CompiledSubprogram* out) {
   bool collided = false;
   {
     MutexLock lock(cache_mu_);
@@ -255,7 +236,7 @@ const CompilerEngine::Served* CompilerEngine::Lookup(const Graph& graph,
           SF_COUNTER_ADD("engine.cache.hits", 1);
           SF_COUNTER_ADD("compiler.cache_hits", 1);
           *out = entry.compiled;
-          return &kCacheHit;
+          return "cache_hit";
         }
         collided = true;
       }
@@ -268,17 +249,9 @@ const CompilerEngine::Served* CompilerEngine::Lookup(const Graph& graph,
     SF_COUNTER_ADD("engine.cache.misses", 1);
     SF_COUNTER_ADD("compiler.cache_misses", 1);
   }
-  if (collided) {
-    // A fingerprint alias: worth a post-mortem even though the request
-    // recovers by compiling fresh into the same bucket.
-    report->cache_collision = true;
-    FlightRecorder::Global().Record(
-        report->request_id, "engine",
-        StrCat("cache collision: fingerprint aliased, canonical form mismatched (graph ",
-               graph.name(), ")"));
-    FlightRecorder::Global().DumpToFailureLog(report->request_id,
-                                              "program-cache fingerprint collision");
-  }
+  // A fingerprint alias: the request recovers by compiling fresh into the
+  // same bucket, and its report says so.
+  report->cache_collision = collided;
   if (persistent_ == nullptr) {
     return nullptr;
   }
@@ -290,7 +263,7 @@ const CompilerEngine::Served* CompilerEngine::Lookup(const Graph& graph,
       ++stats_.persistent_hits;
       InsertIfAbsent(key, *out);
       SF_COUNTER_ADD("engine.cache.persistent_hits", 1);
-      return &kPersistentHit;
+      return "persistent_hit";
     }
     case PersistentProgramCache::LoadResult::kStale: {
       // Options or code drifted since the entry was written: by design a
@@ -300,8 +273,6 @@ const CompilerEngine::Served* CompilerEngine::Lookup(const Graph& graph,
         ++stats_.persistent_stale;
       }
       SF_COUNTER_ADD("engine.cache.persistent_stale", 1);
-      FlightRecorder::Global().Record(report->request_id, "engine",
-                                      StrCat("persistent cache entry stale: ", detail));
       return nullptr;
     }
     case PersistentProgramCache::LoadResult::kCorrupt: {
@@ -311,8 +282,6 @@ const CompilerEngine::Served* CompilerEngine::Lookup(const Graph& graph,
       }
       SF_COUNTER_ADD("engine.cache.persistent_corrupt", 1);
       SF_LOG(Warning) << "persistent cache entry corrupt, recompiling cold: " << detail;
-      FlightRecorder::Global().Record(report->request_id, "engine",
-                                      StrCat("persistent cache entry corrupt: ", detail));
       return nullptr;
     }
     case PersistentProgramCache::LoadResult::kMiss:
@@ -343,10 +312,6 @@ StatusOr<CompiledSubprogram> CompilerEngine::CompileCold(const Graph& graph,
       SF_COUNTER_ADD("engine.cache.analysis_rejected", 1);
       SF_LOG(Warning) << "racy schedule not persisted (" << admission.error_count()
                       << " SFV06xx finding(s)): " << admission.ToString();
-      FlightRecorder::Global().Record(
-          report->request_id, "engine",
-          StrCat("persistence refused: race analysis reported ", admission.error_count(),
-                 " finding(s)"));
     } else {
       // Best effort: a full disk or unwritable directory costs persistence,
       // never the compile result.
@@ -359,7 +324,7 @@ StatusOr<CompiledSubprogram> CompilerEngine::CompileCold(const Graph& graph,
       }
     }
   }
-  if (options_.enable_program_cache) {
+  {
     MutexLock lock(cache_mu_);
     InsertIfAbsent(key, result);
   }
@@ -393,9 +358,7 @@ StatusOr<CompiledSubprogram> CompilerEngine::RunPassList(const Graph& graph,
   state.cost_cache = CostCacheFor(digest);
   state.fusion = &fusion_;
 
-  PassManagerOptions pm_options;
-  pm_options.request_id = report->request_id;
-  PassManager manager(BuildCompilePassList(options), std::move(pm_options));
+  PassManager manager(BuildCompilePassList(options));
   Status run_status = manager.Run(&state);
   // Pass timings and diagnostics reach the report even when a pass failed:
   // the partial breakdown is exactly what a post-mortem needs.

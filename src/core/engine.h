@@ -90,14 +90,12 @@ struct ShapeCompileResult {
 struct EngineOptions {
   // Default options for Compile/CompileModel calls without per-request ones.
   CompileOptions compile;
-  // Cross-model structural program cache (engine.cache.* metrics).
-  bool enable_program_cache = true;
   // Directory of the persistent program cache; defaults to
-  // SPACEFUSION_CACHE_DIR (empty = in-memory cache only). Requires
-  // enable_program_cache. Cold compiles are stored as checksummed blobs and
-  // a later engine — typically a restarted daemon — serves them as
-  // "persistent_hit" without re-tuning; stale or corrupt entries silently
-  // fall back to a cold compile (engine.cache.persistent_* metrics).
+  // SPACEFUSION_CACHE_DIR (empty = in-memory cache only). Cold compiles are
+  // stored as checksummed blobs and a later engine — typically a restarted
+  // daemon — serves them as "persistent_hit" without re-tuning; stale or
+  // corrupt entries silently fall back to a cold compile
+  // (engine.cache.persistent_* metrics).
   std::string cache_dir = CacheDirFromEnv();
   // Graph fingerprint for the program-cache key. Defaults to
   // Graph::StructuralHash; tests override it to force collisions onto the
@@ -187,17 +185,8 @@ class CompilerEngine {
     std::uint64_t fingerprint = 0;
     std::uint64_t digest = 0;
     std::uint64_t cache_key = 0;  // cache_ key mixing fingerprint and digest
-    std::string canonical;        // Graph::CanonicalForm ("" with the cache off)
+    std::string canonical;        // Graph::CanonicalForm
   };
-  // How a request was served: its CompileReport outcome and the
-  // flight-recorder event that closes it.
-  struct Served {
-    const char* outcome;
-    const char* event;
-  };
-  static constexpr Served kCold{"cold", "request done"};
-  static constexpr Served kCacheHit{"cache_hit", "request served from program cache"};
-  static constexpr Served kPersistentHit{"persistent_hit", "request warmed from persistent cache"};
 
   std::uint64_t Fingerprint(const Graph& graph) const;
   // Stores `compiled` in the program cache unless an entry with the same
@@ -215,10 +204,10 @@ class CompilerEngine {
                                                  const std::string& model_name,
                                                  CompileReport* report);
   // Serves a request from the in-memory program cache, then from the
-  // persistent one: fills *out and returns how it was served, or nullptr
-  // on a miss.
-  const Served* Lookup(const Graph& graph, const CompileOptions& options, const RequestKey& key,
-                       CompileReport* report, CompiledSubprogram* out);
+  // persistent one: fills *out and returns its CompileReport outcome
+  // ("cache_hit" or "persistent_hit"), or nullptr on a miss.
+  const char* Lookup(const CompileOptions& options, const RequestKey& key, CompileReport* report,
+                     CompiledSubprogram* out);
   // Runs the pass list, then persists the result (when race analysis admits
   // it) and stores it in the program cache.
   StatusOr<CompiledSubprogram> CompileCold(const Graph& graph, const CompileOptions& options,

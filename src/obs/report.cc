@@ -65,8 +65,7 @@ std::string CompileReport::ToJson() const {
                 ",\"shape\":\"", JsonEscape(shape),
                 "\",\"bucket\":\"", JsonEscape(bucket),
                 "\",\"bucket_hit\":", bucket_hit ? "true" : "false",
-                ",\"transfer_seeded\":", transfer_seeded,
-                ",\"measured_speedup\":", FormatNumber(measured_speedup), "}");
+                ",\"transfer_seeded\":", transfer_seeded, "}");
   return out;
 }
 
@@ -146,7 +145,6 @@ StatusOr<CompileReport> CompileReport::FromJson(const std::string& json) {
   const JsonValue* bucket_hit = doc.Get("bucket_hit");
   report.bucket_hit = bucket_hit != nullptr && bucket_hit->boolean();
   report.transfer_seeded = static_cast<std::int64_t>(doc.GetNumber("transfer_seeded"));
-  report.measured_speedup = doc.GetNumber("measured_speedup");
   return report;
 }
 

@@ -50,7 +50,8 @@ struct CompileReport {
   std::string model;                 // caller-supplied model/graph name ("" if unnamed)
   std::uint64_t graph_fingerprint = 0;   // Graph::StructuralHash
   std::uint64_t options_digest = 0;      // CompileOptionsDigest
-  // "cold" (pipeline ran), "cache_hit" (structural cache), "error".
+  // "cold" (pipeline ran), "cache_hit" (structural cache),
+  // "persistent_hit" (persistent cache), "error".
   std::string outcome;
   std::string status_message;        // "" on success, rendered Status otherwise
   bool cache_collision = false;      // canonical-form confirmation mismatched
@@ -87,15 +88,10 @@ struct CompileReport {
   bool bucket_hit = false;
   std::int64_t transfer_seeded = 0;
 
-  // Measured fused/unfused wall-clock ratio from a real execution of this
-  // program (bench/fig_wallclock); 0 when never measured. The calibration
-  // signal for the modeled-time cost path.
-  double measured_speedup = 0.0;
-
   std::string ToJson() const;
   // Inverse of ToJson; rejects documents whose schema_version is newer than
   // this build understands and ignores keys it does not know (such as the
-  // "jit" block older engines wrote).
+  // "jit" block and the measured fused/unfused ratio older builds wrote).
   static StatusOr<CompileReport> FromJson(const std::string& json);
   // The "verifier" object of ToJson: {"errors":N,"warnings":N,"diagnostics":[...]}.
   std::string VerifierJson() const;

@@ -55,11 +55,6 @@ void AddReportSeries(const CompileReport& report, std::map<std::string, double>*
     (*series)[StrCat(base, "/bucket/transfer_seeded")] =
         static_cast<double>(report.transfer_seeded);
   }
-  // Host wall-clock calibration ratio (fig_wallclock); wall-gated like
-  // every other measured quantity.
-  if (report.measured_speedup != 0.0) {
-    (*series)[StrCat(base, "/wall/measured_speedup")] = report.measured_speedup;
-  }
   for (const PassReportEntry& pass : report.passes) {
     (*series)[StrCat(base, "/wall/pass/", pass.pass)] = pass.wall_ms;
   }
@@ -130,40 +125,6 @@ StatusOr<RunStats> LoadReportDirStats(const std::string& dir) {
   return run;
 }
 
-StatusOr<RunStats> LoadCompileJsonStats(const std::string& path) {
-  SF_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
-  SF_ASSIGN_OR_RETURN(JsonValue doc, JsonValue::Parse(text));
-  const JsonValue* models = doc.Get("models");
-  if (models == nullptr || !models->is_array()) {
-    return InvalidArgument(StrCat(path, ": not an sf-compile --json document"));
-  }
-  RunStats run;
-  run.source = path;
-  run.format = "compile_json";
-  for (const JsonValue& model : models->items()) {
-    std::string name = model.GetString("model", "unnamed");
-    if (model.GetString("status") != "OK") {
-      run.series[StrCat(name, "/failed")] = 1.0;
-      continue;
-    }
-    run.series[StrCat(name, "/wall/compile_ms")] = model.GetNumber("wall_ms");
-    run.series[StrCat(name, "/configs_screened")] = model.GetNumber("configs_screened");
-    run.series[StrCat(name, "/configs_admitted")] = model.GetNumber("configs_tried");
-    run.series[StrCat(name, "/modeled_time_us")] = model.GetNumber("estimate_us");
-    if (const JsonValue* compile = model.Get("compile");
-        compile != nullptr && compile->is_object()) {
-      run.series[StrCat(name, "/modeled_compile_s")] = compile->GetNumber("total_s");
-      run.series[StrCat(name, "/tuning_seconds")] = compile->GetNumber("tuning_s");
-    }
-    if (const JsonValue* passes = model.Get("passes"); passes != nullptr && passes->is_object()) {
-      for (const auto& [pass, value] : passes->members()) {
-        run.series[StrCat(name, "/wall/pass/", pass)] = value.number();
-      }
-    }
-  }
-  return run;
-}
-
 StatusOr<RunStats> LoadBenchJsonStats(const std::string& path) {
   SF_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
   SF_ASSIGN_OR_RETURN(JsonValue doc, JsonValue::Parse(text));
@@ -223,8 +184,8 @@ StatusOr<RunStats> LoadRunStats(const std::string& path) {
   if (doc.Get("workloads") != nullptr) {
     return LoadExecJsonStats(path);
   }
-  if (const JsonValue* models = doc.Get("models"); models != nullptr) {
-    return models->is_array() ? LoadCompileJsonStats(path) : LoadBenchJsonStats(path);
+  if (doc.Get("models") != nullptr) {
+    return LoadBenchJsonStats(path);
   }
   if (doc.Get("request_id") != nullptr) {
     SF_ASSIGN_OR_RETURN(CompileReport report, CompileReport::FromJson(text));
@@ -237,7 +198,7 @@ StatusOr<RunStats> LoadRunStats(const std::string& path) {
   }
   return InvalidArgument(
       StrCat(path, ": unrecognized document (expected a report directory, a CompileReport, "
-                   "sf-compile --json output, or BENCH_compile.json)"));
+                   "BENCH_compile.json or BENCH_exec.json)"));
 }
 
 DiffResult DiffRuns(const RunStats& base, const RunStats& current, const DiffOptions& options) {
@@ -280,6 +241,7 @@ std::string RenderSummary(const RunStats& run, int top_n) {
   if (!run.reports.empty()) {
     int cold = 0;
     int hits = 0;
+    int persistent_hits = 0;
     int errors = 0;
     int collisions = 0;
     int bucketed = 0;
@@ -290,6 +252,8 @@ std::string RenderSummary(const RunStats& run, int top_n) {
         ++cold;
       } else if (report.outcome == "cache_hit") {
         ++hits;
+      } else if (report.outcome == "persistent_hit") {
+        ++persistent_hits;
       } else if (report.outcome == "error") {
         ++errors;
       }
@@ -305,7 +269,8 @@ std::string RenderSummary(const RunStats& run, int top_n) {
       }
     }
     out += StrCat("reports: ", run.reports.size(), " (", cold, " cold, ", hits, " cache hit(s), ",
-                  errors, " error(s), ", collisions, " collision(s))\n");
+                  persistent_hits, " persistent hit(s), ", errors, " error(s), ", collisions,
+                  " collision(s))\n");
     if (bucketed > 0) {
       out += StrCat("shape buckets: ", bucketed, " bucketed report(s), ", bucket_hits,
                     " bucket hit(s), ", transfer_seeded, " transfer-seeded config(s)\n");

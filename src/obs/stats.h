@@ -2,11 +2,11 @@
 //
 // sf-stats is a thin CLI over this library: it loads a "run" from any of
 // the formats the toolchain emits — a SPACEFUSION_REPORT_DIR full of
-// *.report.json CompileReports, an sf-compile --json file, or a
-// BENCH_compile.json from table5_model_compile --json — normalizes it into
-// named numeric series, and either summarizes one run (top-N slowest passes
-// / models, outcome counts) or diffs two runs flagging compile-time
-// regressions.
+// *.report.json CompileReports, a single CompileReport, a
+// BENCH_compile.json from table5_model_compile --json, or a BENCH_exec.json
+// from fig_wallclock --json — normalizes it into named numeric series, and
+// either summarizes one run (top-N slowest passes / models, outcome counts)
+// or diffs two runs flagging compile-time regressions.
 //
 // Series keys are hierarchical, "<model>/<metric>" (e.g.
 // "bert/modeled_compile_s", "bert/pass/Tune"). Keys measuring host
@@ -29,7 +29,7 @@ namespace spacefusion {
 // parsed reports themselves.
 struct RunStats {
   std::string source;                    // path the run was loaded from
-  std::string format;  // "report_dir" | "compile_json" | "bench_json" | "exec_json" | "report"
+  std::string format;                    // "report_dir" | "bench_json" | "exec_json" | "report"
   std::vector<CompileReport> reports;    // empty unless format uses CompileReports
   std::map<std::string, double> series;  // key -> value, keys sorted
 };
@@ -39,12 +39,11 @@ bool IsWallClockKey(const std::string& key);
 
 // Loads a run, dispatching on shape: a directory is read as a report dir
 // (every *.report.json inside); a file is parsed and classified by its
-// top-level keys ("models" array = sf-compile --json, "models" object =
+// top-level keys ("workloads" = BENCH_exec.json, "models" =
 // BENCH_compile.json, "request_id" = a single CompileReport).
 StatusOr<RunStats> LoadRunStats(const std::string& path);
 
 StatusOr<RunStats> LoadReportDirStats(const std::string& dir);
-StatusOr<RunStats> LoadCompileJsonStats(const std::string& path);
 StatusOr<RunStats> LoadBenchJsonStats(const std::string& path);
 // BENCH_exec.json from bench/fig_wallclock (top-level "workloads" object):
 // real wall-clock of fused-jit vs unfused-jit vs interpreter execution per

@@ -5,22 +5,11 @@
 #include <cstdlib>
 #include <ctime>
 
-#include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/support/string_util.h"
 
 namespace spacefusion {
-
-namespace {
-
-std::string FlightMs(double ms) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", ms);
-  return buf;
-}
-
-}  // namespace
 
 CompileOptions::CompileOptions() : arch(AmpereA100()) {}
 
@@ -164,13 +153,8 @@ Status PassManager::Run(CompilationState* state) {
     MetricsRegistry::Global().GetCounter(StrCat(span_name, ".runs")).Increment(1);
     MetricsRegistry::Global().GetHistogram(StrCat(span_name, ".ms")).Observe(ms);
     if (!status.ok()) {
-      FlightRecorder::Global().Record(
-          options_.request_id, "pass",
-          StrCat(pass->name(), " failed after ", FlightMs(ms), " ms: ", status.message()));
       break;
     }
-    FlightRecorder::Global().Record(options_.request_id, "pass",
-                                    StrCat(pass->name(), " done in ", FlightMs(ms), " ms"));
     if (PassDumpRequested(options_.dump_after_pass, pass->name()) && options_.dump_sink) {
       options_.dump_sink(pass->name(), state->DumpArtifacts());
     }

@@ -199,8 +199,6 @@ struct PassManagerOptions {
   std::string dump_after_pass;
   // Where dumps go; default writes to stderr.
   std::function<void(const std::string& pass_name, const std::string& text)> dump_sink;
-  // Request id stamped onto flight-recorder events ("" = unattributed).
-  std::string request_id;
 
   PassManagerOptions();
 };

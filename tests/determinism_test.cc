@@ -353,9 +353,9 @@ TEST(DeterminismTest, StaleCacheEntriesFallBackToColdSilently) {
 
 // ---------------------------------------------------------------------------
 // Observability must be a pure observer: turning reporting on (a capturing
-// sink plus per-request labeled metrics) cannot change a single bit of the
-// compilation output, and the always-on instrumentation (report assembly,
-// flight recorder) must cost ~nothing when no sink is attached.
+// sink) cannot change a single bit of the compilation output, and the
+// always-on instrumentation (report assembly) must cost ~nothing when no
+// sink is attached.
 
 class NullReportSink : public ReportSink {
  public:
@@ -428,7 +428,7 @@ TEST(DeterminismTest, ReportingOverheadIsNegligible) {
     std::vector<double> samples;
     for (int i = 0; i < 5; ++i) {
       EngineOptions options{CompileOptions(AmpereA100())};
-      options.enable_program_cache = false;  // every iteration compiles cold
+      options.cache_dir.clear();  // a fresh in-memory engine: every iteration compiles cold
       if (with_reporting) {
         options.report_sink = &sink;
       }

@@ -17,7 +17,6 @@
 
 #include "src/core/engine.h"
 #include "src/core/spacefusion.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/report.h"
 #include "src/obs/stats.h"
@@ -603,156 +602,6 @@ TEST(MetricsTest, SnapshotToTextListsEveryMetricOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// Flight recorder
-
-TEST(FlightRecorderTest, RecordsAndRendersEventsInOrder) {
-  FlightRecorder recorder(8);
-  recorder.Record("req-000001", "engine", "request start");
-  recorder.Record("req-000001", "pass", "BuildSmg done in 0.1ms");
-  recorder.Record("", "engine", "process event");
-
-  std::vector<FlightEvent> events = recorder.Snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].seq, 0);
-  EXPECT_EQ(events[1].seq, 1);
-  EXPECT_EQ(events[0].request_id, "req-000001");
-  EXPECT_EQ(events[0].category, "engine");
-  EXPECT_EQ(events[1].message, "BuildSmg done in 0.1ms");
-  EXPECT_GE(events[1].elapsed_ms, events[0].elapsed_ms);
-  EXPECT_EQ(recorder.dropped(), 0);
-
-  std::string rendered = recorder.Render();
-  EXPECT_NE(rendered.find("3 event(s)"), std::string::npos) << rendered;
-  EXPECT_NE(rendered.find("[req-000001] pass: BuildSmg done in 0.1ms"), std::string::npos)
-      << rendered;
-}
-
-TEST(FlightRecorderTest, WraparoundKeepsNewestAndCountsDropped) {
-  constexpr size_t kCapacity = 4;
-  FlightRecorder recorder(kCapacity);
-  for (int i = 0; i < 10; ++i) {
-    recorder.Record("req", "test", StrCat("event ", i));
-  }
-  std::vector<FlightEvent> events = recorder.Snapshot();
-  ASSERT_EQ(events.size(), kCapacity);
-  EXPECT_EQ(recorder.dropped(), 10 - static_cast<std::int64_t>(kCapacity));
-  // Oldest-first, contiguous, ending at the newest event; seq never reused.
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].seq, static_cast<std::int64_t>(6 + i));
-    EXPECT_EQ(events[i].message, StrCat("event ", 6 + i));
-  }
-  EXPECT_NE(recorder.Render().find("6 older event(s) overwritten"), std::string::npos)
-      << recorder.Render();
-
-  recorder.Clear();
-  EXPECT_TRUE(recorder.Snapshot().empty());
-  EXPECT_EQ(recorder.dropped(), 0);
-}
-
-TEST(FlightRecorderTest, ConcurrentRecordsAllLandWithUniqueSeq) {
-  FlightRecorder recorder(1024);
-  constexpr int kThreads = 8;
-  constexpr int kEvents = 100;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&recorder, t] {
-      for (int i = 0; i < kEvents; ++i) {
-        recorder.Record(StrCat("req-", t), "test", StrCat("event ", i));
-      }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  std::vector<FlightEvent> events = recorder.Snapshot();
-  ASSERT_EQ(events.size(), static_cast<size_t>(kThreads * kEvents));
-  std::set<std::int64_t> seqs;
-  for (const FlightEvent& e : events) {
-    seqs.insert(e.seq);
-  }
-  EXPECT_EQ(seqs.size(), events.size());
-  EXPECT_EQ(recorder.dropped(), 0);
-}
-
-// Regression: elapsed_ms used to be sampled before taking the recorder lock,
-// so two racing Records could commit ascending seq numbers with descending
-// timestamps. The clock is now read in the same critical section that
-// assigns seq, making (seq, elapsed_ms) jointly monotone.
-TEST(FlightRecorderTest, ConcurrentTimestampsAreMonotoneInSeqOrder) {
-  FlightRecorder recorder(4096);
-  constexpr int kThreads = 8;
-  constexpr int kEvents = 400;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&recorder, t] {
-      for (int i = 0; i < kEvents; ++i) {
-        recorder.Record(StrCat("req-", t), "race", StrCat("event ", i));
-      }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  std::vector<FlightEvent> events = recorder.Snapshot();
-  ASSERT_EQ(events.size(), static_cast<size_t>(kThreads * kEvents));
-  for (size_t i = 1; i < events.size(); ++i) {
-    ASSERT_EQ(events[i].seq, events[i - 1].seq + 1);
-    EXPECT_GE(events[i].elapsed_ms, events[i - 1].elapsed_ms)
-        << "timestamp inversion at seq " << events[i].seq;
-  }
-}
-
-// Render takes one critical section for both the event snapshot and the
-// dropped-count header, so the header can never disagree with the events
-// printed below it even while other threads keep recording.
-TEST(FlightRecorderTest, RenderIsInternallyConsistentUnderConcurrentRecords) {
-  FlightRecorder recorder(64);
-  std::atomic<bool> stop{false};
-  std::thread writer([&recorder, &stop] {
-    std::int64_t i = 0;
-    while (!stop.load()) {
-      recorder.Record("", "bg", StrCat("event ", i++));
-    }
-  });
-  for (int i = 0; i < 50; ++i) {
-    std::string rendered = recorder.Render();
-    // Header formats either "flight recorder: N event(s)" or appends
-    // ", M older event(s) overwritten"; count the event lines that follow.
-    size_t newline = rendered.find('\n');
-    ASSERT_NE(newline, std::string::npos) << rendered;
-    std::int64_t lines = 0;
-    for (size_t p = newline; p != std::string::npos; p = rendered.find('\n', p + 1)) {
-      ++lines;
-    }
-    std::int64_t claimed = 0;
-    ASSERT_EQ(std::sscanf(rendered.c_str(), "flight recorder: %ld", &claimed), 1)
-        << rendered;
-    EXPECT_EQ(lines - 1, claimed) << rendered;  // trailing newline ends last line
-  }
-  stop.store(true);
-  writer.join();
-}
-
-TEST(FlightRecorderTest, DumpToFailureLogWritesUnderReportDir) {
-  std::string dir = testing::TempDir() + "/sf_flight_dump";
-  std::filesystem::remove_all(dir);
-  ASSERT_EQ(setenv("SPACEFUSION_REPORT_DIR", dir.c_str(), /*overwrite=*/1), 0);
-
-  FlightRecorder recorder(8);
-  recorder.Record("req-000042", "engine", "request failed");
-  recorder.DumpToFailureLog("req-000042", "test-induced failure");
-  ASSERT_EQ(unsetenv("SPACEFUSION_REPORT_DIR"), 0);
-
-  std::ifstream in(dir + "/flight-req-000042.log");
-  ASSERT_TRUE(in.good());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_NE(buffer.str().find("test-induced failure"), std::string::npos);
-  EXPECT_NE(buffer.str().find("request failed"), std::string::npos);
-  std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------------
 // CompileReport serialization
 
 CompileReport FullyPopulatedReport() {
@@ -780,9 +629,10 @@ CompileReport FullyPopulatedReport() {
   return report;
 }
 
-// FullyPopulatedReport() as an engine that still prewarmed JIT kernels
-// wrote it: same schema_version, plus a non-zero "jit" block.
-constexpr char kReportWithJitBlock[] =
+// FullyPopulatedReport() as an older build wrote it: same schema_version,
+// plus a non-zero "jit" block (from an engine that still prewarmed JIT
+// kernels) and a non-zero "measured_speedup" (from fig_wallclock).
+constexpr char kOlderReport[] =
     R"({"schema_version":1,"request_id":"req-000007","model":"Bert",)"
     R"("graph_fingerprint":"16045690984503111693","options_digest":"18446744073709551615",)"
     R"("outcome":"cold","status_message":"","cache_collision":true,"wall_ms":12.5,)"
@@ -795,16 +645,18 @@ constexpr char kReportWithJitBlock[] =
     R"("memory":{"kernels":3,"smem_bytes":49152,"reg_bytes":65536},)"
     R"("jit":{"kernels_built":2,"kernels_cached":1,"build_ms":480.25},)"
     R"("modeled_time_us":321.5,"shape":"","bucket":"","bucket_hit":false,)"
-    R"("transfer_seeded":0,"measured_speedup":0})";
+    R"("transfer_seeded":0,"measured_speedup":1.25})";
 
 TEST(CompileReportTest, JsonRoundTripPreservesEveryField) {
   CompileReport report = FullyPopulatedReport();
   std::string json = report.ToJson();
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   EXPECT_EQ(json.find("\"jit\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("measured_speedup"), std::string::npos) << json;
 
-  // This build's output, and a saved report whose "jit" block is ignored.
-  for (const std::string& input : {json, std::string(kReportWithJitBlock)}) {
+  // This build's output, and a saved report whose "jit" block and
+  // "measured_speedup" are ignored.
+  for (const std::string& input : {json, std::string(kOlderReport)}) {
     StatusOr<CompileReport> restored = CompileReport::FromJson(input);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
     const CompileReport& r = restored.value();
@@ -998,21 +850,86 @@ TEST(StatsTest, ReportDirLoadsEveryReportAndSummarizes) {
   failed.request_id = "req-000009";
   failed.outcome = "error";
   failed.status_message = "invalid argument: SFV0103 ...";
+  CompileReport warm = FullyPopulatedReport();
+  warm.request_id = "req-000010";
+  warm.outcome = "persistent_hit";
   sink.Emit(cold);
   sink.Emit(hit);
   sink.Emit(failed);
+  sink.Emit(warm);
 
   StatusOr<RunStats> run = LoadRunStats(dir);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run.value().format, "report_dir");
-  EXPECT_EQ(run.value().reports.size(), 3u);
+  EXPECT_EQ(run.value().reports.size(), 4u);
   EXPECT_FALSE(run.value().series.empty());
 
   std::string summary = RenderSummary(run.value(), /*top_n=*/3);
   EXPECT_NE(summary.find("1 cold"), std::string::npos) << summary;
   EXPECT_NE(summary.find("1 cache hit(s)"), std::string::npos) << summary;
+  EXPECT_NE(summary.find("1 persistent hit(s)"), std::string::npos) << summary;
   EXPECT_NE(summary.find("1 error(s)"), std::string::npos) << summary;
   std::filesystem::remove_all(dir);
+}
+
+// The two bench documents CI diffs: BENCH_compile.json (table5_model_compile
+// --json) and BENCH_exec.json (fig_wallclock --json).
+TEST(StatsTest, BenchDocumentsLoadAndDiff) {
+  const std::string compile_path = testing::TempDir() + "/sf_stats_bench_compile.json";
+  const std::string exec_path = testing::TempDir() + "/sf_stats_bench_exec.json";
+  auto write = [](const std::string& path, const std::string& text) {
+    std::ofstream(path) << text;
+  };
+  auto compile_doc = [](int evaluated) {
+    return StrCat(R"({"benchmark":"table5_model_compile","models":{"Bert":{)",
+                  R"("screened":{"compile_ms":8.9,"modeled_compile_s":3.9,)",
+                  R"("configs_screened":4101,"configs_evaluated":)", evaluated, "},",
+                  R"("exhaustive":{"compile_ms":16.2,"modeled_compile_s":109.5,)",
+                  R"("configs_screened":0,"configs_evaluated":4113},"modeled_speedup":27.5}}})");
+  };
+  write(compile_path, compile_doc(492));
+  write(exec_path,
+        R"({"bench":"fig_wallclock","workloads":{"mha":{"fused_jit_us":18567.7,)"
+        R"("unfused_jit_us":19385.2,"fused_speedup":1.044},"model_Bert":{"jit_us":105640.8}},)"
+        R"("jit_cache":{"kernels_built":44,"hits":228,"hit_rate":0.838,"build_time_ms":10382.5}})");
+
+  StatusOr<RunStats> compile = LoadRunStats(compile_path);
+  StatusOr<RunStats> exec = LoadRunStats(exec_path);
+  ASSERT_TRUE(compile.ok()) << compile.status().ToString();
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  EXPECT_EQ(compile.value().format, "bench_json");
+  EXPECT_EQ(exec.value().format, "exec_json");
+
+  // Every *_us, *_ms and *speedup value is host wall-clock.
+  auto ends_with = [](const std::string& key, const std::string& suffix) {
+    return key.size() >= suffix.size() &&
+           key.compare(key.size() - suffix.size(), suffix.size(), suffix) == 0;
+  };
+  for (const RunStats* run : {&compile.value(), &exec.value()}) {
+    for (const auto& [key, value] : run->series) {
+      const bool timed =
+          ends_with(key, "_us") || ends_with(key, "_ms") || ends_with(key, "speedup");
+      EXPECT_EQ(IsWallClockKey(key), timed) << key;
+    }
+  }
+  EXPECT_EQ(compile.value().series.count("Bert/screened/wall/compile_ms"), 1u);
+  EXPECT_EQ(compile.value().series.count("Bert/screened/configs_evaluated"), 1u);
+  EXPECT_EQ(exec.value().series.count("mha/wall/fused_speedup"), 1u);
+  EXPECT_EQ(exec.value().series.count("jit_cache/wall/build_time_ms"), 1u);
+  EXPECT_EQ(exec.value().series.count("jit_cache/hit_rate"), 1u);
+
+  EXPECT_EQ(DiffRuns(compile.value(), compile.value(), DiffOptions()).regressions, 0);
+  EXPECT_EQ(DiffRuns(exec.value(), exec.value(), DiffOptions()).regressions, 0);
+
+  write(compile_path, compile_doc(738));  // +50% configs evaluated
+  StatusOr<RunStats> grown = LoadRunStats(compile_path);
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  DiffResult diff = DiffRuns(compile.value(), grown.value(), DiffOptions());
+  ASSERT_EQ(diff.regressions, 1) << RenderDiff(diff, DiffOptions());
+  EXPECT_NE(RenderDiff(diff, DiffOptions()).find("REGRESSION Bert/screened/configs_evaluated"),
+            std::string::npos);
+  std::remove(compile_path.c_str());
+  std::remove(exec_path.c_str());
 }
 
 TEST(StatsTest, LoadRejectsMissingPath) {

@@ -641,8 +641,8 @@ TEST(ShapeBucketStatsTest, ReportDirGrowsDiffableBucketSeries) {
   EXPECT_EQ(run->series.at("bert/q1/bucket/transfer_seeded"), 3.0);
   // Routing counters are deterministic, so --diff must compare them...
   EXPECT_FALSE(IsWallClockKey("bert/q1/bucket/misses"));
-  // ...while the measured fused/unfused ratio is wall-clock and excluded.
-  EXPECT_TRUE(IsWallClockKey("bert/q1/wall/measured_speedup"));
+  // ...while the request's wall time is wall-clock and excluded.
+  EXPECT_TRUE(IsWallClockKey("bert/q1/wall/compile_ms"));
   const std::string summary = RenderSummary(*run, /*top_n=*/3);
   EXPECT_NE(summary.find("shape buckets: 1 bucketed report(s), 1 bucket hit(s)"),
             std::string::npos)

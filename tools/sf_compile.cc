@@ -106,8 +106,7 @@ std::string ModelJson(const ModelResult& r, const CompilerEngine& engine) {
   json += StrCat(",\"shape\":\"", m.report.shape, "\",\"bucket\":\"", m.report.bucket,
                  "\",\"bucket_hit\":", m.report.bucket_hit ? "true" : "false",
                  ",\"transfer_seeded\":", m.report.transfer_seeded);
-  // Per-pass wall breakdown from the merged CompileReport, so sf-stats can
-  // reproduce and diff it per model.
+  // Per-pass wall breakdown from the merged CompileReport.
   json += ",\"passes\":{";
   for (size_t i = 0; i < m.report.passes.size(); ++i) {
     char pass_buf[128];

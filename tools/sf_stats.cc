@@ -1,17 +1,17 @@
 // sf-stats: aggregate and diff compile observability artifacts.
 //
-// Summarizes one run — a SPACEFUSION_REPORT_DIR of CompileReports, an
-// sf-compile --json file, a BENCH_compile.json, or a BENCH_exec.json
-// wall-clock execution benchmark — printing outcome
-// counts and the top-N slowest models/passes; or diffs two runs and flags
-// compile-time regressions. Diffs compare only deterministic modeled
-// quantities unless --include-wall is given, so a CI gate against a
-// checked-in baseline never trips on runner speed.
+// Summarizes one run — a SPACEFUSION_REPORT_DIR of CompileReports, a
+// single CompileReport, a BENCH_compile.json, or a BENCH_exec.json
+// wall-clock execution benchmark — printing outcome counts and the top-N
+// slowest models/passes; or diffs two runs and flags compile-time
+// regressions. Diffs compare only deterministic modeled quantities unless
+// --include-wall is given, so a CI gate against a checked-in baseline
+// never trips on runner speed.
 //
 //   sf-stats reports/                         # summarize a report directory
-//   sf-stats COMPILE_times.json --top 3
+//   sf-stats reports/req-000001.report.json --top 3
 //   sf-stats --diff BENCH_compile.baseline.json BENCH_compile.json
-//   sf-stats --diff base.json current.json --threshold 25 --include-wall
+//   sf-stats --diff reports-a/ reports-b/ --threshold 25 --include-wall
 //
 // Exit codes: 0 clean, 1 regression(s) found, 2 usage or load error.
 #include <cstdlib>
@@ -29,8 +29,8 @@ int Usage() {
   std::cerr << "usage: sf-stats RUN [--top N]\n"
                "       sf-stats --diff BASE CURRENT [--threshold PCT] [--include-wall]\n"
                "\n"
-               "  RUN / BASE / CURRENT  a report directory (SPACEFUSION_REPORT_DIR), an\n"
-               "                        sf-compile --json file, a single *.report.json,\n"
+               "  RUN / BASE / CURRENT  a report directory (SPACEFUSION_REPORT_DIR or\n"
+               "                        sf-compile --report-dir), a single *.report.json,\n"
                "                        a BENCH_compile.json from table5_model_compile\n"
                "                        --json, or a BENCH_exec.json from fig_wallclock\n"
                "  --top N               how many slowest models/passes to list (default 5)\n"
