@@ -5,17 +5,21 @@
 // times them: fused JIT (the tuned temporal/spatial schedule with inlined
 // elementwise chains) against unfused JIT (reference_mode codegen — one
 // loop nest per op, every intermediate materialized) and against the
-// schedule interpreter. The fused win must come from locality and fewer
-// memory passes, not from parallelism: everything runs single threaded.
+// schedule interpreter. Both JIT sides run the same emission — register
+// tiles and the same parallel loops on the same kernel pool — so a fused
+// win still comes from locality and fewer memory passes, not from
+// parallelism. Kernels build into a fresh temp directory that is removed
+// when the bench exits.
 //
 //   fig_wallclock --json BENCH_exec.json --repeats 5
 //
 // Exit code 0 only when fused JIT beats unfused JIT on MHA and LayerNorm
 // (the paper's two flagship fusion workloads); sf-stats diffs the JSON
 // against bench/BENCH_exec.baseline.json with a generous threshold.
-#include <unistd.h>
+#include <stdlib.h>
 
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 
 #include "bench/bench_util.h"
@@ -78,6 +82,33 @@ StatusOr<Timing> TimeGraph(const Graph& g, int repeats, JitExecutor* fused,
   return t;
 }
 
+// A fresh directory under the system temp dir, removed with everything in
+// it when this goes out of scope; path() is "" when it cannot be created.
+class TempDir {
+ public:
+  explicit TempDir(const std::string& stem) {
+    std::error_code ec;
+    std::string pattern =
+        (std::filesystem::temp_directory_path(ec) / (stem + "-XXXXXX")).string();
+    if (!ec && ::mkdtemp(pattern.data()) != nullptr) {
+      path_ = pattern;
+    }
+  }
+  ~TempDir() {
+    if (!path_.empty()) {
+      std::error_code ec;
+      std::filesystem::remove_all(path_, ec);
+    }
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 std::string Json(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
@@ -108,14 +139,19 @@ int Run(int argc, char** argv) {
   PrintHeader("Wall-clock: fused JIT vs unfused JIT vs interpreter (host CPU)");
 
   // Both executors share one on-disk cache directory; their kernels cannot
-  // alias (the codegen options digest is part of every key).
-  const std::string cache_dir = "/tmp/sf-wallclock-" + std::to_string(::getpid());
+  // alias (the codegen options digest is part of every key). Declared first,
+  // so it is removed after both executors have unloaded their kernels.
+  const TempDir cache_dir("sf-wallclock");
+  if (cache_dir.path().empty()) {
+    std::fprintf(stderr, "fig_wallclock: cannot create a kernel cache directory\n");
+    return 2;
+  }
   JitExecutorOptions fused_options;
-  fused_options.cache.dir = cache_dir;
+  fused_options.cache.dir = cache_dir.path();
   JitExecutor fused(fused_options);
 
   JitExecutorOptions unfused_options;
-  unfused_options.cache.dir = cache_dir;
+  unfused_options.cache.dir = cache_dir.path();
   unfused_options.codegen.reference_mode = true;
   JitExecutor unfused(unfused_options);
 

@@ -29,7 +29,60 @@ namespace {
 
 // Emitter revision: mixed into every kernel key so stale cached .so files
 // from an older emitter can never be served for a new emission scheme.
-constexpr const char* kEmitterVersion = "sfcpp-v1";
+constexpr const char* kEmitterVersion = "sfcpp-v2";
+
+// Matmul register tile: kTileRows x kTileCols accumulators fed kTileDepth
+// contraction steps per k block. 4 x 64 floats is 16 AVX-512 registers.
+constexpr std::int64_t kTileRows = 4;
+constexpr std::int64_t kTileCols = 64;
+constexpr std::int64_t kTileDepth = 256;
+
+// An op whose work reaches kParallelWork runs its outermost independent
+// loop on the kernel pool; smaller ops stay on the calling thread. Each
+// region costs a pool round trip per call (about 13 us on a 4-vCPU host)
+// and one more lambda for the toolchain to build: making every op a region
+// raised execbench setup_s by 4-24% for no latency gain beyond the noise
+// (DESIGN.md, "Parallel loops"). Work counts an elementwise op's output elements and a
+// reduction's input elements; a matmul multiply-add counts 1/16, about its
+// measured cost next to a reduction element under AVX-512. The emitted
+// source is the same on every host, so the count cannot follow the lane
+// count; with 8- or 4-lane vectors it errs toward serial.
+constexpr std::int64_t kParallelWork = std::int64_t{1} << 16;
+constexpr std::int64_t kMatMulWorkDivisor = 16;
+
+// Everything a kernel needs besides its own function: the widest vector
+// type of the ISA it is built for (the matmul tile's registers; each lane
+// rounds exactly as the scalar code does), the parallel-for it is bound to
+// at load time (CppParallelForFn), and sf_for, which runs a loop's chunks on
+// it. No headers: the kernel builds in a fraction of the time, and its math
+// is the compiler's __builtin functions.
+constexpr const char* kPrologue = R"(#if defined(__AVX512F__)
+typedef float sf_v __attribute__((vector_size(64)));
+#elif defined(__AVX__)
+typedef float sf_v __attribute__((vector_size(32)));
+#else
+typedef float sf_v __attribute__((vector_size(16)));
+#endif
+// A full 64-column matmul tile row is sf_vpr vectors of sf_lanes floats.
+constexpr long long sf_lanes = sizeof(sf_v) / sizeof(float);
+constexpr long long sf_vpr = 64 / sf_lanes;
+typedef void (*sf_body_fn)(void*, long long, long long);
+typedef void (*sf_par_fn)(long long, sf_body_fn, void*);
+static sf_par_fn sf_par = 0;
+template <class F> static void sf_chunk(void* f, long long lo, long long hi) {
+  (*static_cast<F*>(f))(lo, hi);
+}
+// Runs f(lo, hi) over contiguous chunks covering [0, n): on the bound pool,
+// or as one call when the kernel was never bound.
+template <class F> static inline void sf_for(long long n, F f) {
+  const sf_par_fn par = __atomic_load_n(&sf_par, __ATOMIC_RELAXED);
+  if (par != 0) {
+    par(n, &sf_chunk<F>, &f);
+  } else {
+    f(0LL, n);
+  }
+}
+)";
 
 std::string I64(std::int64_t v) { return std::to_string(v); }
 
@@ -101,8 +154,29 @@ class CppEmitter {
   void Comment(const std::string& text);
   std::string NewVar(const char* stem);
   std::string Idx(const Layout& lay, const std::vector<std::string>& coords) const;
-  int OpenLoops(const std::vector<std::int64_t>& dims, std::vector<std::string>* coords);
-  void CloseLoops(int opened);
+  // Loops opened by OpenLoops; `region` when the outermost one is a
+  // parallel region.
+  struct Loops {
+    int opened = 0;
+    bool region = false;
+  };
+  // One loop per dim of extent > 1. When `work` clears kParallelWork in a
+  // non-temporal kernel, the outermost loop becomes a parallel region.
+  Loops OpenLoops(const std::vector<std::int64_t>& dims, std::vector<std::string>* coords,
+                  std::int64_t work = 0);
+  void CloseLoops(const Loops& loops);
+  bool Parallel(std::int64_t extent, std::int64_t work) const {
+    return !temporal_ && extent > 1 && work >= kParallelWork;
+  }
+  // Opens `for (v = v_lo; v < v_hi; ++v)` over the chunk of [0, extent)
+  // that sf_for hands its callback; CloseRegion ends the callback after the
+  // loop's own brace is closed.
+  void OpenRegion(std::int64_t extent, const std::string& v);
+  void CloseRegion();
+  // `for (long long v = 0; v < bound; ++v) {`, one level deeper; CloseFor
+  // ends it.
+  void OpenFor(const std::string& v, const std::string& bound);
+  void CloseFor();
   std::vector<std::string> MapCoords(const std::vector<std::int64_t>& from_dims,
                                      const std::vector<std::string>& coords,
                                      const std::vector<std::int64_t>& to_dims) const;
@@ -327,28 +401,57 @@ std::string CppEmitter::Idx(const Layout& lay, const std::vector<std::string>& c
   return lay.base + "[" + off + "]";
 }
 
-int CppEmitter::OpenLoops(const std::vector<std::int64_t>& dims,
-                          std::vector<std::string>* coords) {
-  int opened = 0;
+CppEmitter::Loops CppEmitter::OpenLoops(const std::vector<std::int64_t>& dims,
+                                        std::vector<std::string>* coords, std::int64_t work) {
+  Loops loops;
   for (std::int64_t d : dims) {
     if (d == 1) {
       coords->push_back("0");
       continue;
     }
     std::string v = NewVar("i");
-    Line("for (std::int64_t " + v + " = 0; " + v + " < " + I64(d) + "; ++" + v + ") {");
+    if (loops.opened == 0 && Parallel(d, work)) {
+      OpenRegion(d, v);
+      loops.region = true;
+    } else {
+      Line("for (long long " + v + " = 0; " + v + " < " + I64(d) + "; ++" + v + ") {");
+    }
     ++indent_;
-    ++opened;
+    ++loops.opened;
     coords->push_back(v);
   }
-  return opened;
+  return loops;
 }
 
-void CppEmitter::CloseLoops(int opened) {
-  for (int i = 0; i < opened; ++i) {
+void CppEmitter::CloseLoops(const Loops& loops) {
+  for (int i = 0; i < loops.opened; ++i) {
     --indent_;
     Line("}");
   }
+  if (loops.region) {
+    CloseRegion();
+  }
+}
+
+void CppEmitter::OpenRegion(std::int64_t extent, const std::string& v) {
+  Line("sf_for(" + I64(extent) + ", [&](long long " + v + "_lo, long long " + v + "_hi) {");
+  ++indent_;
+  Line("for (long long " + v + " = " + v + "_lo; " + v + " < " + v + "_hi; ++" + v + ") {");
+}
+
+void CppEmitter::CloseRegion() {
+  --indent_;
+  Line("});");
+}
+
+void CppEmitter::OpenFor(const std::string& v, const std::string& bound) {
+  Line("for (long long " + v + " = 0; " + v + " < " + bound + "; ++" + v + ") {");
+  ++indent_;
+}
+
+void CppEmitter::CloseFor() {
+  --indent_;
+  Line("}");
 }
 
 std::vector<std::string> CppEmitter::MapCoords(const std::vector<std::int64_t>& from_dims,
@@ -386,20 +489,20 @@ namespace detail {
 std::string UnaryExpr(UnaryKind kind, const std::string& x) {
   switch (kind) {
     case UnaryKind::kExp:
-      return "std::exp(" + x + ")";
+      return "__builtin_expf(" + x + ")";
     case UnaryKind::kRelu:
       return "(" + x + " > 0.0f ? " + x + " : 0.0f)";
     case UnaryKind::kGelu:
-      return "0.5f * " + x + " * (1.0f + std::tanh(0.7978845608f * (" + x + " + 0.044715f * " +
+      return "0.5f * " + x + " * (1.0f + __builtin_tanhf(0.7978845608f * (" + x + " + 0.044715f * " +
              x + " * " + x + " * " + x + ")))";
     case UnaryKind::kSigmoid:
-      return "1.0f / (1.0f + std::exp(-" + x + "))";
+      return "1.0f / (1.0f + __builtin_expf(-" + x + "))";
     case UnaryKind::kTanh:
-      return "std::tanh(" + x + ")";
+      return "__builtin_tanhf(" + x + ")";
     case UnaryKind::kSqrt:
-      return "std::sqrt(" + x + ")";
+      return "__builtin_sqrtf(" + x + ")";
     case UnaryKind::kRsqrt:
-      return "1.0f / std::sqrt(" + x + ")";
+      return "1.0f / __builtin_sqrtf(" + x + ")";
     case UnaryKind::kNeg:
       return "-" + x;
     case UnaryKind::kSquare:
@@ -447,10 +550,10 @@ std::string CppEmitter::EmitScalarOp(const Op& op, const std::vector<std::int64_
 void CppEmitter::EmitElementwise(const Op& op, std::int64_t width) {
   Layout out = ReadLayout(op.output, width);
   std::vector<std::string> coords;
-  int opened = OpenLoops(out.dims, &coords);
+  const Loops loops = OpenLoops(out.dims, &coords, Volume(out.dims));
   std::string v = EmitScalarOp(op, out.dims, coords, width);
   Line(Idx(out, coords) + " = " + v + ";");
-  CloseLoops(opened);
+  CloseLoops(loops);
 }
 
 void CppEmitter::EmitReduceTo(const Op& op, ReduceKind kind, const Layout& out,
@@ -462,18 +565,18 @@ void CppEmitter::EmitReduceTo(const Op& op, ReduceKind kind, const Layout& out,
   std::vector<std::int64_t> outer(in_dims.begin(), in_dims.end() - 1);
 
   std::vector<std::string> coords;
-  int opened = OpenLoops(outer, &coords);
+  const Loops loops = OpenLoops(outer, &coords, Volume(in_dims));
   std::string acc = NewVar("acc");
   Line("float " + acc + " = " +
-       (kind == ReduceKind::kMax ? "-std::numeric_limits<float>::infinity()" : "0.0f") + ";");
+       (kind == ReduceKind::kMax ? "-__builtin_huge_valf()" : "0.0f") + ";");
   std::string r = NewVar("r");
-  Line("for (std::int64_t " + r + " = 0; " + r + " < " + I64(last) + "; ++" + r + ") {");
+  Line("for (long long " + r + " = 0; " + r + " < " + I64(last) + "; ++" + r + ") {");
   ++indent_;
   std::vector<std::string> in_coords = coords;
   in_coords.push_back(r);
   std::string x = EmitLoad(in, in_coords, width);
   if (kind == ReduceKind::kMax) {
-    Line(acc + " = std::max(" + acc + ", " + x + ");");
+    Line(acc + " = (" + acc + " < " + x + " ? " + x + " : " + acc + ");");
   } else {
     Line(acc + " += " + x + ";");
   }
@@ -485,7 +588,7 @@ void CppEmitter::EmitReduceTo(const Op& op, ReduceKind kind, const Layout& out,
   std::vector<std::string> out_coords = coords;
   out_coords.push_back("0");
   Line(Idx(out, out_coords) + " = " + acc + ";");
-  CloseLoops(opened);
+  CloseLoops(loops);
 }
 
 Status CppEmitter::EmitMatMulTo(const Op& op, const Layout& out, std::int64_t width) {
@@ -518,67 +621,162 @@ Status CppEmitter::EmitMatMulTo(const Op& op, const Layout& out, std::int64_t wi
     return Idx(lay, cs);
   };
 
+  // Batch (heads) loops outermost; the first one is the op's parallel
+  // region when the batch has more than one matrix.
   std::vector<std::int64_t> batch_dims(out.dims.begin(), out.dims.end() - 2);
   std::vector<std::string> batch;
-  int opened = OpenLoops(batch_dims, &batch);
+  const std::int64_t work = Volume(out.dims) * k / kMatMulWorkDivisor;
+  const Loops loops = OpenLoops(batch_dims, &batch, work);
+  auto paren = [](const std::string& x, const std::string& y) { return "(" + x + " + " + y + ")"; };
 
-  std::string iv = NewVar("i");
-  Line("for (std::int64_t " + iv + " = 0; " + iv + " < " + I64(m) + "; ++" + iv + ") {");
+  // Column tiles of kTileCols (the last one narrower when kTileCols does
+  // not divide N). An unbatched matmul runs its column tiles in parallel.
+  const std::int64_t full_tiles = n / kTileCols;
+  const std::int64_t rem_cols = n % kTileCols;
+  const std::int64_t tiles = full_tiles + (rem_cols > 0 ? 1 : 0);
+  const std::int64_t depth = std::min(k, kTileDepth);
+  const std::int64_t full_rows = m - m % kTileRows;
+  const std::string jt = NewVar("jt");
+  const bool region = loops.opened == 0 && Parallel(tiles, work);
+  if (region) {
+    OpenRegion(tiles, jt);
+  } else {
+    Line("for (long long " + jt + " = 0; " + jt + " < " + I64(tiles) + "; ++" + jt + ") {");
+  }
   ++indent_;
-  auto out_elem = [&](const std::string& jv) {
-    std::vector<std::string> cs = batch;
-    cs.push_back(iv);
-    cs.push_back(jv);
-    return Idx(out, cs);
-  };
-  auto a_elem = [&](const std::string& kv) {
-    return elem(a, ra, batch, tra ? kv : iv, tra ? iv : kv);
-  };
-  if (trb) {
-    // B is [.., N, K]: the contraction is contiguous in both operands, so a
-    // per-(i, j) dot product vectorizes cleanly. The accumulation order
-    // (ascending kk from 0.0f) matches the reference MatMul exactly.
-    std::string jv = NewVar("j");
-    Line("for (std::int64_t " + jv + " = 0; " + jv + " < " + I64(n) + "; ++" + jv + ") {");
+
+  // One column tile: k blocks of `depth`, each over every row tile. Between
+  // k blocks the partial sums park in the output, so each C[i, j] starts at
+  // 0.0f and adds a * b in ascending k exactly as the reference MatMul does.
+  // A full-width tile keeps its accumulators in sf_v registers (a row is
+  // sf_vpr vectors); a narrower remainder tile in plain floats.
+  auto column_tile = [&](std::int64_t cols, const std::string& j0_expr) {
+    const bool vector = cols == kTileCols;
+    const std::string j0 = NewVar("j");
+    Line("const long long " + j0 + " = " + j0_expr + ";");
+    const std::string k0 = NewVar("k");
+    const std::string kn = NewVar("kn");
+    const std::string kk = NewVar("kk");
+    const std::string c = NewVar("c");
+    const std::string pan = NewVar("pan");
+    if (trb) {
+      Line("float " + pan + "[" + I64(depth * cols) + "];");
+    }
+    Line("for (long long " + k0 + " = 0; " + k0 + " < " + I64(k) + "; " + k0 + " += " +
+         I64(depth) + ") {");
     ++indent_;
-    std::string acc = NewVar("acc");
-    Line("float " + acc + " = 0.0f;");
-    std::string kv = NewVar("kk");
-    Line("for (std::int64_t " + kv + " = 0; " + kv + " < " + I64(k) + "; ++" + kv + ") {");
-    ++indent_;
-    Line(acc + " += " + a_elem(kv) + " * " + elem(b, rb, batch, jv, kv) + ";");
+    Line("const long long " + kn + " = " + I64(k) + " - " + k0 + " < " + I64(depth) + " ? " +
+         I64(k) + " - " + k0 + " : " + I64(depth) + ";");
+    // B element (kk, col) of this block, col counted from j0: straight from
+    // B in the saxpy form ([.., K, N]); in the dot form ([.., N, K]) from a
+    // K^T panel of exact copies, so both forms run the same tile.
+    auto b_at = [&](const std::string& col) {
+      return trb ? pan + "[" + kk + " * " + I64(cols) + " + " + col + "]"
+                 : elem(b, rb, batch, paren(k0, kk), paren(j0, col));
+    };
+    if (trb) {
+      OpenFor(c, I64(cols));
+      OpenFor(kk, kn);
+      Line(b_at(c) + " = " + elem(b, rb, batch, paren(j0, c), paren(k0, kk)) + ";");
+      CloseFor();
+      CloseFor();
+    }
+    // A rows x cols accumulator tile at row i0.
+    auto row_tile = [&](std::int64_t rows, const std::string& i0) {
+      const std::string acc = NewVar("acc");
+      const std::string r = NewVar("r");
+      const std::string units = vector ? "sf_vpr" : I64(cols);  // per tile row
+      const std::string col = vector ? c + " * sf_lanes" : c;
+      const std::string tile = acc + "[" + r + "][" + c + "]";
+      std::vector<std::string> out_cs = batch;
+      out_cs.push_back(paren(i0, r));
+      out_cs.push_back(paren(j0, col));
+      const std::string out_rc = Idx(out, out_cs);
+      auto each = [&](const std::string& stmt) {
+        OpenFor(r, I64(rows));
+        OpenFor(c, units);
+        Line(stmt);
+        CloseFor();
+        CloseFor();
+      };
+      auto copy = [](const std::string& dst, const std::string& src) {
+        return "__builtin_memcpy(&" + dst + ", &" + src + ", sizeof(sf_v));";
+      };
+      Line((vector ? "sf_v " : "float ") + acc + "[" + I64(rows) + "][" + units + "];");
+      const std::string zero = tile + (vector ? " = sf_v{};" : " = 0.0f;");
+      if (k > depth) {
+        Line("if (" + k0 + " == 0) {");
+        ++indent_;
+        each(zero);
+        --indent_;
+        Line("} else {");
+        ++indent_;
+        each(vector ? copy(tile, out_rc) : tile + " = " + out_rc + ";");
+        --indent_;
+        Line("}");
+      } else {
+        each(zero);
+      }
+      OpenFor(kk, kn);
+      const std::string bv = NewVar("b");
+      if (vector) {
+        Line("sf_v " + bv + "[sf_vpr];");
+        OpenFor(c, "sf_vpr");
+        Line(copy(bv + "[" + c + "]", b_at(col)));
+        CloseFor();
+      }
+      OpenFor(r, I64(rows));
+      const std::string av = NewVar("v");
+      const std::string a_row = paren(i0, r);
+      const std::string a_col = paren(k0, kk);
+      Line("const float " + av + " = " +
+           elem(a, ra, batch, tra ? a_col : a_row, tra ? a_row : a_col) + ";");
+      OpenFor(c, units);
+      Line(tile + " += " + (vector ? bv + "[" + c + "] * " + av : av + " * " + b_at(c)) + ";");
+      CloseFor();
+      CloseFor();
+      CloseFor();
+      each(vector ? copy(out_rc, tile) : out_rc + " = " + tile + ";");
+    };
+    if (full_rows > 0) {
+      const std::string i0 = NewVar("i");
+      Line("for (long long " + i0 + " = 0; " + i0 + " < " + I64(full_rows) + "; " + i0 +
+           " += " + I64(kTileRows) + ") {");
+      ++indent_;
+      row_tile(kTileRows, i0);
+      --indent_;
+      Line("}");
+    }
+    if (full_rows < m) {
+      Line("{");
+      ++indent_;
+      row_tile(m - full_rows, I64(full_rows));
+      --indent_;
+      Line("}");
+    }
     --indent_;
     Line("}");
-    Line(out_elem(jv) + " = " + acc + ";");
+  };
+
+  if (full_tiles > 0 && rem_cols > 0) {
+    Line("if (" + jt + " < " + I64(full_tiles) + ") {");
+    ++indent_;
+    column_tile(kTileCols, jt + " * " + I64(kTileCols));
+    --indent_;
+    Line("} else {");
+    ++indent_;
+    column_tile(rem_cols, I64(full_tiles * kTileCols));
     --indent_;
     Line("}");
   } else {
-    // B is [.., K, N]: iterate kk outer and stream the contiguous N rows
-    // (saxpy form). Each C[i, j] still accumulates ascending in kk from
-    // 0.0f, so the result is bit-identical to the dot form.
-    std::string jv0 = NewVar("j");
-    Line("for (std::int64_t " + jv0 + " = 0; " + jv0 + " < " + I64(n) + "; ++" + jv0 + ") {");
-    ++indent_;
-    Line(out_elem(jv0) + " = 0.0f;");
-    --indent_;
-    Line("}");
-    std::string kv = NewVar("kk");
-    Line("for (std::int64_t " + kv + " = 0; " + kv + " < " + I64(k) + "; ++" + kv + ") {");
-    ++indent_;
-    std::string av = NewVar("v");
-    Line("const float " + av + " = " + a_elem(kv) + ";");
-    std::string jv = NewVar("j");
-    Line("for (std::int64_t " + jv + " = 0; " + jv + " < " + I64(n) + "; ++" + jv + ") {");
-    ++indent_;
-    Line(out_elem(jv) + " += " + av + " * " + elem(b, rb, batch, kv, jv) + ";");
-    --indent_;
-    Line("}");
-    --indent_;
-    Line("}");
+    column_tile(full_tiles > 0 ? kTileCols : rem_cols, jt + " * " + I64(kTileCols));
   }
   --indent_;
   Line("}");
-  CloseLoops(opened);
+  if (region) {
+    CloseRegion();
+  }
+  CloseLoops(loops);
   return Status::Ok();
 }
 
@@ -597,9 +795,9 @@ void CppEmitter::EmitStreamCopy(TensorId t, std::int64_t width) {
 
 void CppEmitter::EmitCopy(const Layout& dst, const Layout& src) {
   std::vector<std::string> coords;
-  int opened = OpenLoops(src.dims, &coords);
+  const Loops loops = OpenLoops(src.dims, &coords);
   Line(Idx(dst, coords) + " = " + Idx(src, coords) + ";");
-  CloseLoops(opened);
+  CloseLoops(loops);
 }
 
 Status CppEmitter::EmitOp(const Op& op, std::int64_t width) {
@@ -643,7 +841,7 @@ Status CppEmitter::EmitAggregated(const Op& op, const ReductionAggregation& agg,
   // consistent with the freshest dependee reductions, then combine.
   Layout acc = FullLayout("acc_o" + I64(op.id), out_dims);
   std::vector<std::string> coords;
-  int opened = OpenLoops(out_dims, &coords);
+  const Loops loops = OpenLoops(out_dims, &coords);
   std::string u = NewVar("u");
   Line("float " + u + " = " + Idx(acc, coords) + ";");
   for (const UpdateFactor& factor : agg.update) {
@@ -658,7 +856,7 @@ Status CppEmitter::EmitAggregated(const Op& op, const ReductionAggregation& agg,
     Line("const float " + nv + " = " + Idx(new_lay, sc) + ";");
     std::string mult = NewVar("mul");
     if (factor.prim == FactorPrim::kExpNeg) {
-      Line("const float " + mult + " = std::exp(" + I64(factor.power) + ".0f * (" + ov +
+      Line("const float " + mult + " = __builtin_expf(" + I64(factor.power) + ".0f * (" + ov +
            " - " + nv + "));");
     } else {
       std::string ratio = NewVar("rat");
@@ -683,7 +881,7 @@ Status CppEmitter::EmitAggregated(const Op& op, const ReductionAggregation& agg,
   } else {
     Line(Idx(acc, coords) + " = " + u + " + " + lv + ";");
   }
-  CloseLoops(opened);
+  CloseLoops(loops);
 
   if (agg.finalize_divide_by_extent) {
     Comment("publish the running mean: acc * (1 / processed)");
@@ -691,7 +889,7 @@ Status CppEmitter::EmitAggregated(const Op& op, const ReductionAggregation& agg,
     Line("const float " + inv + " = 1.0f / static_cast<float>(processed);");
     Layout pub = FullLayout("pub_o" + I64(op.id), out_dims);
     std::vector<std::string> pc;
-    int po = OpenLoops(out_dims, &pc);
+    const Loops po = OpenLoops(out_dims, &pc);
     Line(Idx(pub, pc) + " = " + Idx(acc, pc) + " * " + inv + ";");
     CloseLoops(po);
   }
@@ -777,10 +975,10 @@ StatusOr<CppKernel> CppEmitter::Emit() {
     for (const ReductionAggregation& agg : s_.plan.aggregations) {
       const std::int64_t vol = g_.tensor(g_.op(agg.op).output).shape.volume();
       const std::string init = agg.combiner == ReduceOpKind::kMax
-                                   ? "-std::numeric_limits<float>::infinity()"
+                                   ? "-__builtin_huge_valf()"
                                    : "0.0f";
       std::string z = NewVar("z");
-      Line("for (std::int64_t " + z + " = 0; " + z + " < " + I64(vol) + "; ++" + z + ") {");
+      Line("for (long long " + z + " = 0; " + z + " < " + I64(vol) + "; ++" + z + ") {");
       ++indent_;
       Line("acc_o" + I64(agg.op) + "[" + z + "] = " + init + ";");
       if (agg.finalize_divide_by_extent) {
@@ -792,14 +990,14 @@ StatusOr<CppKernel> CppEmitter::Emit() {
       --indent_;
       Line("}");
     }
-    Line("std::int64_t processed = 0;");
+    Line("long long processed = 0;");
 
     const std::int64_t remainder = extent_ % step_;
     const std::int64_t main_extent = extent_ - remainder;
     if (main_extent > 0) {
       Comment("temporal main loop: " + I64(main_extent / step_) + " full blocks of width " +
               I64(step_));
-      Line("for (std::int64_t s0 = 0; s0 < " + I64(main_extent) + "; s0 += " + I64(step_) +
+      Line("for (long long s0 = 0; s0 < " + I64(main_extent) + "; s0 += " + I64(step_) +
            ") {");
       ++indent_;
       SF_RETURN_IF_ERROR(EmitBlockBody(step_));
@@ -810,7 +1008,7 @@ StatusOr<CppKernel> CppEmitter::Emit() {
       Comment("temporal remainder block of width " + I64(remainder));
       Line("{");
       ++indent_;
-      Line("const std::int64_t s0 = " + I64(main_extent) + ";");
+      Line("const long long s0 = " + I64(main_extent) + ";");
       SF_RETURN_IF_ERROR(EmitBlockBody(remainder));
       --indent_;
       Line("}");
@@ -840,7 +1038,9 @@ StatusOr<CppKernel> CppEmitter::Emit() {
          "). Do not edit.\n";
   src += "// kernel: " + g_.name() + "\n";
   src += "// mode: " + mode + "\n";
-  src += "#include <algorithm>\n#include <cmath>\n#include <cstdint>\n#include <limits>\n\n";
+  src += kPrologue;
+  src += "extern \"C\" void @SYM@_bind(sf_par_fn par) {\n"
+         "  __atomic_store_n(&sf_par, par, __ATOMIC_RELAXED);\n}\n\n";
   src += "extern \"C\" int @SYM@(const float* const* in, float* const* out, float* scratch) {\n";
   src += body_;
   src += "}\n";

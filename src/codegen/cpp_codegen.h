@@ -11,14 +11,29 @@
 // so with floating-point contraction disabled the compiled kernel is
 // bit-identical to the interpreter on reassociation-free op streams.
 //
-// Emitted ABI (see CppKernelFn):
+// Matmuls in both forms run a register-blocked micro-kernel (a 4 x 64
+// accumulator tile over k blocks of 256; the dot form first copies a K^T
+// panel), and each op's outermost independent loop — batch or heads, rows,
+// or an unbatched matmul's column tiles — runs as one parallel region in
+// contiguous chunks once the op's work clears a fixed constant. Every output
+// element keeps its own ascending accumulation and is written by exactly
+// one chunk, so the result is the same bits at any thread count and any
+// chunking. Temporal (Update-then-Aggregate) kernels stay serial.
+//
+// Emitted ABI (see CppKernelFn and CppKernelBindFn):
 //   extern "C" int sf_k_<key>(const float* const* in, float* const* out,
 //                             float* scratch);
+//   extern "C" void sf_k_<key>_bind(CppParallelForFn parallel_for);
 // `in` holds one pointer per boundary tensor (kInput/kWeight/kConstant, in
 // ascending TensorId order: CppKernel::input_ids), `out` one pointer per
 // kOutput tensor (CppKernel::output_ids), and `scratch` is a caller-owned
 // block of CppKernel::scratch_floats floats for intermediates and running
-// accumulators. The return value is 0 (reserved for future error codes).
+// accumulators; the kernel writes every output and scratch element before
+// reading it, so neither needs zeroing. The return value is 0 (reserved for
+// future error codes). The loader calls the bind entry once, before the
+// first call, with the process's kernel pool (KernelParallelFor); a kernel
+// that is never bound runs every loop on the calling thread. The
+// translation unit includes no headers, so it builds standalone.
 #ifndef SPACEFUSION_SRC_CODEGEN_CPP_CODEGEN_H_
 #define SPACEFUSION_SRC_CODEGEN_CPP_CODEGEN_H_
 
@@ -44,6 +59,13 @@ std::uint64_t CppCodegenOptionsDigest(const CppCodegenOptions& options);
 
 // Signature of a compiled kernel entry point.
 using CppKernelFn = int (*)(const float* const* in, float* const* out, float* scratch);
+
+// The parallel-for a kernel is bound to: runs body(ctx, begin, end) over
+// contiguous chunks covering [0, n) and returns when every chunk has run.
+using CppKernelBodyFn = void (*)(void* ctx, long long begin, long long end);
+using CppParallelForFn = void (*)(long long n, CppKernelBodyFn body, void* ctx);
+// Signature of a kernel's bind entry point, sf_k_<key>_bind.
+using CppKernelBindFn = void (*)(CppParallelForFn parallel_for);
 
 // One emitted kernel: the full translation unit plus the ABI metadata the
 // executor needs to marshal tensors.

@@ -2,11 +2,15 @@
 
 #include <dlfcn.h>
 #include <unistd.h>
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <initializer_list>
 #include <string>
 #include <utility>
 
@@ -14,6 +18,7 @@
 #include "src/support/binary_io.h"
 #include "src/support/file_util.h"
 #include "src/support/logging.h"
+#include "src/support/thread_pool.h"
 
 namespace spacefusion {
 
@@ -31,13 +36,92 @@ std::string KernelCacheDirFromEnv() {
 
 namespace {
 
+#if defined(__x86_64__)
+// The highest x86-64 psABI level, 2 to 4, whose every feature the CPU
+// reports and whose vector registers the OS saves; 1 below v2. CPUID bit
+// numbers per the psABI's level table: a CPU or VM that hides any one
+// feature of a level gets the level below it.
+int HostX86Level() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (__get_cpuid(1, &a, &b, &c, &d) == 0) {
+    return 1;
+  }
+  const unsigned leaf1_c = c;
+  const unsigned leaf7_b = __get_cpuid_count(7, 0, &a, &b, &c, &d) != 0 ? b : 0;
+  const unsigned ext1_c = __get_cpuid(0x80000001, &a, &b, &c, &d) != 0 ? c : 0;
+  auto has = [](unsigned reg, std::initializer_list<int> bits) {
+    for (int bit : bits) {
+      if ((reg >> bit & 1u) == 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+  // v2: SSE3, SSSE3, CMPXCHG16B, SSE4.1, SSE4.2, POPCNT; LAHF/SAHF.
+  if (!has(leaf1_c, {0, 9, 13, 19, 20, 23}) || !has(ext1_c, {0})) {
+    return 1;
+  }
+  // v3: FMA, MOVBE, OSXSAVE, AVX, F16C; BMI1, AVX2, BMI2; LZCNT.
+  if (!has(leaf1_c, {12, 22, 27, 28, 29}) || !has(leaf7_b, {3, 5, 8}) || !has(ext1_c, {5})) {
+    return 2;
+  }
+  // OSXSAVE is set, so XGETBV exists; XCR0 says which register state the
+  // OS saves: XMM and YMM for v3, plus the opmask and ZMM state for v4.
+  unsigned xcr0 = 0, xcr0_hi = 0;
+  __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_hi) : "c"(0));
+  if ((xcr0 & 0x06u) != 0x06u) {
+    return 2;
+  }
+  // v4: AVX512F, AVX512DQ, AVX512CD, AVX512BW, AVX512VL.
+  if (!has(leaf7_b, {16, 17, 28, 30, 31}) || (xcr0 & 0xe0u) != 0xe0u) {
+    return 3;
+  }
+  return 4;
+}
+#endif
+
 std::string HexKey(std::uint64_t key) {
   char hex[20];
   std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(key));
   return hex;
 }
 
+// A dlopened kernel: its handle and entry point.
+struct LoadedSo {
+  void* handle = nullptr;
+  CppKernelFn fn = nullptr;
+};
+
+// dlopens `so_path` and binds its kernel to the kernel pool. Fails when the
+// file does not load or lacks the entry or the bind symbol.
+StatusOr<LoadedSo> LoadAndBind(const std::string& so_path, const std::string& symbol) {
+  void* handle = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
+  if (handle == nullptr) {
+    const char* err = ::dlerror();
+    return Internal(err != nullptr ? err : "dlopen failed");
+  }
+  auto fn = reinterpret_cast<CppKernelFn>(::dlsym(handle, symbol.c_str()));
+  auto bind = reinterpret_cast<CppKernelBindFn>(::dlsym(handle, (symbol + "_bind").c_str()));
+  if (fn == nullptr || bind == nullptr) {
+    ::dlclose(handle);
+    return Internal("missing symbol " + symbol + (fn == nullptr ? "" : "_bind"));
+  }
+  bind(&KernelParallelFor);
+  return LoadedSo{handle, fn};
+}
+
 }  // namespace
+
+std::string DefaultJitFlags() {
+  std::string flags = "-O3 -std=c++17 -fPIC -shared -ffp-contract=off";
+#if defined(__x86_64__)
+  static const int level = HostX86Level();
+  if (level >= 2) {
+    flags += " -march=x86-64-v" + std::to_string(level);
+  }
+#endif
+  return flags;
+}
 
 JitKernelCache::JitKernelCache(JitCacheOptions options) : options_(std::move(options)) {
   dir_ = options_.dir;
@@ -128,48 +212,33 @@ StatusOr<JitKernelCache::Kernel> JitKernelCache::GetOrBuild(const CppKernel& ker
   SF_COUNTER_ADD("jit.cache.misses", 1);
 
   const std::string so_path = EntryPath(entry_key, ".sfk.so");
-  void* handle = nullptr;
-  CppKernelFn fn = nullptr;
-
+  StatusOr<LoadedSo> so = Internal("not on disk");
   if (::access(so_path.c_str(), F_OK) == 0) {
-    handle = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
-    if (handle != nullptr) {
-      fn = reinterpret_cast<CppKernelFn>(::dlsym(handle, kernel.symbol.c_str()));
-    }
-    if (handle == nullptr || fn == nullptr) {
-      // Undlopenable or missing its symbol: a corrupt (or stale-emitter)
+    so = LoadAndBind(so_path, kernel.symbol);
+    if (!so.ok()) {
+      // Undlopenable or missing a symbol: a corrupt (or stale-emitter)
       // entry. Evict it and rebuild below.
-      if (handle != nullptr) {
-        ::dlclose(handle);
-      }
-      handle = nullptr;
-      fn = nullptr;
       ++stats_.corrupt;
       SF_COUNTER_ADD("jit.cache.corrupt", 1);
       std::remove(so_path.c_str());
+    } else {
+      ++stats_.disk_hits;
+      SF_COUNTER_ADD("jit.cache.disk_hits", 1);
     }
   }
 
-  if (fn == nullptr) {
+  if (!so.ok()) {
     StatusOr<double> build_ms = Build(kernel, so_path);
     if (build_ms.ok()) {
-      handle = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
-      if (handle != nullptr) {
-        fn = reinterpret_cast<CppKernelFn>(::dlsym(handle, kernel.symbol.c_str()));
-      }
+      so = LoadAndBind(so_path, kernel.symbol);
     } else {
       SF_COUNTER_ADD("jit.cache.build_failures", 1);
     }
-    if (fn == nullptr) {
-      Status failure = build_ms.status();
-      if (failure.ok()) {
-        const char* err = ::dlerror();
-        failure = Internal("jit: freshly built " + kernel.symbol + " failed to load: " +
-                           (err != nullptr ? err : "unknown dlerror"));
-      }
-      if (handle != nullptr) {
-        ::dlclose(handle);
-      }
+    if (!build_ms.ok() || !so.ok()) {
+      const Status failure =
+          build_ms.ok() ? Internal("jit: freshly built " + kernel.symbol +
+                                   " failed to load: " + so.status().message())
+                        : build_ms.status();
       // Remembered: the toolchain runs at most once per kernel and cache.
       ++stats_.failures;
       SF_LOG(Warning) << failure.message() << " (not retried for this cache's lifetime)";
@@ -179,13 +248,10 @@ StatusOr<JitKernelCache::Kernel> JitKernelCache::GetOrBuild(const CppKernel& ker
     ++stats_.builds;
     stats_.build_ms += build_ms.value();
     SF_COUNTER_ADD("jit.cache.builds", 1);
-  } else {
-    ++stats_.disk_hits;
-    SF_COUNTER_ADD("jit.cache.disk_hits", 1);
   }
 
-  loaded_[entry_key] = Loaded{handle, fn, kernel.scratch_floats, Status::Ok()};
-  return Kernel{fn, kernel.scratch_floats, entry_key};
+  loaded_[entry_key] = Loaded{so->handle, so->fn, kernel.scratch_floats, Status::Ok()};
+  return Kernel{so->fn, kernel.scratch_floats, entry_key};
 }
 
 JitKernelCache::Stats JitKernelCache::stats() const {

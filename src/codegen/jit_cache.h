@@ -4,16 +4,19 @@
 // Entries are content-addressed: the cache key mixes the kernel key (itself
 // a hash of the emitted source, the codegen options digest, and the emitter
 // version) with the compiler command and flags, so a toolchain or flag
-// change can never serve a stale binary. On-disk layout, next to the
-// engine's .sfpc program cache:
+// change can never serve a stale binary. The default flags carry the host's
+// ISA level, so a directory shared by hosts of different levels never
+// serves a .so the host cannot run. On-disk layout, next to the engine's
+// .sfpc program cache:
 //
 //   <dir>/<16-hex-key>.sfk.so    the compiled kernel
 //   <dir>/<16-hex-key>.sfk.cc    the source it was built from (debugging)
 //
 // Lookup ladder per kernel: in-memory handle -> dlopen of the on-disk .so
-// -> toolchain build. A .so that fails to dlopen or lacks the expected
-// symbol is *corrupt*: it is counted (jit.cache.corrupt), unlinked, and
-// rebuilt. A build or load that fails is logged once and remembered for the
+// -> toolchain build. A loaded kernel is bound to the process's kernel pool
+// (its sf_k_<key>_bind entry gets KernelParallelFor) before it is returned.
+// A .so that fails to dlopen or lacks the entry or bind symbol is
+// *corrupt*: it is counted (jit.cache.corrupt), unlinked, and rebuilt. A build or load that fails is logged once and remembered for the
 // cache's lifetime: later lookups of that kernel return the same error
 // without re-running the toolchain, and callers fall back to the
 // interpreter, never crash.
@@ -35,16 +38,23 @@ namespace spacefusion {
 // if the program cache dir is set, else "" (per-process temp directory).
 std::string KernelCacheDirFromEnv();
 
+// The JIT's compile flags on this host: -O3 -std=c++17 -fPIC -shared
+// -ffp-contract=off, plus -march=x86-64-v4, -v3 or -v2 for the highest ISA
+// level whose every feature the CPU reports and whose vector registers the
+// OS saves (x86-64 only; other hosts get no -march).
+std::string DefaultJitFlags();
+
 struct JitCacheOptions {
   // Cache directory; "" uses a per-process directory under the system temp
   // dir (kernels persist for the process lifetime only).
   std::string dir;
   // Host compiler command; "" uses $SPACEFUSION_CXX, else "c++".
   std::string compiler;
-  // Compile flags. -ffp-contract=off keeps the JIT-compiled kernels from
-  // contracting a*b+c into fma, which would break bit-parity with the
-  // separately compiled interpreter.
-  std::string flags = "-O3 -std=c++17 -fPIC -shared -ffp-contract=off";
+  // Compile flags, part of every entry key. -ffp-contract=off keeps the
+  // JIT-compiled kernels from contracting a*b+c into fma, which would break
+  // bit-parity with the separately compiled interpreter; the host ISA level
+  // widens the vectors without changing a single rounding.
+  std::string flags = DefaultJitFlags();
 };
 
 class JitKernelCache {

@@ -1,5 +1,6 @@
 #include "src/exec/jit_executor.h"
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,9 +52,11 @@ Status JitExecutor::TryRunJit(const SmgSchedule& schedule, TensorEnv* env) {
     outputs.push_back(Tensor::Zeros(info.shape, info.dtype));
     out_ptrs.push_back(outputs.back().data());
   }
-  std::vector<float> scratch(static_cast<size_t>(loaded.scratch_floats), 0.0f);
+  // Uninitialized: a kernel writes every scratch element before reading it.
+  const std::unique_ptr<float[]> scratch =
+      std::make_unique_for_overwrite<float[]>(static_cast<size_t>(loaded.scratch_floats));
 
-  const int rc = loaded.fn(in_ptrs.data(), out_ptrs.data(), scratch.data());
+  const int rc = loaded.fn(in_ptrs.data(), out_ptrs.data(), scratch.get());
   if (rc != 0) {
     return Internal("jit: kernel " + kernel.symbol + " returned " + std::to_string(rc));
   }

@@ -10,10 +10,17 @@
 // ones. A kernel whose build failed stays on the interpreter without
 // re-running the toolchain (the cache remembers the failure).
 //
+// Each kernel runs on the calling thread, which also runs one chunk of
+// every parallel loop the kernel hands the process's kernel pool
+// (KernelParallelFor); the executor allocates the kernel's outputs zeroed
+// and its scratch uninitialized (kernels write before they read). Several
+// threads may run programs through one executor at once.
+//
 // Numerics: the emitted code replays the interpreter's exact per-element
 // operation order and is compiled with -ffp-contract=off, so outputs are
-// bit-identical to the interpreter on reassociation-free op streams (see
-// DESIGN.md "Native codegen & JIT kernel cache" for the tolerance policy).
+// bit-identical to the interpreter on reassociation-free op streams, at any
+// thread count (see DESIGN.md "Native codegen & JIT kernel cache" for the
+// tolerance policy).
 #ifndef SPACEFUSION_SRC_EXEC_JIT_EXECUTOR_H_
 #define SPACEFUSION_SRC_EXEC_JIT_EXECUTOR_H_
 

@@ -1,9 +1,11 @@
-// Fixed-size work-queue thread pool.
+// Fixed-size work-queue thread pool, and the kernel pool built on it.
 //
 // ServeServer runs each admitted compile job on a private pool so its
-// Submit never blocks on a compile. Compilation itself runs on its caller's
-// thread: a compile takes milliseconds of host work, and fanning it out over
-// a pool made it slower (DESIGN.md "Single-threaded compilation").
+// Submit never blocks on a compile. JIT kernels run their parallel loops
+// through KernelParallelFor on one process-wide pool. Compilation itself
+// runs on its caller's thread: a compile takes milliseconds of host work,
+// and fanning it out over a pool made it slower (DESIGN.md
+// "Single-threaded compilation").
 #ifndef SPACEFUSION_SRC_SUPPORT_THREAD_POOL_H_
 #define SPACEFUSION_SRC_SUPPORT_THREAD_POOL_H_
 
@@ -49,6 +51,17 @@ class ThreadPool {
   std::vector<std::thread> threads_;
   bool shutdown_ SF_GUARDED_BY(mu_) = false;
 };
+
+// Runs body(ctx, begin, end) over [0, n) in contiguous static chunks and
+// returns when every chunk has run: the parallel-for JIT kernels are bound
+// to (CppParallelForFn). The chunks run on a process-wide pool created on
+// first use, with one worker per CPU in the process's affinity mask minus
+// one, while the caller runs the first chunk; with one CPU, or from a pool
+// worker, everything runs inline. The pool belongs to the process, not to a
+// kernel's shared object, so unloading kernels never strands its threads.
+// Safe to call from several threads at once.
+void KernelParallelFor(long long n, void (*body)(void* ctx, long long begin, long long end),
+                       void* ctx);
 
 }  // namespace spacefusion
 

@@ -12,11 +12,16 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/codegen/cpp_codegen.h"
@@ -24,8 +29,11 @@
 #include "src/core/model_runner.h"
 #include "src/core/spacefusion.h"
 #include "src/exec/jit_executor.h"
+#include "src/graph/builder.h"
 #include "src/graph/models.h"
 #include "src/graph/subgraphs.h"
+#include "src/schedule/resource_aware.h"
+#include "src/sim/arch.h"
 #include "src/support/file_util.h"
 #include "tests/random_graph.h"
 
@@ -48,6 +56,12 @@ std::string UniqueTestDir(const std::string& tag) {
          std::to_string(counter++);
 }
 
+std::string HexKey(std::uint64_t key) {
+  char hex[20];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(key));
+  return hex;
+}
+
 // One kernel cache shared by every parity test in the process: kernels are
 // content-addressed, so reuse across tests is exactly the production
 // behavior and keeps the battery from re-invoking the toolchain for
@@ -56,6 +70,17 @@ JitExecutor& SharedExecutor() {
   static JitExecutor* executor = []() {
     JitExecutorOptions options;
     options.cache.dir = UniqueTestDir("shared");
+    return new JitExecutor(options);
+  }();
+  return *executor;
+}
+
+// The unfused (reference_mode) counterpart of SharedExecutor.
+JitExecutor& SharedReferenceExecutor() {
+  static JitExecutor* executor = []() {
+    JitExecutorOptions options;
+    options.cache.dir = UniqueTestDir("shared-reference");
+    options.codegen.reference_mode = true;
     return new JitExecutor(options);
   }();
   return *executor;
@@ -129,6 +154,128 @@ TEST(JitExecutorTest, SwigluFfnMatchesInterpreter) {
   Graph g = BuildSwigluFfn(/*tokens=*/24, /*hidden=*/32, /*ffn_dim=*/64);
   ExpectJitMatchesInterpreter(g, /*seed=*/16, SharedExecutor());
 }
+
+// True when some kernel of `g`'s compiled program runs a parallel region.
+bool HasParallelRegion(const Graph& g) {
+  StatusOr<CompiledSubprogram> compiled = CompileGraph(g);
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  StatusOr<std::string> source = EmitCppProgram(compiled->program);
+  EXPECT_TRUE(source.ok()) << source.status().ToString();
+  return source.value().find("sf_for(") != std::string::npos;
+}
+
+// Kernel pool threads belong to the process, not to a kernel's shared
+// object: destroying a cache dlcloses kernels that just ran in parallel, and
+// a fresh cache in the same process builds, binds and runs them again.
+TEST(JitExecutorTest, ParallelKernelsSurviveCacheUnload) {
+  Graph g = BuildLayerNormGraph(/*m=*/512, /*n=*/512);
+  ASSERT_TRUE(HasParallelRegion(g));
+  for (int round = 0; round < 2; ++round) {
+    JitExecutorOptions options;
+    options.cache.dir = UniqueTestDir("unload");
+    JitExecutor executor(options);
+    ExpectJitMatchesInterpreter(g, /*seed=*/51, executor);
+    EXPECT_EQ(executor.cache().stats().builds, 1);
+    EXPECT_EQ(executor.stats().fallbacks, 0);
+  }
+}
+
+// Two threads run programs through one executor (one kernel cache, one
+// kernel pool) at once; each output equals the interpreter's.
+TEST(JitExecutorTest, ConcurrentRunsMatchInterpreter) {
+  JitExecutorOptions options;
+  options.cache.dir = UniqueTestDir("concurrent");
+  JitExecutor executor(options);
+  const std::vector<Graph> graphs = {BuildLayerNormGraph(/*m=*/512, /*n=*/512),
+                                     BuildMha(/*batch_heads=*/4, /*seq_q=*/128,
+                                              /*seq_kv=*/128, /*head_dim=*/64)};
+  std::vector<CompiledSubprogram> compiled;
+  std::vector<TensorEnv> inputs;
+  std::vector<TensorEnv> interpreted(graphs.size());
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    ASSERT_TRUE(HasParallelRegion(graphs[i]));
+    StatusOr<CompiledSubprogram> c = CompileGraph(graphs[i]);
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
+    compiled.push_back(std::move(c).value());
+    inputs.push_back(MakeGraphInputs(graphs[i], /*seed=*/61 + i));
+    ASSERT_TRUE(
+        RunScheduledProgram(compiled[i].program, graphs[i], inputs[i], &interpreted[i]).ok());
+  }
+  constexpr int kRuns = 4;
+  std::vector<std::vector<TensorEnv>> jitted(graphs.size(), std::vector<TensorEnv>(kRuns));
+  std::vector<Status> status(graphs.size());
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    threads.emplace_back([&, i] {
+      for (int run = 0; run < kRuns && status[i].ok(); ++run) {
+        status[i] = executor.RunProgram(compiled[i].program, graphs[i], inputs[i], &jitted[i][run]);
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    ASSERT_TRUE(status[i].ok()) << status[i].ToString();
+    for (int run = 0; run < kRuns; ++run) {
+      for (TensorId out : graphs[i].OutputIds()) {
+        const size_t t = static_cast<size_t>(out);
+        EXPECT_LE(MaxRelDiff(jitted[i][run][t], interpreted[i][t]), kParityTolerance)
+            << graphs[i].name() << " run " << run;
+      }
+    }
+  }
+  EXPECT_EQ(executor.stats().fallbacks, 0);
+}
+
+// Matmul shapes that hit every remainder of the 4 x 64 register tile and the
+// 256-deep k block (M, N, K below, equal to, and not a multiple of them),
+// both operand transposes, batch broadcasting, and fewer heads than pool
+// threads; fused and unfused emission, each against the interpreter.
+struct MatMulCase {
+  std::string name;
+  std::vector<std::int64_t> a;
+  std::vector<std::int64_t> b;
+  bool transpose_a = false;
+  bool transpose_b = false;
+};
+
+// Test ids print the case name, not the struct's bytes.
+void PrintTo(const MatMulCase& c, std::ostream* os) { *os << c.name; }
+
+class JitMatMulShapeTest : public ::testing::TestWithParam<MatMulCase> {};
+
+TEST_P(JitMatMulShapeTest, MatchesInterpreterBitForBit) {
+  const MatMulCase& c = GetParam();
+  GraphBuilder b("matmul_" + c.name);
+  TensorId a = b.Input("a", Shape(c.a), DType::kF32);
+  TensorId w = b.Weight("b", Shape(c.b), DType::kF32);
+  b.MarkOutput(b.MatMul(a, w, c.transpose_a, c.transpose_b));
+  StatusOr<Graph> g = b.TryBuild();
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  ExpectJitMatchesInterpreter(g.value(), /*seed=*/71, SharedExecutor());
+  ExpectJitMatchesInterpreter(g.value(), /*seed=*/71, SharedReferenceExecutor());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, JitMatMulShapeTest,
+    ::testing::Values(
+        MatMulCase{"m1_n65_k300", {1, 300}, {300, 65}},
+        MatMulCase{"m13_n1_k64_tb", {13, 64}, {1, 64}, false, true},
+        MatMulCase{"m64_n13_k1", {64, 1}, {1, 13}},
+        MatMulCase{"m65_n300_k300", {65, 300}, {300, 300}},
+        MatMulCase{"m13_n300_k300_tb", {13, 300}, {300, 300}, false, true},
+        MatMulCase{"m300_n130_k65_ta", {65, 300}, {65, 130}, true, false},
+        MatMulCase{"m64_n300_k13_tb", {64, 13}, {300, 13}, false, true},
+        MatMulCase{"m65_n13_k64_ta_tb", {64, 65}, {13, 64}, true, true},
+        MatMulCase{"m4_n128_k256", {4, 256}, {256, 128}},
+        MatMulCase{"m8_n64_k512_tb", {8, 512}, {64, 512}, false, true},
+        MatMulCase{"batched_a_unbatched_b", {3, 13, 65}, {65, 70}},
+        MatMulCase{"unbatched_a_batched_b_tb", {13, 65}, {3, 70, 65}, false, true},
+        MatMulCase{"two_heads_m64_n128_k256", {2, 64, 256}, {2, 256, 128}},
+        MatMulCase{"two_heads_m64_n64_k300_tb", {1, 2, 64, 300}, {1, 2, 64, 300}, false,
+                   true}),
+    [](const ::testing::TestParamInfo<MatMulCase>& info) { return info.param.name; });
 
 // Acceptance criterion: the JitExecutor runs all 5 zoo models with outputs
 // matching the interpreter within the documented tolerance.
@@ -346,6 +493,177 @@ TEST_F(JitCacheTest, CorruptEntryWithCompileDisabledFallsBack) {
   EXPECT_FALSE(std::filesystem::exists(so_path));  // evicted, and the rebuild failed
 }
 
+// A shared object that has the entry point but no bind entry (built by an
+// older emitter, say) is corrupt: evicted and rebuilt, never run unbound.
+TEST_F(JitCacheTest, MissingBindSymbolIsCorrupt) {
+  const std::string dir = UniqueTestDir("no-bind");
+  CppKernel kernel = EmitOneKernel(BuildLayerNormGraph(8, 16));
+  JitCacheOptions options;
+  options.dir = dir;
+
+  // The same source without its bind entry, under another key: it builds,
+  // but a freshly built object missing the symbol does not load either.
+  CppKernel unbound = kernel;
+  unbound.key ^= 1;
+  const std::string bind = kernel.symbol + "_bind(";
+  const size_t at = unbound.source.find(bind);
+  ASSERT_NE(at, std::string::npos);
+  unbound.source.replace(at, bind.size(), kernel.symbol + "_unbound(");
+  std::string unbound_so;
+  std::string kernel_so;
+  {
+    JitKernelCache cache(options);
+    ASSERT_FALSE(cache.GetOrBuild(unbound).ok());
+    EXPECT_EQ(cache.stats().failures, 1);
+    StatusOr<JitKernelCache::Kernel> built = cache.GetOrBuild(kernel);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      const std::string path = entry.path().string();
+      if (path.ends_with(".sfk.so")) {
+        (path.find(HexKey(built->key)) == std::string::npos ? unbound_so : kernel_so) = path;
+      }
+    }
+  }
+  ASSERT_FALSE(unbound_so.empty());
+  ASSERT_FALSE(kernel_so.empty());
+  std::filesystem::copy_file(unbound_so, kernel_so,
+                             std::filesystem::copy_options::overwrite_existing);
+
+  JitKernelCache cache(options);
+  StatusOr<JitKernelCache::Kernel> rebuilt = cache.GetOrBuild(kernel);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ(cache.stats().corrupt, 1);
+  EXPECT_EQ(cache.stats().builds, 1);
+}
+
+// The compile flags are part of every entry key, and by default they name
+// the host's ISA level: a cache directory shared by hosts of different
+// levels never serves one host's object to another.
+TEST_F(JitCacheTest, FlagsArePartOfTheEntryKey) {
+  const std::string flags = JitCacheOptions().flags;
+  EXPECT_NE(flags.find("-ffp-contract=off"), std::string::npos);
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
+  // GCC names the psABI levels itself; the flags must pick the same one.
+  const char* want = __builtin_cpu_supports("x86-64-v4")   ? " -march=x86-64-v4"
+                     : __builtin_cpu_supports("x86-64-v3") ? " -march=x86-64-v3"
+                     : __builtin_cpu_supports("x86-64-v2") ? " -march=x86-64-v2"
+                                                           : "";
+  EXPECT_EQ(flags, std::string("-O3 -std=c++17 -fPIC -shared -ffp-contract=off") + want);
+#endif
+  CppKernel kernel = EmitOneKernel(BuildLayerNormGraph(8, 16));
+  JitCacheOptions host;
+  host.dir = UniqueTestDir("flags");
+  JitCacheOptions other = host;
+  other.flags += " -DSF_OTHER_HOST";
+  JitKernelCache a(host);
+  JitKernelCache b(other);
+  StatusOr<JitKernelCache::Kernel> ka = a.GetOrBuild(kernel);
+  StatusOr<JitKernelCache::Kernel> kb = b.GetOrBuild(kernel);
+  ASSERT_TRUE(ka.ok()) << ka.status().ToString();
+  ASSERT_TRUE(kb.ok()) << kb.status().ToString();
+  EXPECT_NE(ka->key, kb->key);
+  EXPECT_EQ(b.stats().builds, 1);
+  EXPECT_EQ(b.stats().disk_hits, 0);
+}
+
+// The executor hands kernels uninitialized scratch: every kernel must write
+// each scratch and output element before reading it. NaN-filled buffers
+// therefore give the same output bits as zero-filled ones, in both
+// codegen modes, for parallel kernels and for a temporal one. The fused
+// outputs also match the interpreter running the same schedule, which is
+// the temporal emission's parity check.
+TEST(JitKernelTest, NanFilledBuffersGiveZeroFilledBits) {
+  std::vector<SmgSchedule> schedules;
+  for (const Graph& g :
+       {BuildLayerNormGraph(/*m=*/512, /*n=*/512),
+        BuildMha(/*batch_heads=*/4, /*seq_q=*/128, /*seq_kv=*/128, /*head_dim=*/64),
+        BuildFfn(/*tokens=*/64, /*hidden=*/128, /*ffn_dim=*/512, UnaryKind::kGelu,
+                 NormKind::kLayerNorm)}) {
+    StatusOr<CompiledSubprogram> compiled = CompileGraph(g);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    for (const SmgSchedule& kernel : compiled->program.kernels) {
+      schedules.push_back(kernel);
+    }
+  }
+  // The first random graph the slicer can run temporally, forced onto its
+  // first temporal config.
+  const ResourceConfig rc = ResourceConfig::FromArch(AmpereA100());
+  const size_t fused = schedules.size();
+  for (std::uint64_t seed = 0; seed < 64 && schedules.size() == fused; ++seed) {
+    StatusOr<SlicingResult> sliced = ResourceAwareSlicing(RandomGraph(seed), rc);
+    ASSERT_TRUE(sliced.ok()) << sliced.status().ToString();
+    for (const ScheduleConfig& c : sliced->configs) {
+      if (c.use_temporal) {
+        sliced->schedule.ApplyConfig(c);
+        if (sliced->schedule.NumIntraBlocks() > 1) {
+          schedules.push_back(sliced->schedule);
+          break;
+        }
+      }
+    }
+  }
+  ASSERT_GT(schedules.size(), fused) << "no random graph sliced temporally";
+
+  JitCacheOptions options;
+  options.dir = UniqueTestDir("poison");
+  JitKernelCache cache(options);
+  bool parallel_run = false;
+  bool temporal_run = false;
+  for (const SmgSchedule& schedule : schedules) {
+    const TensorEnv env = MakeGraphInputs(schedule.graph, /*seed=*/81);
+    for (bool reference_mode : {false, true}) {
+      CppCodegenOptions codegen;
+      codegen.reference_mode = reference_mode;
+      StatusOr<CppKernel> kernel = EmitCppKernel(schedule, codegen);
+      ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+      StatusOr<JitKernelCache::Kernel> loaded = cache.GetOrBuild(kernel.value());
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      parallel_run = parallel_run || kernel->source.find("sf_for(") != std::string::npos;
+      temporal_run =
+          temporal_run || kernel->source.find("mode: fused, temporal") != std::string::npos;
+      std::vector<const float*> in;
+      for (TensorId t : kernel->input_ids) {
+        in.push_back(env[static_cast<size_t>(t)].data());
+      }
+      std::vector<std::vector<float>> outputs[2];
+      for (int poisoned = 0; poisoned < 2; ++poisoned) {
+        const float fill = poisoned ? std::numeric_limits<float>::quiet_NaN() : 0.0f;
+        std::vector<float*> out;
+        for (TensorId t : kernel->output_ids) {
+          outputs[poisoned].emplace_back(
+              static_cast<size_t>(schedule.graph.tensor(t).shape.volume()), fill);
+        }
+        for (std::vector<float>& buffer : outputs[poisoned]) {
+          out.push_back(buffer.data());
+        }
+        std::vector<float> scratch(static_cast<size_t>(loaded->scratch_floats), fill);
+        ASSERT_EQ(loaded->fn(in.data(), out.data(), scratch.data()), 0);
+      }
+      TensorEnv interpreted = env;
+      ASSERT_TRUE(RunSchedule(schedule, &interpreted).ok());
+      for (size_t o = 0; o < outputs[0].size(); ++o) {
+        EXPECT_EQ(std::memcmp(outputs[0][o].data(), outputs[1][o].data(),
+                              outputs[0][o].size() * sizeof(float)),
+                  0)
+            << schedule.graph.name() << " output " << o
+            << (reference_mode ? " (reference mode)" : "");
+        if (!reference_mode) {
+          const Tensor& want = interpreted[static_cast<size_t>(kernel->output_ids[o])];
+          int mismatches = 0;  // NaN-aware: a NaN never compares <= the tolerance
+          for (size_t i = 0; i < outputs[0][o].size(); ++i) {
+            const float diff = std::fabs(outputs[0][o][i] - want.data()[i]) /
+                               (std::fabs(want.data()[i]) + 1e-5f);
+            mismatches += diff <= kParityTolerance ? 0 : 1;
+          }
+          EXPECT_EQ(mismatches, 0) << schedule.graph.name() << " output " << o;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(parallel_run);
+  EXPECT_TRUE(temporal_run);
+}
+
 TEST(CppCodegenTest, EmissionIsDeterministic) {
   StatusOr<CompiledSubprogram> compiled = CompileGraph(BuildMha(2, 32, 32, 16));
   ASSERT_TRUE(compiled.ok());
@@ -366,8 +684,13 @@ TEST(CppCodegenTest, BakesShapesAsConstants) {
   EXPECT_NE(kernel->source.find("extern \"C\" int " + kernel->symbol), std::string::npos);
   EXPECT_EQ(kernel->symbol.rfind("sf_k_", 0), 0u);
   EXPECT_EQ(kernel->symbol.size(), 5u + 16u);
+  // The bind entry the loader hands the kernel pool to.
+  EXPECT_NE(kernel->source.find("extern \"C\" void " + kernel->symbol + "_bind("),
+            std::string::npos);
   // No runtime shape parameters: extents live in the source as literals.
   EXPECT_EQ(kernel->source.find("shape"), std::string::npos);
+  // No headers: the translation unit builds standalone.
+  EXPECT_EQ(kernel->source.find("#include"), std::string::npos);
   EXPECT_FALSE(kernel->input_ids.empty());
   EXPECT_FALSE(kernel->output_ids.empty());
 }
@@ -395,7 +718,7 @@ TEST(CppCodegenTest, ReferenceModeMatchesInterpreter) {
   options.codegen.reference_mode = true;
   JitExecutor executor(options);
   Graph g = BuildMha(2, 16, 16, 8);
-  ExpectJitMatchesInterpreter(g, /*seed=*/41, executor, /*tolerance=*/1e-4f);
+  ExpectJitMatchesInterpreter(g, /*seed=*/41, executor);
   EXPECT_GT(executor.stats().jit_runs, 0);
   EXPECT_EQ(executor.stats().fallbacks, 0);
 }

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/codegen/cpp_codegen.h"
+#include "src/codegen/jit_cache.h"
 #include "src/core/engine.h"
 #include "src/graph/models.h"
 #include "src/obs/metrics.h"
@@ -59,7 +60,7 @@ int Usage() {
          "                    (same as setting SPACEFUSION_REPORT_DIR)\n"
          "  --emit-kernels    dump every compiled kernel to DIR as <model>-s<I>-k<J>.cc:\n"
          "                    the native C++ the JIT builds, named inside by its\n"
-         "                    content-hash symbol\n"
+         "                    content-hash symbol; prints the flags it builds them with\n"
          "  --metrics         print the final MetricsSnapshot as text to stdout\n"
          "  --metrics-json    print the final MetricsSnapshot as JSON to stdout\n"
          "  --openmetrics     print the final snapshot as OpenMetrics exposition\n"
@@ -323,7 +324,8 @@ int Run(int argc, char** argv) {
     }
     if (!emit_kernels_dir.empty()) {
       int sources = EmitKernelSources(emit_kernels_dir, r.model, r.compiled);
-      std::printf("  emitted %d kernel source(s) to %s\n", sources, emit_kernels_dir.c_str());
+      std::printf("  emitted %d kernel source(s) to %s (the JIT builds them with: %s)\n", sources,
+                  emit_kernels_dir.c_str(), JitCacheOptions().flags.c_str());
     }
   }
   json += StrCat("],\n\"metrics\":", MetricsRegistry::Global().Snapshot().ToJson(), "}\n");
