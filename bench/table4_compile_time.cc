@@ -54,7 +54,7 @@ void Run() {
     }
     SlicingResult result;
     result.configs =
-        EnumerateConfigs(&sched, rc, /*include_temporal=*/true, SearchOptions(),
+        EnumerateConfigs(&sched, rc, /*include_temporal=*/true, /*min_block=*/1,
                          &result.footprints);
     double enum_ms = timer.ElapsedMs();
 

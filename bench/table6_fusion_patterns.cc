@@ -80,7 +80,7 @@ struct PatternCounter {
 void CountWelder(const Graph& graph, const GpuArch& arch, PatternCounter* counter) {
   SlicingOptions options;
   options.allow_uta = false;
-  options.search.min_block = 16;
+  options.min_block = 16;
   StatusOr<PipelineResult> pipeline =
       RunSlicingPipeline(graph, ResourceConfig::FromArch(arch), options);
   if (!pipeline.ok()) {

@@ -1,50 +1,13 @@
 #include "src/analysis/race_analyzer.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include "src/schedule/memory_planner.h"
 #include "src/smg/smg.h"
-#include "src/support/logging.h"
 #include "src/support/string_util.h"
 
 namespace spacefusion {
-
-const char* AnalyzeModeName(AnalyzeMode mode) {
-  switch (mode) {
-    case AnalyzeMode::kOff:
-      return "off";
-    case AnalyzeMode::kPhase:
-      return "phase";
-  }
-  return "?";
-}
-
-StatusOr<AnalyzeMode> ParseAnalyzeMode(const std::string& text) {
-  if (text == "off") {
-    return AnalyzeMode::kOff;
-  }
-  if (text == "phase" || text == "on") {
-    return AnalyzeMode::kPhase;
-  }
-  return InvalidArgument(
-      StrCat("unknown analyze mode \"", text, "\" (expected off or phase)"));
-}
-
-AnalyzeMode AnalyzeModeFromEnv(AnalyzeMode fallback) {
-  const char* env = std::getenv("SPACEFUSION_ANALYZE");
-  if (env == nullptr || env[0] == '\0') {
-    return fallback;
-  }
-  StatusOr<AnalyzeMode> parsed = ParseAnalyzeMode(env);
-  if (!parsed.ok()) {
-    SF_LOG(Warning) << "SPACEFUSION_ANALYZE: " << parsed.status().message() << "; using "
-                    << AnalyzeModeName(fallback);
-    return fallback;
-  }
-  return parsed.value();
-}
 
 namespace {
 

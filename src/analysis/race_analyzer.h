@@ -21,38 +21,19 @@
 //   SFV0604  aliased spill slots (simultaneously live tiles exceed the
 //            recorded on-chip arena, so slot assignment must alias)
 //
-// Wired in two places: an Analyze pass at compile exit (on in
-// SPACEFUSION_VERIFY=full, opt-in via SPACEFUSION_ANALYZE=phase) whose
-// findings reach the CompileReport and `sf-compile`, and the
+// Wired in two places: an Analyze pass at compile exit (under
+// SPACEFUSION_VERIFY=full) whose findings reach the CompileReport and
+// `sf-compile`, and the
 // CompilerEngine's persistent-cache admission gate (a racy program is
 // never stored).
 #ifndef SPACEFUSION_SRC_ANALYSIS_RACE_ANALYZER_H_
 #define SPACEFUSION_SRC_ANALYSIS_RACE_ANALYZER_H_
 
-#include <string>
-
 #include "src/graph/graph.h"
 #include "src/schedule/schedule_ir.h"
-#include "src/support/status.h"
 #include "src/verify/diagnostics.h"
 
 namespace spacefusion {
-
-// Whether the compiler runs the race analyzer at compile exit.
-//   kOff    only when SPACEFUSION_VERIFY=full;
-//   kPhase  on every compile, after the program is chosen.
-// Analysis never changes the compiled program, so the mode is deliberately
-// excluded from CompileOptionsDigest (cache keys match with it on or off).
-enum class AnalyzeMode { kOff, kPhase };
-
-const char* AnalyzeModeName(AnalyzeMode mode);
-
-// Parses "off" / "phase" (case-sensitive; "on" is accepted as "phase").
-StatusOr<AnalyzeMode> ParseAnalyzeMode(const std::string& text);
-
-// Reads SPACEFUSION_ANALYZE from the environment; unset or empty yields
-// `fallback`, unparsable values warn once and yield `fallback`.
-AnalyzeMode AnalyzeModeFromEnv(AnalyzeMode fallback = AnalyzeMode::kOff);
 
 // SFV06xx: race/alias findings of one schedule. Appends to `report` and
 // never aborts, whatever the schedule's state — malformed index tables or

@@ -131,7 +131,7 @@ class WelderBaseline : public Baseline {
                                AddressMap* addresses) const override {
     SlicingOptions options;
     options.allow_uta = false;      // no dependency transformation
-    options.search.min_block = 16;  // hardware-aligned tiles only
+    options.min_block = 16;         // hardware-aligned tiles only
     ResourceConfig rc = ResourceConfig::FromArch(arch);
     CostModel cost(arch);
 

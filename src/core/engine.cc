@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "src/analysis/race_analyzer.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/support/logging.h"
@@ -89,22 +90,25 @@ std::uint64_t CompileOptionsDigest(const CompileOptions& options) {
   MixInto(&h, options.enable_auto_scheduling ? 11u : 5u);
   MixInto(&h, static_cast<std::uint64_t>(options.verify));
 
-  MixInto(&h, static_cast<std::uint64_t>(options.search.max_block));
-  MixInto(&h, static_cast<std::uint64_t>(options.search.min_block));
-  MixInto(&h, static_cast<std::uint64_t>(options.search.max_configs));
-  // The slot of the deleted dominance-pruning option, fixed at its old
-  // "off" value so digests and persisted .sfpc entries stay valid.
+  // The slots of deleted options stay, fixed at the values they always
+  // had, so digests and persisted .sfpc entries stay valid: the search
+  // bounds (max_block 256, min_block 1, max_configs 256; now constants of
+  // EnumerateConfigs), dominance pruning ("off"), and below the tuner
+  // constants that replaced four TunerOptions fields.
+  MixInto(&h, 256u);
+  MixInto(&h, 1u);
+  MixInto(&h, 256u);
   MixInto(&h, 17u);
 
-  MixInto(&h, DoubleBits(options.tuner.early_quit_alpha));
-  MixInto(&h, static_cast<std::uint64_t>(options.tuner.warmup_runs));
-  MixInto(&h, static_cast<std::uint64_t>(options.tuner.timed_runs));
+  MixInto(&h, DoubleBits(kEarlyQuitAlpha));
+  MixInto(&h, static_cast<std::uint64_t>(kWarmupRuns));
+  MixInto(&h, static_cast<std::uint64_t>(kTimedRuns));
   MixInto(&h, options.tuner.enable_early_quit ? 19u : 23u);
   MixInto(&h, static_cast<std::uint64_t>(static_cast<std::int64_t>(options.tuner.screen_top_k)));
-  MixInto(&h, DoubleBits(options.tuner.screen_epsilon));
-  // tuner.transfer_prior is deliberately excluded (like `analyze`): a prior
-  // reorders the modeled measurement schedule but never changes the selected
-  // program, so cache keys are identical with or without one.
+  MixInto(&h, DoubleBits(kScreenEpsilon));
+  // tuner.transfer_prior is deliberately excluded: a prior reorders the
+  // modeled measurement schedule but never changes the selected program, so
+  // cache keys are identical with or without one.
   if (!options.shape_bucket.empty()) {
     // Mixed only when set, so shape-agnostic digests are unchanged from the
     // pre-bucket format and existing caches stay warm.
@@ -130,15 +134,6 @@ CompilerEngine::CompilerEngine(CompileOptions options)
 
 std::uint64_t CompilerEngine::Fingerprint(const Graph& graph) const {
   return options_.fingerprint_fn ? options_.fingerprint_fn(graph) : graph.StructuralHash();
-}
-
-CostCache* CompilerEngine::CostCacheFor(std::uint64_t digest) {
-  MutexLock lock(cost_caches_mu_);
-  std::unique_ptr<CostCache>& cache = cost_caches_[digest];
-  if (cache == nullptr) {
-    cache = std::make_unique<CostCache>();
-  }
-  return cache.get();
 }
 
 StatusOr<CompiledSubprogram> CompilerEngine::Compile(const Graph& graph) {
@@ -294,7 +289,7 @@ StatusOr<CompiledSubprogram> CompilerEngine::CompileCold(const Graph& graph,
                                                          const CompileOptions& options,
                                                          const RequestKey& key,
                                                          CompileReport* report) {
-  SF_ASSIGN_OR_RETURN(CompiledSubprogram result, RunPassList(graph, options, key.digest, report));
+  SF_ASSIGN_OR_RETURN(CompiledSubprogram result, RunPassList(graph, options, report));
   if (persistent_ != nullptr) {
     // Admission gate: a racy program must never be persisted — a later
     // daemon would serve it without recompiling, so disk is where a bad
@@ -343,7 +338,6 @@ void CompilerEngine::InsertIfAbsent(const RequestKey& key, const CompiledSubprog
 
 StatusOr<CompiledSubprogram> CompilerEngine::RunPassList(const Graph& graph,
                                                          const CompileOptions& options,
-                                                         std::uint64_t digest,
                                                          CompileReport* report) {
   ScopedSpan compile_span("compiler.compile");
   compile_span.Arg("graph", graph.name()).Arg("ops", static_cast<std::int64_t>(graph.ops().size()));
@@ -355,7 +349,6 @@ StatusOr<CompiledSubprogram> CompilerEngine::RunPassList(const Graph& graph,
   state.options = &options;
   state.rc = ResourceConfig::FromArch(options.arch);
   state.cost = &cost;
-  state.cost_cache = CostCacheFor(digest);
   state.fusion = &fusion_;
 
   PassManager manager(BuildCompilePassList(options));

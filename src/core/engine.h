@@ -9,8 +9,8 @@
 // kernels. The CompileTimeBreakdown derives from the pass timings.
 //
 // The engine owns what a single compile request must not: the cross-model
-// structural program cache, the per-options-digest CostCaches, and the
-// Table 6 fusion-pattern recorder. Every method is safe to call from
+// structural program cache, the cross-bucket config-transfer store, and
+// the Table 6 fusion-pattern recorder. Every method is safe to call from
 // several threads at once.
 //
 // Program cache key anatomy: (canonical graph fingerprint, options digest).
@@ -35,7 +35,6 @@
 #include "src/graph/shape_bucket.h"
 #include "src/obs/report.h"
 #include "src/pass/pass.h"
-#include "src/sim/cost_cache.h"
 #include "src/support/thread_annotations.h"
 
 namespace spacefusion {
@@ -193,9 +192,6 @@ class CompilerEngine {
   // (digest, canonical form) is already there.
   void InsertIfAbsent(const RequestKey& key, const CompiledSubprogram& compiled)
       SF_REQUIRES(cache_mu_);
-  // CostCache keys are (kernel signature, config) — arch-blind — so each
-  // options digest gets its own cache.
-  CostCache* CostCacheFor(std::uint64_t digest);
   // One engine request: Lookup, CompileCold on a miss, then one finish
   // tail for every outcome that writes the request's CompileReport into
   // *report and emits it to the sinks.
@@ -213,7 +209,7 @@ class CompilerEngine {
   StatusOr<CompiledSubprogram> CompileCold(const Graph& graph, const CompileOptions& options,
                                            const RequestKey& key, CompileReport* report);
   StatusOr<CompiledSubprogram> RunPassList(const Graph& graph, const CompileOptions& options,
-                                           std::uint64_t digest, CompileReport* report);
+                                           CompileReport* report);
   // Forwards a finished report to the options sink and the
   // SPACEFUSION_REPORT_DIR sink (when set).
   void EmitReport(const CompileReport& report);
@@ -228,9 +224,6 @@ class CompilerEngine {
   mutable Mutex cache_mu_;
   std::map<std::uint64_t, std::vector<CacheEntry>> cache_ SF_GUARDED_BY(cache_mu_);
   CacheStats stats_ SF_GUARDED_BY(cache_mu_);
-
-  Mutex cost_caches_mu_;
-  std::map<std::uint64_t, std::unique_ptr<CostCache>> cost_caches_ SF_GUARDED_BY(cost_caches_mu_);
 
   // Cross-bucket config-transfer store: shape-free kernel signature ->
   // per-bucket admitted configs (best measured first). Filled by cold

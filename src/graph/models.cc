@@ -102,52 +102,6 @@ ModelConfig GetModelConfig(ModelKind kind, std::int64_t batch, std::int64_t seq)
   return c;
 }
 
-ModelGraph BuildModel(const ModelConfig& config) {
-  ModelGraph model;
-  model.config = config;
-  std::int64_t tokens = config.tokens();
-  std::int64_t bh = config.batch * config.heads;
-
-  auto append_encoder_stack = [&](int layers, bool causal) {
-    // The four subprograms of one layer; identical across layers, so the
-    // repeat count carries the stack depth.
-    model.subprograms.push_back({BuildQkvProj(tokens, config.hidden, config.hidden), layers});
-    model.subprograms.push_back(
-        {BuildMha(bh, config.seq, config.seq, config.head_dim(), causal), layers});
-    model.subprograms.push_back({BuildAttnOut(tokens, config.hidden, config.norm), layers});
-    if (config.gated_ffn) {
-      model.subprograms.push_back({BuildSwigluFfn(tokens, config.hidden, config.ffn_dim), layers});
-    } else {
-      model.subprograms.push_back(
-          {BuildFfn(tokens, config.hidden, config.ffn_dim, config.activation, config.norm),
-           layers});
-    }
-  };
-
-  append_encoder_stack(config.num_layers, config.causal_mask);
-
-  if (config.decoder_layers > 0) {
-    // Decoder: causal self-attention + cross-attention + FFN.
-    model.subprograms.push_back(
-        {BuildQkvProj(tokens, config.hidden, config.hidden), config.decoder_layers});
-    model.subprograms.push_back(
-        {BuildMha(bh, config.seq, config.seq, config.head_dim(), /*masked=*/true),
-         config.decoder_layers});
-    model.subprograms.push_back(
-        {BuildAttnOut(tokens, config.hidden, config.norm), config.decoder_layers});
-    // Cross-attention reads encoder keys/values (same seq length here).
-    model.subprograms.push_back(
-        {BuildMha(bh, config.seq, config.seq, config.head_dim(), /*masked=*/false),
-         config.decoder_layers});
-    model.subprograms.push_back(
-        {BuildAttnOut(tokens, config.hidden, config.norm), config.decoder_layers});
-    model.subprograms.push_back(
-        {BuildFfn(tokens, config.hidden, config.ffn_dim, config.activation, config.norm),
-         config.decoder_layers});
-  }
-  return model;
-}
-
 namespace {
 
 // tokens = batch*seq rows by a fixed feature column.
@@ -212,7 +166,55 @@ SubprogramLayout FfnLayout(const ModelConfig& c) {
   return layout;
 }
 
+// The zoo's subprogram order, shared by both builders: per encoder layer
+// QKV projection, attention core, attention output + norm, FFN; per T5
+// decoder layer QKV, causal self-attention, attention output, cross-
+// attention (encoder keys/values, same seq length here), attention output,
+// FFN. The repeat count carries the stack depth. With `layouts` (the
+// bucketed factory) every attention core is masked — padded kv columns are
+// neutralized through the mask tensor, so the graph structure is identical
+// for every shape in the bucket — and each subprogram's padding layout is
+// recorded in parallel.
+void AppendSubprograms(const ModelConfig& c, ModelGraph* model,
+                       std::vector<SubprogramLayout>* layouts) {
+  const std::int64_t tokens = c.tokens();
+  const std::int64_t bh = c.batch * c.heads;
+  auto add = [&](Graph graph, int repeat, SubprogramLayout (*layout)(const ModelConfig&)) {
+    model->subprograms.push_back({std::move(graph), repeat});
+    if (layouts != nullptr) {
+      layouts->push_back(layout(c));
+    }
+  };
+  auto mha = [&](bool masked) {
+    return BuildMha(bh, c.seq, c.seq, c.head_dim(), masked || layouts != nullptr);
+  };
+  auto ffn = [&]() { return BuildFfn(tokens, c.hidden, c.ffn_dim, c.activation, c.norm); };
+
+  const int layers = c.num_layers;
+  add(BuildQkvProj(tokens, c.hidden, c.hidden), layers, QkvLayout);
+  add(mha(c.causal_mask), layers, MhaLayout);
+  add(BuildAttnOut(tokens, c.hidden, c.norm), layers, AttnOutLayout);
+  add(c.gated_ffn ? BuildSwigluFfn(tokens, c.hidden, c.ffn_dim) : ffn(), layers, FfnLayout);
+
+  if (c.decoder_layers > 0) {
+    const int decoder = c.decoder_layers;
+    add(BuildQkvProj(tokens, c.hidden, c.hidden), decoder, QkvLayout);
+    add(mha(/*masked=*/true), decoder, MhaLayout);
+    add(BuildAttnOut(tokens, c.hidden, c.norm), decoder, AttnOutLayout);
+    add(mha(/*masked=*/false), decoder, MhaLayout);
+    add(BuildAttnOut(tokens, c.hidden, c.norm), decoder, AttnOutLayout);
+    add(ffn(), decoder, FfnLayout);
+  }
+}
+
 }  // namespace
+
+ModelGraph BuildModel(const ModelConfig& config) {
+  ModelGraph model;
+  model.config = config;
+  AppendSubprograms(config, &model, /*layouts=*/nullptr);
+  return model;
+}
 
 BucketedModel BuildModelBucketed(ModelKind kind, const ShapeKey& shape,
                                  const BucketingPolicy& policy) {
@@ -221,55 +223,8 @@ BucketedModel BuildModelBucketed(ModelKind kind, const ShapeKey& shape,
   bm.bucket_key = policy.BucketFor(shape);
   bm.exact = GetModelConfig(kind, shape.batch, shape.seq);
   bm.bucket = GetModelConfig(kind, bm.bucket_key.batch, bm.bucket_key.seq);
-
-  const ModelConfig& c = bm.bucket;
-  bm.model.config = c;
-  const std::int64_t tokens = c.tokens();
-  const std::int64_t bh = c.batch * c.heads;
-
-  auto append_layer_stack = [&](int layers) {
-    // Same segmentation as BuildModel, but attention is *always* masked:
-    // padded kv columns are neutralized through the mask tensor, so the
-    // graph structure is identical for every shape in the bucket.
-    bm.model.subprograms.push_back({BuildQkvProj(tokens, c.hidden, c.hidden), layers});
-    bm.layouts.push_back(QkvLayout(c));
-    bm.model.subprograms.push_back(
-        {BuildMha(bh, c.seq, c.seq, c.head_dim(), /*masked=*/true), layers});
-    bm.layouts.push_back(MhaLayout(c));
-    bm.model.subprograms.push_back({BuildAttnOut(tokens, c.hidden, c.norm), layers});
-    bm.layouts.push_back(AttnOutLayout(c));
-    if (c.gated_ffn) {
-      bm.model.subprograms.push_back({BuildSwigluFfn(tokens, c.hidden, c.ffn_dim), layers});
-    } else {
-      bm.model.subprograms.push_back(
-          {BuildFfn(tokens, c.hidden, c.ffn_dim, c.activation, c.norm), layers});
-    }
-    bm.layouts.push_back(FfnLayout(c));
-  };
-
-  append_layer_stack(c.num_layers);
-
-  if (c.decoder_layers > 0) {
-    // Decoder: causal self-attention + cross-attention + FFN, all masked.
-    bm.model.subprograms.push_back(
-        {BuildQkvProj(tokens, c.hidden, c.hidden), c.decoder_layers});
-    bm.layouts.push_back(QkvLayout(c));
-    bm.model.subprograms.push_back(
-        {BuildMha(bh, c.seq, c.seq, c.head_dim(), /*masked=*/true), c.decoder_layers});
-    bm.layouts.push_back(MhaLayout(c));
-    bm.model.subprograms.push_back(
-        {BuildAttnOut(tokens, c.hidden, c.norm), c.decoder_layers});
-    bm.layouts.push_back(AttnOutLayout(c));
-    bm.model.subprograms.push_back(
-        {BuildMha(bh, c.seq, c.seq, c.head_dim(), /*masked=*/true), c.decoder_layers});
-    bm.layouts.push_back(MhaLayout(c));
-    bm.model.subprograms.push_back(
-        {BuildAttnOut(tokens, c.hidden, c.norm), c.decoder_layers});
-    bm.layouts.push_back(AttnOutLayout(c));
-    bm.model.subprograms.push_back(
-        {BuildFfn(tokens, c.hidden, c.ffn_dim, c.activation, c.norm), c.decoder_layers});
-    bm.layouts.push_back(FfnLayout(c));
-  }
+  bm.model.config = bm.bucket;
+  AppendSubprograms(bm.bucket, &bm.model, &bm.layouts);
   return bm;
 }
 

@@ -20,11 +20,9 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/race_analyzer.h"
 #include "src/graph/graph.h"
 #include "src/schedule/memory_planner.h"
 #include "src/schedule/pipeline.h"
-#include "src/sim/cost_cache.h"
 #include "src/sim/cost_model.h"
 #include "src/smg/smg_builder.h"
 #include "src/support/status.h"
@@ -45,16 +43,10 @@ struct CompileOptions {
   // Static IR verification at phase boundaries (src/verify): input graphs
   // are checked at compile entry and the chosen program at compile exit;
   // kFull additionally checks every candidate program and enumerated
-  // config. Defaults to SPACEFUSION_VERIFY from the environment, else phase.
+  // config, and runs the static race/alias analysis (src/analysis, SFV06xx)
+  // of the chosen program at compile exit. Defaults to SPACEFUSION_VERIFY
+  // from the environment, else phase.
   VerifyMode verify = VerifyModeFromEnv();
-  // Static race/alias analysis (src/analysis, SFV06xx) of the chosen
-  // program at compile exit. Always on under verify == kFull; kPhase runs
-  // it on every compile. Analysis never changes the compiled program, so
-  // this field is deliberately excluded from CompileOptionsDigest: cache
-  // keys are identical with the analyzer on or off. Defaults to
-  // SPACEFUSION_ANALYZE from the environment, else off.
-  AnalyzeMode analyze = AnalyzeModeFromEnv();
-  SearchOptions search;
   TunerOptions tuner;
   // Shape bucket this compile belongs to (the bucket ShapeKey::Label(),
   // "" for shape-agnostic compiles). Mixed into CompileOptionsDigest only
@@ -127,7 +119,6 @@ struct CompilationState {
   const CompileOptions* options = nullptr;
   ResourceConfig rc;
   const CostModel* cost = nullptr;
-  CostCache* cost_cache = nullptr;          // may be null (no memoization)
   FusionPatternRecorder* fusion = nullptr;  // may be null (no Table 6 stats)
 
   // --- artifacts --------------------------------------------------------
@@ -228,7 +219,8 @@ class PassManager {
 // The Fig. 9 compile pipeline as a pass list:
 //   BuildSmg, SlicingPipeline, EnumerateConfigs, Tune, PlanMemory, Lower,
 //   Estimate
-// with Tune replaced by ExpertConfig when auto-scheduling is disabled.
+// with Tune replaced by ExpertConfig when auto-scheduling is disabled, and
+// Analyze appended under verify == kFull.
 std::vector<std::unique_ptr<Pass>> BuildCompilePassList(const CompileOptions& options);
 
 }  // namespace spacefusion

@@ -4,6 +4,7 @@
 // candidates uses strict less-than (first wins).
 #include <algorithm>
 
+#include "src/analysis/race_analyzer.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/pass/pass.h"
@@ -13,13 +14,6 @@
 
 namespace spacefusion {
 namespace {
-
-SlicingOptions SlicingOptionsFrom(const CompileOptions& options) {
-  SlicingOptions slicing;
-  slicing.enable_temporal = options.enable_temporal_slicing;
-  slicing.search = options.search;
-  return slicing;
-}
 
 // Keeps one checker run's findings (warnings included) on the state for the
 // CompileReport; any error fails the pass with `code` and a Status that
@@ -80,7 +74,8 @@ class SlicingPipelinePass : public Pass {
   const char* name() const override { return "SlicingPipeline"; }
 
   Status Run(CompilationState* state) override {
-    const SlicingOptions slicing = SlicingOptionsFrom(*state->options);
+    SlicingOptions slicing;
+    slicing.enable_temporal = state->options->enable_temporal_slicing;
     const ResourceConfig& rc = state->rc;
     ScopedSpan pipeline_span("compiler.pipeline");
     const std::vector<Graph>& components = state->components;
@@ -199,8 +194,7 @@ class TunePass : public Pass {
     EnsureCandidateSlots(state);
     for (size_t ci = 0; ci < state->pipeline.candidates.size(); ++ci) {
       for (SlicingResult& kernel : state->pipeline.candidates[ci].kernels) {
-        TuningStats stats = TuneKernel(&kernel, *state->cost, state->rc, state->options->tuner,
-                                       state->cost_cache);
+        TuningStats stats = TuneKernel(&kernel, *state->cost, state->rc, state->options->tuner);
         state->total_tuning_s += stats.simulated_tuning_seconds;
         state->configs_tried += stats.configs_tried;
         state->configs_screened += stats.configs_screened;
@@ -337,7 +331,7 @@ std::vector<std::unique_ptr<Pass>> BuildCompilePassList(const CompileOptions& op
   passes.push_back(std::make_unique<PlanMemoryPass>());
   passes.push_back(std::make_unique<LowerPass>());
   passes.push_back(std::make_unique<EstimatePass>());
-  if (options.analyze != AnalyzeMode::kOff || options.verify == VerifyMode::kFull) {
+  if (options.verify == VerifyMode::kFull) {
     passes.push_back(std::make_unique<AnalyzePass>());
   }
   return passes;

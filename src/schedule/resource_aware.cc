@@ -15,10 +15,10 @@ namespace {
 // EnumerateConfigs, with its wall-clock added to result->enum_cfg_ms.
 std::vector<ScheduleConfig> TimedEnumerateConfigs(SlicingResult* result, const ResourceConfig& rc,
                                                   bool include_temporal,
-                                                  const SearchOptions& options) {
+                                                  std::int64_t min_block) {
   const auto start = std::chrono::steady_clock::now();
   std::vector<ScheduleConfig> configs =
-      EnumerateConfigs(&result->schedule, rc, include_temporal, options, &result->footprints);
+      EnumerateConfigs(&result->schedule, rc, include_temporal, min_block, &result->footprints);
   result->enum_cfg_ms +=
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start).count();
   return configs;
@@ -60,7 +60,7 @@ StatusOr<SlicingResult> ResourceAwareSlicing(const Graph& graph, const ResourceC
     }
 
     std::vector<ScheduleConfig> spatial_configs =
-        TimedEnumerateConfigs(&result, rc, /*include_temporal=*/false, options.search);
+        TimedEnumerateConfigs(&result, rc, /*include_temporal=*/false, options.min_block);
     for (ScheduleConfig& c : spatial_configs) {
       result.configs.push_back(std::move(c));
     }
@@ -83,7 +83,7 @@ StatusOr<SlicingResult> ResourceAwareSlicing(const Graph& graph, const ResourceC
       sched.temporal.block = sched.built.smg.dim(choice->dim).extent;
       sched.plan = choice->plan;
       std::vector<ScheduleConfig> temporal_configs =
-          TimedEnumerateConfigs(&result, rc, /*include_temporal=*/true, options.search);
+          TimedEnumerateConfigs(&result, rc, /*include_temporal=*/true, options.min_block);
       for (ScheduleConfig& c : temporal_configs) {
         result.configs.push_back(std::move(c));
       }

@@ -20,7 +20,8 @@ struct SlicingOptions {
   // false: dependency transformation (UTA) is unavailable — models Welder-
   // class tile-stitching compilers.
   bool allow_uta = true;
-  SearchOptions search;
+  // Smallest tile extent for non-free dims (see EnumerateConfigs).
+  std::int64_t min_block = 1;
 };
 
 struct SlicingResult {

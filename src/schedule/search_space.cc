@@ -12,9 +12,13 @@ namespace spacefusion {
 
 namespace {
 
+// Largest tile extent enumerated along any dim.
+constexpr std::int64_t kMaxBlock = 256;
+// Hard cap on emitted configs (exhaustive tuning stays cheap).
+constexpr size_t kMaxConfigs = 256;
+
 // Candidate tile extents for one spatial dim.
-std::vector<std::int64_t> SpatialCandidates(const Smg& smg, DimId dim, std::int64_t max_block,
-                                            std::int64_t min_block) {
+std::vector<std::int64_t> SpatialCandidates(const Smg& smg, DimId dim, std::int64_t min_block) {
   std::int64_t extent = smg.dim(dim).extent;
   DimClass cls = AnalyzeDim(smg, dim).cls;
   if (cls == DimClass::kFree) {
@@ -23,22 +27,22 @@ std::vector<std::int64_t> SpatialCandidates(const Smg& smg, DimId dim, std::int6
     return {1};
   }
   std::vector<std::int64_t> out;
-  for (std::int64_t b = min_block; b <= std::min(extent, max_block); b *= 2) {
+  for (std::int64_t b = min_block; b <= std::min(extent, kMaxBlock); b *= 2) {
     out.push_back(b);
   }
   if (out.empty()) {
     out.push_back(std::min(extent, min_block));
   }
-  if (extent <= max_block && out.back() != extent) {
+  if (extent <= kMaxBlock && out.back() != extent) {
     out.push_back(extent);
   }
   return out;
 }
 
-std::vector<std::int64_t> TemporalCandidates(const Smg& smg, DimId dim, std::int64_t max_block) {
+std::vector<std::int64_t> TemporalCandidates(const Smg& smg, DimId dim) {
   std::int64_t extent = smg.dim(dim).extent;
   std::vector<std::int64_t> out;
-  for (std::int64_t b = 16; b <= std::min(extent, max_block); b *= 2) {
+  for (std::int64_t b = 16; b <= std::min(extent, kMaxBlock); b *= 2) {
     out.push_back(b);
   }
   if (out.empty()) {
@@ -50,7 +54,7 @@ std::vector<std::int64_t> TemporalCandidates(const Smg& smg, DimId dim, std::int
 }  // namespace
 
 std::vector<ScheduleConfig> EnumerateConfigs(SmgSchedule* schedule, const ResourceConfig& rc,
-                                             bool include_temporal, const SearchOptions& options,
+                                             bool include_temporal, std::int64_t min_block,
                                              std::vector<ConfigFootprint>* footprints) {
   ScopedSpan span("search.enum_cfg", "search");
   span.Arg("graph", schedule->graph.name()).Arg("temporal", include_temporal ? 1 : 0);
@@ -59,12 +63,12 @@ std::vector<ScheduleConfig> EnumerateConfigs(SmgSchedule* schedule, const Resour
   std::vector<std::vector<std::int64_t>> per_dim;
   per_dim.reserve(schedule->spatial.size());
   for (const DimSlice& s : schedule->spatial) {
-    per_dim.push_back(SpatialCandidates(smg, s.dim, options.max_block, options.min_block));
+    per_dim.push_back(SpatialCandidates(smg, s.dim, min_block));
   }
 
   std::vector<std::int64_t> temporal_steps;
   if (include_temporal && schedule->has_temporal) {
-    temporal_steps = TemporalCandidates(smg, schedule->temporal.dim, options.max_block);
+    temporal_steps = TemporalCandidates(smg, schedule->temporal.dim);
   } else {
     temporal_steps = {0};  // sentinel: temporal disabled
   }
@@ -92,7 +96,7 @@ std::vector<ScheduleConfig> EnumerateConfigs(SmgSchedule* schedule, const Resour
         footprints->push_back(ComputeConfigFootprint(*schedule));
       }
       feasible.push_back(std::move(config));
-      if (static_cast<int>(feasible.size()) >= options.max_configs) {
+      if (feasible.size() >= kMaxConfigs) {
         capped = true;
         break;
       }

@@ -6,6 +6,7 @@
 #ifndef SPACEFUSION_SRC_SCHEDULE_SEARCH_SPACE_H_
 #define SPACEFUSION_SRC_SCHEDULE_SEARCH_SPACE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "src/schedule/memory_planner.h"
@@ -13,17 +14,10 @@
 
 namespace spacefusion {
 
-struct SearchOptions {
-  // Largest tile extent enumerated along any dim.
-  std::int64_t max_block = 256;
-  // Smallest tile extent for non-free dims (tile-graph compilers align to
-  // hardware MMA tiles and cannot shrink below 16).
-  std::int64_t min_block = 1;
-  // Hard cap on emitted configs (exhaustive tuning stays cheap).
-  int max_configs = 256;
-};
-
-// Enumerates resource-feasible block-size configurations for the schedule.
+// Enumerates resource-feasible block-size configurations for the schedule,
+// tiles of at most 256 along any dim and at most 256 configs. `min_block`
+// is the smallest tile extent for non-free dims (tile-graph compilers align
+// to hardware MMA tiles and cannot shrink below 16).
 // `include_temporal` additionally sweeps the temporal step when the
 // schedule has a temporal dim. The schedule's block sizes are left at the
 // last probed config; callers re-apply the chosen config.
@@ -32,8 +26,7 @@ struct SearchOptions {
 // returned config (same order), captured while the config was applied — the
 // input to the tuner's screening stage.
 std::vector<ScheduleConfig> EnumerateConfigs(SmgSchedule* schedule, const ResourceConfig& rc,
-                                             bool include_temporal,
-                                             const SearchOptions& options = SearchOptions(),
+                                             bool include_temporal, std::int64_t min_block = 1,
                                              std::vector<ConfigFootprint>* footprints = nullptr);
 
 }  // namespace spacefusion

@@ -164,22 +164,37 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool transpose_a, bool transpose
   out_dims.push_back(n);
   Tensor out(Shape(out_dims), a.dtype());
 
-  std::int64_t batch_count = batch.volume();
-  std::int64_t a_mat = m * k;
-  std::int64_t b_mat = k * n;
+  // Every C[i, j] starts at 0.0f and adds A[i, k] * B[k, j] in ascending k,
+  // the order the JIT kernels replay bit for bit. Untransposed B runs i-k-j
+  // (a saxpy over the output row, which Tensor zero-fills); transposed B
+  // keeps one accumulator per element over two contiguous rows.
+  const std::int64_t batch_count = batch.volume();
+  const std::int64_t a_row = transpose_a ? 1 : k;  // stride of A along i
+  const std::int64_t a_col = transpose_a ? m : 1;  // stride of A along k
+  float* const c = out.data();
   for (std::int64_t batch_i = 0; batch_i < batch_count; ++batch_i) {
-    std::int64_t a_base = BroadcastSourceIndex(batch, batch_i, batch_a) * a_mat;
-    std::int64_t b_base = BroadcastSourceIndex(batch, batch_i, batch_b) * b_mat;
-    std::int64_t o_base = batch_i * m * n;
+    const float* const pa = a.data() + BroadcastSourceIndex(batch, batch_i, batch_a) * m * k;
+    const float* const pb = b.data() + BroadcastSourceIndex(batch, batch_i, batch_b) * k * n;
     for (std::int64_t i = 0; i < m; ++i) {
-      for (std::int64_t j = 0; j < n; ++j) {
-        float acc = 0.0f;
+      const float* const a_i = pa + i * a_row;
+      float* const c_i = c + (batch_i * m + i) * n;
+      if (!transpose_b) {
         for (std::int64_t kk = 0; kk < k; ++kk) {
-          float av = transpose_a ? a.at(a_base + kk * m + i) : a.at(a_base + i * k + kk);
-          float bv = transpose_b ? b.at(b_base + j * k + kk) : b.at(b_base + kk * n + j);
-          acc += av * bv;
+          const float av = a_i[kk * a_col];
+          const float* const b_k = pb + kk * n;
+          for (std::int64_t j = 0; j < n; ++j) {
+            c_i[j] += av * b_k[j];
+          }
         }
-        out.at(o_base + i * n + j) = acc;
+      } else {
+        for (std::int64_t j = 0; j < n; ++j) {
+          const float* const b_j = pb + j * k;
+          float acc = 0.0f;
+          for (std::int64_t kk = 0; kk < k; ++kk) {
+            acc += a_i[kk * a_col] * b_j[kk];
+          }
+          c_i[j] = acc;
+        }
       }
     }
   }

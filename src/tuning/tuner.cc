@@ -10,7 +10,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/schedule/lowering.h"
-#include "src/sim/cost_cache.h"
 #include "src/support/logging.h"
 
 namespace spacefusion {
@@ -19,24 +18,6 @@ namespace {
 
 std::uint64_t HashCombine(std::uint64_t h, std::uint64_t v) {
   return h ^ (v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2));
-}
-
-// Identity of a schedule template for cost-cache keying: the same graph
-// with the same slicing decisions on the same hardware lowers to the same
-// cost for any given config. Block sizes are excluded — they are the
-// config, i.e. the other half of the cache key.
-std::uint64_t ScheduleSignature(const SmgSchedule& schedule, const GpuArch& arch,
-                                const ResourceConfig& rc) {
-  std::uint64_t h = schedule.graph.StructuralHash();
-  for (const DimSlice& slice : schedule.spatial) {
-    h = HashCombine(h, static_cast<std::uint64_t>(slice.dim));
-  }
-  h = HashCombine(h, schedule.has_temporal ? static_cast<std::uint64_t>(schedule.temporal.dim) + 1
-                                           : 0);
-  h = HashCombine(h, std::hash<std::string>{}(arch.name));
-  h = HashCombine(h, static_cast<std::uint64_t>(rc.smem_per_block_max));
-  h = HashCombine(h, static_cast<std::uint64_t>(rc.reg_per_block_max));
-  return h;
 }
 
 }  // namespace
@@ -67,16 +48,13 @@ int ScreenTopKFromEnv() {
 }
 
 TuningStats TuneKernel(SlicingResult* result, const CostModel& cost, const ResourceConfig& rc,
-                       const TunerOptions& options, CostCache* cache) {
+                       const TunerOptions& options) {
   ScopedSpan span("tuner.measure", "tuning");
   span.Arg("kernel", result->schedule.graph.name())
       .Arg("search_space", static_cast<std::int64_t>(result->configs.size()));
   TuningStats stats;
   const std::int64_t n = static_cast<std::int64_t>(result->configs.size());
   SF_CHECK(n > 0) << "tuner called with empty search space";
-
-  const std::uint64_t sig =
-      cache != nullptr ? ScheduleSignature(result->schedule, cost.arch(), rc) : 0;
 
   // ---- Stage 1: analytical screening --------------------------------------
   // Every config gets a closed-form lower-bound score from its enumeration
@@ -107,7 +85,7 @@ TuningStats TuneKernel(SlicingResult* result, const CostModel& cost, const Resou
     for (std::int64_t k = 0; k < top_k; ++k) {
       admit[static_cast<size_t>(order[static_cast<size_t>(k)])] = 1;
     }
-    const double band = score[static_cast<size_t>(order[0])] * (1.0 + options.screen_epsilon);
+    const double band = score[static_cast<size_t>(order[0])] * (1.0 + kScreenEpsilon);
     for (std::int64_t i = 0; i < n; ++i) {
       if (score[static_cast<size_t>(i)] <= band) {
         admit[static_cast<size_t>(i)] = 1;
@@ -133,16 +111,10 @@ TuningStats TuneKernel(SlicingResult* result, const CostModel& cost, const Resou
   std::vector<double> time_us(static_cast<size_t>(n));
   SmgSchedule local = result->schedule;
   for (std::int64_t i : admitted) {
-    const ScheduleConfig& config = result->configs[static_cast<size_t>(i)];
-    auto eval = [&]() -> KernelCost {
-      local.ApplyConfig(config);
-      PlanMemory(&local, rc);
-      AddressMap probe;
-      KernelSpec spec = LowerSchedule(local, &probe);
-      return cost.EstimateKernel(spec);
-    };
-    time_us[static_cast<size_t>(i)] =
-        (cache != nullptr ? cache->GetOrCompute(sig, config.ToString(), eval) : eval()).time_us;
+    local.ApplyConfig(result->configs[static_cast<size_t>(i)]);
+    PlanMemory(&local, rc);
+    AddressMap probe;
+    time_us[static_cast<size_t>(i)] = cost.EstimateKernel(LowerSchedule(local, &probe)).time_us;
   }
 
   // Selection scan in config order: deterministic argmin, lowest index wins
@@ -194,7 +166,7 @@ TuningStats TuneKernel(SlicingResult* result, const CostModel& cost, const Resou
   // Early-quit accounting over the measurement order: 20 warm-up + 100
   // timed runs per config, abandoned at alpha x the incumbent's total. Only
   // admitted configs are measured on the modeled GPU.
-  const int total_runs = options.warmup_runs + options.timed_runs;
+  const int total_runs = kWarmupRuns + kTimedRuns;
   double incumbent_time = 0.0;
   double incumbent_total = 0.0;  // incumbent's full measurement time (us)
   bool have_incumbent = false;
@@ -203,10 +175,10 @@ TuningStats TuneKernel(SlicingResult* result, const CostModel& cost, const Resou
     const double full_measurement = t * total_runs;
     double charged = full_measurement;
     if (options.enable_early_quit && have_incumbent &&
-        full_measurement > options.early_quit_alpha * incumbent_total) {
+        full_measurement > kEarlyQuitAlpha * incumbent_total) {
       // The runner abandons this config once it has burned alpha x the
       // incumbent's total test time.
-      charged = std::min(full_measurement, options.early_quit_alpha * incumbent_total + t);
+      charged = std::min(full_measurement, kEarlyQuitAlpha * incumbent_total + t);
       if (charged < full_measurement) {
         ++stats.configs_early_quit;
       }

@@ -3,14 +3,15 @@
 // picks the fastest.
 //
 // Tuning *time* is also modeled, because Table 4 / Table 5 report it: each
-// configuration would be measured with 20 warm-up + 100 timed runs, and the
-// early-quit mechanism abandons a configuration once its accumulated test
-// time exceeds alpha (=0.25) of the incumbent best configuration's total.
+// configuration would be measured with kWarmupRuns (20) warm-up +
+// kTimedRuns (100) timed runs, and the early-quit mechanism abandons a
+// configuration once its accumulated test time exceeds kEarlyQuitAlpha
+// (0.25) of the incumbent best configuration's total.
 //
 // Evaluation is staged: a closed-form screening pass (CostModel::ScreenKernel
 // over the ConfigFootprints captured at enumeration — no lowering, no trace)
 // scores every config, and only the screened top-K plus every config within
-// screen_epsilon of the screened best proceed to full EstimateKernel
+// kScreenEpsilon (2%) of the screened best proceed to full EstimateKernel
 // fidelity. The screen score is a lower bound of the full estimate, and the
 // epsilon band guarantees near-ties are never dropped on screen noise.
 //
@@ -32,7 +33,14 @@
 
 namespace spacefusion {
 
-class CostCache;
+// The modeled measurement protocol (see the header comment).
+constexpr double kEarlyQuitAlpha = 0.25;
+constexpr int kWarmupRuns = 20;
+constexpr int kTimedRuns = 100;
+// Guaranteed admission: any config whose screen score is within this
+// relative margin of the screened best is always fully evaluated, even
+// beyond top-K.
+constexpr double kScreenEpsilon = 0.02;
 
 struct TuningStats {
   std::int64_t configs_enumerated = 0;  // search-space size before any cut
@@ -67,40 +75,30 @@ struct TunedKernelRecord {
 int ScreenTopKFromEnv();
 
 struct TunerOptions {
-  double early_quit_alpha = 0.25;
-  int warmup_runs = 20;
-  int timed_runs = 100;
   bool enable_early_quit = true;
   // Stage-1 screening cut: -1 = auto (max(8, 10% of the sweep)), 0 = off,
   // k > 0 = exactly k configs (plus the guaranteed-admission band).
   int screen_top_k = ScreenTopKFromEnv();
-  // Guaranteed admission: any config whose screen score is within this
-  // relative margin of the screened best is always fully evaluated, even
-  // beyond top-K.
-  double screen_epsilon = 0.02;
   // Config transfer across shape buckets: maps the schedule being tuned to
   // the nearest already-tuned bucket's admitted configs (best first), or
   // empty for none. A prior reorders only the *modeled measurement
   // schedule* — transferred configs run first, so a near-optimal incumbent
   // early-quits the rest and simulated_tuning_seconds collapses — it never
-  // changes which configs are admitted or which one wins. Like
-  // EngineOptions::analyze, deliberately excluded from CompileOptionsDigest.
+  // changes which configs are admitted or which one wins, so it is
+  // deliberately excluded from CompileOptionsDigest.
   std::function<std::vector<std::string>(const SmgSchedule&)> transfer_prior;
 };
 
-// Shape-free variant of the cost-cache schedule signature: built on
-// TopologyHash instead of StructuralHash, so the same kernel template tuned
-// at two different bucket shapes collides. Keys the engine's cross-bucket
-// config-transfer store.
+// Shape-free identity of a schedule template: the graph's TopologyHash,
+// the sliced dims, the architecture and the resource bounds, so the same
+// kernel template tuned at two different bucket shapes collides. Keys the
+// engine's cross-bucket config-transfer store.
 std::uint64_t TransferSignature(const SmgSchedule& schedule, const GpuArch& arch,
                                 const ResourceConfig& rc);
 
 // Tunes one kernel in place: applies the best config to `result->schedule`.
-// With a CostCache, repeated (kernel signature, config) evaluations across
-// blocks and candidate programs are computed once (results are identical
-// either way; the cache memoizes a pure function).
 TuningStats TuneKernel(SlicingResult* result, const CostModel& cost, const ResourceConfig& rc,
-                       const TunerOptions& options = TunerOptions(), CostCache* cache = nullptr);
+                       const TunerOptions& options = TunerOptions());
 
 // Picks the config nearest an expert default (64-wide tiles, 64-step
 // temporal) without measuring — the Base(SS)/Base+TS ablation variants.

@@ -5,13 +5,11 @@
 // analyzer's presence never changes what the compiler produces.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/analysis/race_analyzer.h"
-#include "src/core/engine.h"
 #include "src/core/engine.h"
 #include "src/graph/builder.h"
 #include "src/graph/models.h"
@@ -75,24 +73,6 @@ void RemoveDim(std::vector<DimId>* dims, DimId dim) {
       return;
     }
   }
-}
-
-// --- Mode plumbing --------------------------------------------------------
-
-TEST(AnalyzeModeTest, ParseAndEnv) {
-  EXPECT_EQ(ParseAnalyzeMode("off").value(), AnalyzeMode::kOff);
-  EXPECT_EQ(ParseAnalyzeMode("phase").value(), AnalyzeMode::kPhase);
-  EXPECT_EQ(ParseAnalyzeMode("on").value(), AnalyzeMode::kPhase);
-  EXPECT_FALSE(ParseAnalyzeMode("PHASE").ok());
-  EXPECT_FALSE(ParseAnalyzeMode("full").ok());
-
-  setenv("SPACEFUSION_ANALYZE", "phase", 1);
-  EXPECT_EQ(AnalyzeModeFromEnv(), AnalyzeMode::kPhase);
-  setenv("SPACEFUSION_ANALYZE", "bogus", 1);
-  EXPECT_EQ(AnalyzeModeFromEnv(AnalyzeMode::kOff), AnalyzeMode::kOff);
-  unsetenv("SPACEFUSION_ANALYZE");
-  EXPECT_EQ(AnalyzeModeFromEnv(), AnalyzeMode::kOff);
-  EXPECT_EQ(AnalyzeModeFromEnv(AnalyzeMode::kPhase), AnalyzeMode::kPhase);
 }
 
 // --- Positive baseline ----------------------------------------------------
@@ -244,10 +224,11 @@ TEST(RaceAnalyzerTest, CompiledProgramContextNamesKernels) {
 // --- Clean gate: every built-in model analyzes clean ----------------------
 
 TEST(RaceAnalyzerTest, AllBuiltinModelsAnalyzeClean) {
-  // The Analyze pass runs on every unique subprogram, next to the exit
-  // verifier; every finding, warnings included, lands in the report.
+  // Under verify=full the Analyze pass runs on every unique subprogram,
+  // next to the exit verifier; every finding, warnings included, lands in
+  // the report.
   CompileOptions options;
-  options.analyze = AnalyzeMode::kPhase;
+  options.verify = VerifyMode::kFull;
   for (ModelKind kind : AllModelKinds()) {
     ModelGraph model = BuildModel(GetModelConfig(kind, /*batch=*/1, /*seq=*/64));
     CompilerEngine compiler(options);
@@ -264,12 +245,11 @@ TEST(RaceAnalyzerTest, AllBuiltinModelsAnalyzeClean) {
 TEST(RaceAnalyzerTest, AnalyzerOnOffCompilesBitIdentical) {
   Graph g = SoftmaxGraph();
 
+  // verify=phase compiles without the Analyze pass, verify=full with it.
   CompileOptions off;
-  off.analyze = AnalyzeMode::kOff;
+  off.verify = VerifyMode::kPhase;
   CompileOptions on;
-  on.analyze = AnalyzeMode::kPhase;
-  EXPECT_EQ(CompileOptionsDigest(off), CompileOptionsDigest(on))
-      << "analyze mode must not change the cache key";
+  on.verify = VerifyMode::kFull;
 
   CompilerEngine compiler_off(off);
   CompilerEngine compiler_on(on);

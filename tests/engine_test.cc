@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/engine.h"
@@ -140,24 +142,57 @@ TEST(EngineCacheTest, MissOnDifferentOptionsDigest) {
 }
 
 TEST(EngineCacheTest, OptionsDigestIsStableAndSensitive) {
-  CompileOptions a;
-  CompileOptions b;
-  EXPECT_EQ(CompileOptionsDigest(a), CompileOptionsDigest(b));
+  // The default A100 options, with the environment-read fields pinned to
+  // their unset defaults. Persisted .sfpc entries are keyed by this value,
+  // so the encoding must not drift: the slots of deleted options keep
+  // mixing the values those options always had.
+  CompileOptions base(AmpereA100());
+  base.verify = VerifyMode::kPhase;
+  base.tuner.screen_top_k = -1;
+  const std::uint64_t digest = CompileOptionsDigest(base);
+  EXPECT_EQ(digest, 12007558611731448425ULL);
 
-  b.arch = HopperH100();
-  EXPECT_NE(CompileOptionsDigest(a), CompileOptionsDigest(b));
+  // Every remaining field moves the digest.
+  const std::vector<std::pair<const char*, std::function<void(CompileOptions*)>>> edits = {
+      {"arch.name", [](CompileOptions* o) { o->arch.name += "'"; }},
+      {"arch.num_sms", [](CompileOptions* o) { ++o->arch.num_sms; }},
+      {"arch.fp16_tflops", [](CompileOptions* o) { o->arch.fp16_tflops *= 2; }},
+      {"arch.max_threads_per_sm", [](CompileOptions* o) { ++o->arch.max_threads_per_sm; }},
+      {"arch.max_blocks_per_sm", [](CompileOptions* o) { ++o->arch.max_blocks_per_sm; }},
+      {"arch.smem_per_sm", [](CompileOptions* o) { ++o->arch.smem_per_sm; }},
+      {"arch.smem_per_block_max", [](CompileOptions* o) { ++o->arch.smem_per_block_max; }},
+      {"arch.regfile_per_sm", [](CompileOptions* o) { ++o->arch.regfile_per_sm; }},
+      {"arch.reg_per_block_max", [](CompileOptions* o) { ++o->arch.reg_per_block_max; }},
+      {"arch.l1_per_sm", [](CompileOptions* o) { ++o->arch.l1_per_sm; }},
+      {"arch.l2_bytes", [](CompileOptions* o) { ++o->arch.l2_bytes; }},
+      {"arch.dram_gbps", [](CompileOptions* o) { o->arch.dram_gbps *= 2; }},
+      {"arch.l2_gbps", [](CompileOptions* o) { o->arch.l2_gbps *= 2; }},
+      {"arch.cache_line_bytes", [](CompileOptions* o) { o->arch.cache_line_bytes *= 2; }},
+      {"arch.l2_assoc", [](CompileOptions* o) { o->arch.l2_assoc *= 2; }},
+      {"arch.launch_overhead_us", [](CompileOptions* o) { o->arch.launch_overhead_us *= 2; }},
+      {"enable_temporal_slicing", [](CompileOptions* o) { o->enable_temporal_slicing = false; }},
+      {"enable_auto_scheduling", [](CompileOptions* o) { o->enable_auto_scheduling = false; }},
+      {"verify=off", [](CompileOptions* o) { o->verify = VerifyMode::kOff; }},
+      {"verify=full", [](CompileOptions* o) { o->verify = VerifyMode::kFull; }},
+      {"tuner.enable_early_quit", [](CompileOptions* o) { o->tuner.enable_early_quit = false; }},
+      {"tuner.screen_top_k", [](CompileOptions* o) { o->tuner.screen_top_k = 0; }},
+      {"shape_bucket", [](CompileOptions* o) { o->shape_bucket = "b1s64"; }},
+  };
+  for (const auto& [field, edit] : edits) {
+    CompileOptions changed = base;
+    edit(&changed);
+    EXPECT_NE(CompileOptionsDigest(changed), digest) << field;
+  }
+  CompileOptions hopper = base;
+  hopper.arch = HopperH100();
+  EXPECT_NE(CompileOptionsDigest(hopper), digest);
 
-  CompileOptions c;
-  c.tuner.screen_top_k = 0;
-  EXPECT_NE(CompileOptionsDigest(a), CompileOptionsDigest(c));
-
-  CompileOptions d;
-  d.enable_auto_scheduling = false;
-  EXPECT_NE(CompileOptionsDigest(a), CompileOptionsDigest(d));
-
-  CompileOptions e;
-  e.verify = VerifyMode::kFull;
-  EXPECT_NE(CompileOptionsDigest(a), CompileOptionsDigest(e));
+  // A transfer prior reorders the modeled measurement, never the program.
+  CompileOptions with_prior = base;
+  with_prior.tuner.transfer_prior = [](const SmgSchedule&) {
+    return std::vector<std::string>{"b64x64"};
+  };
+  EXPECT_EQ(CompileOptionsDigest(with_prior), digest);
 }
 
 // Forcing every graph onto one fingerprint bucket exercises the

@@ -10,7 +10,6 @@
 // host build cannot contract either, so outputs are bit-identical; on other
 // targets we allow a tight relative tolerance.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
@@ -36,6 +35,7 @@
 #include "src/sim/arch.h"
 #include "src/support/file_util.h"
 #include "tests/random_graph.h"
+#include "tests/test_dirs.h"
 
 namespace spacefusion {
 namespace {
@@ -51,9 +51,7 @@ constexpr float kParityTolerance = 1e-4f;
 #endif
 
 std::string UniqueTestDir(const std::string& tag) {
-  static int counter = 0;
-  return ::testing::TempDir() + "sf-jit-test-" + std::to_string(::getpid()) + "-" + tag + "-" +
-         std::to_string(counter++);
+  return testing_util::UniqueTestDir("sf-jit-test", tag);
 }
 
 std::string HexKey(std::uint64_t key) {

@@ -49,21 +49,11 @@ TEST(PassListTest, DisablingAutoSchedulingSwapsTuneForExpertConfig) {
 TEST(PassListTest, FullVerifyAppendsAnalyze) {
   CompileOptions options;
   options.verify = VerifyMode::kFull;
-  options.analyze = AnalyzeMode::kOff;
   std::vector<std::string> names = PassNames(BuildCompilePassList(options));
   ASSERT_FALSE(names.empty());
   EXPECT_EQ(names.back(), "Analyze");
-}
 
-TEST(PassListTest, AnalyzePhaseAppendsAnalyzeWithoutFullVerify) {
-  CompileOptions options;
   options.verify = VerifyMode::kPhase;
-  options.analyze = AnalyzeMode::kPhase;
-  std::vector<std::string> names = PassNames(BuildCompilePassList(options));
-  ASSERT_FALSE(names.empty());
-  EXPECT_EQ(names.back(), "Analyze");
-
-  options.analyze = AnalyzeMode::kOff;
   names = PassNames(BuildCompilePassList(options));
   ASSERT_FALSE(names.empty());
   EXPECT_NE(names.back(), "Analyze");

@@ -140,7 +140,7 @@ TEST(SearchSpaceTest, TighterBudgetShrinksSpace) {
 TEST(SearchSpaceTest, MinBlockRespected) {
   Graph g = BuildMha(4, 128, 512, 64);
   SlicingOptions options;
-  options.search.min_block = 16;
+  options.min_block = 16;
   StatusOr<SlicingResult> sliced = ResourceAwareSlicing(g, A100Rc(), options);
   ASSERT_TRUE(sliced.ok());
   const Smg& smg = sliced->schedule.built.smg;

@@ -31,6 +31,7 @@
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
 #include "src/sim/arch.h"
+#include "tests/test_dirs.h"
 
 namespace spacefusion {
 namespace {
@@ -65,10 +66,7 @@ class ScopedEnv {
 };
 
 std::string UniqueTestDir(const std::string& tag) {
-  static int counter = 0;
-  const std::string dir = ::testing::TempDir() + "sf-shape-bucket-" +
-                          std::to_string(::getpid()) + "-" + tag + "-" +
-                          std::to_string(counter++);
+  const std::string dir = testing_util::UniqueTestDir("sf-shape-bucket", tag);
   std::filesystem::create_directories(dir);
   return dir;
 }

@@ -72,15 +72,19 @@ TEST(TensorOpsTest, MatMulSmall) {
 }
 
 TEST(TensorOpsTest, MatMulTransposeIdentities) {
-  Tensor a = Tensor::Random({5, 7}, 1);
-  Tensor b = Tensor::Random({7, 4}, 2);
+  // Row, column and k remainders past the emitted kernels' 4 x 64 tile and
+  // 256-deep k block.
+  Tensor a = Tensor::Random({6, 259}, 1);
+  Tensor b = Tensor::Random({259, 67}, 2);
   Tensor expect = MatMul(a, b);
+  // Every form adds the same products in ascending k, so all agree exactly.
   // (A^T)^T B
   Tensor at = Transpose(a);
-  EXPECT_LT(MaxAbsDiff(MatMul(at, b, /*transpose_a=*/true, false), expect), 1e-5f);
+  EXPECT_EQ(MaxAbsDiff(MatMul(at, b, /*transpose_a=*/true, false), expect), 0.0f);
   // A (B^T)^T
   Tensor bt = Transpose(b);
-  EXPECT_LT(MaxAbsDiff(MatMul(a, bt, false, /*transpose_b=*/true), expect), 1e-5f);
+  EXPECT_EQ(MaxAbsDiff(MatMul(a, bt, false, /*transpose_b=*/true), expect), 0.0f);
+  EXPECT_EQ(MaxAbsDiff(MatMul(at, bt, true, true), expect), 0.0f);
 }
 
 TEST(TensorOpsTest, BatchedMatMulBroadcastsBatchDims) {
