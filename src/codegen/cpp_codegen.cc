@@ -286,52 +286,65 @@ void CppEmitter::PlanAbi() {
   }
 }
 
+// True when evaluating `consumer` reads each element of its input `t`
+// exactly once: unary and reduce always do; binary does unless broadcasting
+// replays the element; matmul never does; and no op that names `t` twice
+// does.
+bool ReadsEachElementOnce(const Graph& g, const Op& consumer, TensorId t) {
+  if (std::count(consumer.inputs.begin(), consumer.inputs.end(), t) != 1) {
+    return false;
+  }
+  switch (consumer.kind) {
+    case OpKind::kUnary:
+    case OpKind::kReduce:
+      return true;
+    case OpKind::kBinary:
+      return g.tensor(consumer.output).shape == g.tensor(t).shape;
+    case OpKind::kMatMul:
+      return false;
+  }
+  return false;
+}
+
+// One flop per element, with no division or transcendental: cheap enough to
+// recompute in every consumer rather than store.
+bool IsOneFlop(const Op& op) {
+  const BinaryKind b = op.attrs.binary;
+  const UnaryKind u = op.attrs.unary;
+  return (op.kind == OpKind::kBinary && (b == BinaryKind::kAdd || b == BinaryKind::kSub ||
+                                         b == BinaryKind::kMul || b == BinaryKind::kMax)) ||
+         (op.kind == OpKind::kUnary &&
+          (u == UnaryKind::kNeg || u == UnaryKind::kRelu || u == UnaryKind::kSquare));
+}
+
 void CppEmitter::PlanInline() {
   inlined_.assign(g_.tensors().size(), false);
   if (opt_.reference_mode) {
     return;
   }
+  // The rule is stated in cpp_codegen.h. Ops come in topological order, so
+  // every operand's decision is made before its consumer's.
   for (const Op& op : g_.ops()) {
     if (op.kind != OpKind::kUnary && op.kind != OpKind::kBinary) {
       continue;
     }
-    const TensorInfo& out = g_.tensor(op.output);
-    if (out.kind != TensorKind::kIntermediate) {
+    if (g_.tensor(op.output).kind != TensorKind::kIntermediate) {
       continue;
     }
     const std::vector<OpId>& consumers = g_.consumers(op.output);
-    if (consumers.size() != 1) {
+    if (consumers.empty()) {
       continue;
     }
-    const Op& consumer = g_.op(consumers[0]);
-    int reads = 0;
-    for (TensorId in : consumer.inputs) {
-      if (in == op.output) {
-        ++reads;
-      }
-    }
-    if (reads != 1) {
+    if (consumers.size() > 1 &&
+        (!IsOneFlop(op) || std::any_of(op.inputs.begin(), op.inputs.end(), [&](TensorId in) {
+          return inlined_[static_cast<size_t>(in)];
+        }))) {
       continue;
     }
-    // Inlining is legal only when the consumer evaluates every element of
-    // this input exactly once: unary and reduce always do; binary does
-    // unless broadcasting replays the element; matmul never does.
-    bool once = false;
-    switch (consumer.kind) {
-      case OpKind::kUnary:
-      case OpKind::kReduce:
-        once = true;
-        break;
-      case OpKind::kBinary:
-        once = g_.tensor(consumer.output).shape == out.shape;
-        break;
-      case OpKind::kMatMul:
-        once = false;
-        break;
-    }
-    if (once) {
-      inlined_[static_cast<size_t>(op.output)] = true;
-    }
+    inlined_[static_cast<size_t>(op.output)] =
+        std::all_of(consumers.begin(), consumers.end(), [&](OpId c) {
+          return ReadsEachElementOnce(g_, g_.op(c), op.output);
+        });
   }
 }
 

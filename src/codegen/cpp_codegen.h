@@ -20,6 +20,14 @@
 // one chunk, so the result is the same bits at any thread count and any
 // chunking. Temporal (Update-then-Aggregate) kernels stay serial.
 //
+// An element-wise intermediate is computed inside its consumers instead of
+// stored when every consumer reads each of its elements once: always with
+// one consumer, and with several only when it is one flop (add, sub, mul,
+// max, neg, relu, square) over boundary or stored operands, so
+// recomputation never compounds. Recomputing repeats the same operations on
+// the same operands, so no bit changes; LayerNorm's x - mean and
+// attention's scaled scores stay out of scratch.
+//
 // Emitted ABI (see CppKernelFn and CppKernelBindFn):
 //   extern "C" int sf_k_<key>(const float* const* in, float* const* out,
 //                             float* scratch);

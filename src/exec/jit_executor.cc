@@ -43,16 +43,17 @@ Status JitExecutor::TryRunJit(const SmgSchedule& schedule, TensorEnv* env) {
     }
     in_ptrs.push_back(tensor.data());
   }
+  // Outputs and scratch are uninitialized: a kernel writes every element of
+  // both before reading it.
   std::vector<Tensor> outputs;
   std::vector<float*> out_ptrs;
   outputs.reserve(kernel.output_ids.size());
   out_ptrs.reserve(kernel.output_ids.size());
   for (TensorId t : kernel.output_ids) {
     const TensorInfo& info = graph.tensor(t);
-    outputs.push_back(Tensor::Zeros(info.shape, info.dtype));
+    outputs.push_back(Tensor::ForOverwrite(info.shape, info.dtype));
     out_ptrs.push_back(outputs.back().data());
   }
-  // Uninitialized: a kernel writes every scratch element before reading it.
   const std::unique_ptr<float[]> scratch =
       std::make_unique_for_overwrite<float[]>(static_cast<size_t>(loaded.scratch_floats));
 

@@ -12,9 +12,11 @@
 //
 // Each kernel runs on the calling thread, which also runs one chunk of
 // every parallel loop the kernel hands the process's kernel pool
-// (KernelParallelFor); the executor allocates the kernel's outputs zeroed
-// and its scratch uninitialized (kernels write before they read). Several
-// threads may run programs through one executor at once.
+// (KernelParallelFor). The executor allocates the kernel's outputs
+// (Tensor::ForOverwrite) and its scratch fresh on every call and
+// uninitialized: the kernel ABI promises every element is written before it
+// is read. Each call's outputs are new tensors that no later call touches.
+// Several threads may run programs through one executor at once.
 //
 // Numerics: the emitted code replays the interpreter's exact per-element
 // operation order and is compiled with -ffp-contract=off, so outputs are

@@ -151,22 +151,21 @@ Shape LayoutShape(const TensorLayout& layout, const AxisExtents& extents) {
 
 namespace {
 
-// Flattens the layout into one sub-dim list (row-major over dims, then over
-// sub-dims within a dim) with exact extents, bucket extents, and the
-// row-major strides of the bucket-side (or exact-side) flattened tensor.
-struct FlatLayout {
-  std::vector<std::int64_t> exact;          // per sub-dim exact extent
-  std::vector<std::int64_t> src_strides;    // strides in the source tensor
-  std::vector<std::int64_t> dst_strides;    // strides in the destination tensor
-};
-
-std::vector<std::int64_t> SubDimStrides(const TensorLayout& layout, const AxisExtents& extents) {
-  std::vector<std::int64_t> sizes;
+// The layout flattened into one sub-dim list, row-major over dims and then
+// over the sub-dims within a dim: each sub-dim's extent, and its stride in
+// the flattened tensor.
+std::vector<std::int64_t> SubDimExtents(const TensorLayout& layout, const AxisExtents& extents) {
+  std::vector<std::int64_t> out;
   for (const std::vector<SubDim>& dim : layout.dims) {
     for (const SubDim& sub : dim) {
-      sizes.push_back(SubDimExtent(sub, extents));
+      out.push_back(SubDimExtent(sub, extents));
     }
   }
+  return out;
+}
+
+std::vector<std::int64_t> SubDimStrides(const TensorLayout& layout, const AxisExtents& extents) {
+  const std::vector<std::int64_t> sizes = SubDimExtents(layout, extents);
   std::vector<std::int64_t> strides(sizes.size(), 1);
   for (size_t i = sizes.size(); i-- > 1;) {
     strides[i - 1] = strides[i] * sizes[i];
@@ -184,75 +183,91 @@ Status CheckShape(const char* what, const TensorLayout& layout, const Tensor& t,
   return Status::Ok();
 }
 
-// Copies the full exact-extent sub-dim index space from src to dst, where
-// both are flattened tensors addressed via the given sub-dim strides.
-void CopyRegion(const std::vector<std::int64_t>& exact_extents,
+// Copies the exact-extent sub-dim index space from src to dst, where both
+// are flattened tensors addressed via the given sub-dim strides. The
+// innermost sub-dim has stride 1 on both sides, so each of its runs is one
+// copy_n. A layout without sub-dims copies its one element; a zero extent
+// copies nothing.
+void CopyRegion(const std::vector<std::int64_t>& extents,
                 const std::vector<std::int64_t>& src_strides,
-                const std::vector<std::int64_t>& dst_strides, const Tensor& src, Tensor* dst) {
-  const size_t rank = exact_extents.size();
-  std::vector<std::int64_t> index(rank, 0);
+                const std::vector<std::int64_t>& dst_strides, const float* src, float* dst) {
+  if (std::find(extents.begin(), extents.end(), 0) != extents.end()) {
+    return;
+  }
+  const size_t outer = extents.empty() ? 0 : extents.size() - 1;
+  const std::int64_t run = extents.empty() ? 1 : extents.back();
+  std::vector<std::int64_t> index(outer, 0);
+  std::int64_t src_flat = 0;
+  std::int64_t dst_flat = 0;
   while (true) {
-    std::int64_t src_flat = 0;
-    std::int64_t dst_flat = 0;
-    for (size_t i = 0; i < rank; ++i) {
-      src_flat += index[i] * src_strides[i];
-      dst_flat += index[i] * dst_strides[i];
-    }
-    dst->at(dst_flat) = src.at(src_flat);
-    size_t axis = rank;
-    while (axis-- > 0) {
-      if (++index[axis] < exact_extents[axis]) {
-        break;
-      }
-      index[axis] = 0;
-      if (axis == 0) {
+    std::copy_n(src + src_flat, run, dst + dst_flat);
+    size_t axis = outer;
+    while (true) {
+      if (axis-- == 0) {
         return;
       }
+      src_flat += src_strides[axis];
+      dst_flat += dst_strides[axis];
+      if (++index[axis] < extents[axis]) {
+        break;
+      }
+      src_flat -= index[axis] * src_strides[axis];
+      dst_flat -= index[axis] * dst_strides[axis];
+      index[axis] = 0;
     }
   }
 }
 
-std::vector<std::int64_t> SubDimExtents(const TensorLayout& layout, const AxisExtents& extents) {
-  std::vector<std::int64_t> out;
-  for (const std::vector<SubDim>& dim : layout.dims) {
-    for (const SubDim& sub : dim) {
-      out.push_back(SubDimExtent(sub, extents));
+// The sub-dim extents of the real region: each must lie in [0, its bucket
+// extent], or the copies would leave either tensor.
+StatusOr<std::vector<std::int64_t>> RegionExtents(const TensorLayout& layout,
+                                                  const AxisExtents& exact_extents,
+                                                  const AxisExtents& bucket_extents) {
+  std::vector<std::int64_t> region = SubDimExtents(layout, exact_extents);
+  const std::vector<std::int64_t> bucket = SubDimExtents(layout, bucket_extents);
+  for (size_t i = 0; i < region.size(); ++i) {
+    if (region[i] < 0 || region[i] > bucket[i]) {
+      return InvalidArgument(StrCat("shape-bucket: tensor \"", layout.name, "\" sub-dim ", i,
+                                    " has exact extent ", region[i], ", outside the bucket's [0, ",
+                                    bucket[i], "]"));
     }
   }
-  return out;
+  return region;
 }
 
 }  // namespace
 
 StatusOr<Tensor> PadToBucket(const TensorLayout& layout, const Tensor& exact,
                              const AxisExtents& exact_extents, const AxisExtents& bucket_extents) {
+  SF_ASSIGN_OR_RETURN(const std::vector<std::int64_t> region,
+                      RegionExtents(layout, exact_extents, bucket_extents));
   SF_RETURN_IF_ERROR(CheckShape("pad", layout, exact, exact_extents));
   const Shape bucket_shape = LayoutShape(layout, bucket_extents);
   Tensor bucket = Tensor::Zeros(bucket_shape, exact.dtype());
-  if (layout.attn_mask && !bucket_shape.dims().empty()) {
+  if (layout.attn_mask && !bucket_shape.dims().empty() && bucket_shape.volume() > 0) {
     // Padded kv columns read -1e30 in *every* row so their softmax weight
     // underflows to exactly zero; padded query rows keep 0 in real columns
     // (a finite row — softmax of it is well defined and sliced away anyway).
     const std::int64_t cols = bucket_shape.dims().back();
     const std::int64_t exact_cols = LayoutShape(layout, exact_extents).dims().back();
-    const std::int64_t rows = bucket_shape.volume() / cols;
-    for (std::int64_t r = 0; r < rows; ++r) {
-      for (std::int64_t c = exact_cols; c < cols; ++c) {
-        bucket.at(r * cols + c) = kMaskPadValue;
-      }
+    for (float* row = bucket.data(); row < bucket.data() + bucket.volume(); row += cols) {
+      std::fill(row + exact_cols, row + cols, kMaskPadValue);
     }
   }
-  CopyRegion(SubDimExtents(layout, exact_extents), SubDimStrides(layout, exact_extents),
-             SubDimStrides(layout, bucket_extents), exact, &bucket);
+  CopyRegion(region, SubDimStrides(layout, exact_extents), SubDimStrides(layout, bucket_extents),
+             exact.data(), bucket.data());
   return bucket;
 }
 
 StatusOr<Tensor> SliceToExact(const TensorLayout& layout, const Tensor& bucket,
                               const AxisExtents& exact_extents, const AxisExtents& bucket_extents) {
+  SF_ASSIGN_OR_RETURN(const std::vector<std::int64_t> region,
+                      RegionExtents(layout, exact_extents, bucket_extents));
   SF_RETURN_IF_ERROR(CheckShape("slice", layout, bucket, bucket_extents));
-  Tensor exact = Tensor::Zeros(LayoutShape(layout, exact_extents), bucket.dtype());
-  CopyRegion(SubDimExtents(layout, exact_extents), SubDimStrides(layout, bucket_extents),
-             SubDimStrides(layout, exact_extents), bucket, &exact);
+  // Uninitialized: the region is the whole exact tensor.
+  Tensor exact = Tensor::ForOverwrite(LayoutShape(layout, exact_extents), bucket.dtype());
+  CopyRegion(region, SubDimStrides(layout, bucket_extents), SubDimStrides(layout, exact_extents),
+             bucket.data(), exact.data());
   return exact;
 }
 

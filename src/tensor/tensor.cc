@@ -1,5 +1,6 @@
 #include "src/tensor/tensor.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/support/logging.h"
@@ -20,35 +21,40 @@ std::uint64_t SplitMix64(std::uint64_t& state) {
 Tensor::Tensor(Shape shape, DType dtype)
     : shape_(std::move(shape)),
       dtype_(dtype),
-      data_(std::make_shared<std::vector<float>>(static_cast<size_t>(shape_.volume()), 0.0f)) {}
+      data_(std::make_shared<float[]>(static_cast<size_t>(shape_.volume()))) {}
 
 Tensor Tensor::Zeros(Shape shape, DType dtype) { return Tensor(std::move(shape), dtype); }
 
+Tensor Tensor::ForOverwrite(Shape shape, DType dtype) {
+  Tensor t;
+  t.shape_ = std::move(shape);
+  t.dtype_ = dtype;
+  t.data_ = std::make_shared_for_overwrite<float[]>(static_cast<size_t>(t.shape_.volume()));
+  return t;
+}
+
 Tensor Tensor::Full(Shape shape, float value, DType dtype) {
-  Tensor t(std::move(shape), dtype);
-  for (auto& v : *t.data_) {
-    v = value;
-  }
+  Tensor t = ForOverwrite(std::move(shape), dtype);
+  std::fill_n(t.data(), t.volume(), value);
   return t;
 }
 
 Tensor Tensor::Random(Shape shape, std::uint64_t seed, DType dtype) {
-  Tensor t(std::move(shape), dtype);
+  Tensor t = ForOverwrite(std::move(shape), dtype);
   std::uint64_t state = seed * 0x9E3779B97F4A7C15ULL + 1;
-  for (auto& v : *t.data_) {
+  float* v = t.data();
+  for (std::int64_t i = 0; i < t.volume(); ++i) {
     std::uint64_t bits = SplitMix64(state);
-    v = static_cast<float>(static_cast<double>(bits >> 11) / static_cast<double>(1ULL << 53)) *
-            2.0f -
-        1.0f;
+    v[i] = static_cast<float>(static_cast<double>(bits >> 11) / static_cast<double>(1ULL << 53)) *
+               2.0f -
+           1.0f;
   }
   return t;
 }
 
 Tensor Tensor::Clone() const {
-  Tensor out;
-  out.shape_ = shape_;
-  out.dtype_ = dtype_;
-  out.data_ = std::make_shared<std::vector<float>>(*data_);
+  Tensor out = ForOverwrite(shape_, dtype_);
+  std::copy_n(data(), volume(), out.data());
   return out;
 }
 

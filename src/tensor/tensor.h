@@ -1,5 +1,6 @@
 // Host tensors. Values are stored as float regardless of declared dtype; the
 // dtype only affects how many bytes the simulator charges per element.
+// Every factory but ForOverwrite initializes every element.
 #ifndef SPACEFUSION_SRC_TENSOR_TENSOR_H_
 #define SPACEFUSION_SRC_TENSOR_TENSOR_H_
 
@@ -15,9 +16,13 @@ namespace spacefusion {
 class Tensor {
  public:
   Tensor() = default;
+  // Zero-filled.
   explicit Tensor(Shape shape, DType dtype = DType::kF16);
 
   static Tensor Zeros(Shape shape, DType dtype = DType::kF16);
+  // Uninitialized: for a caller that writes every element before any read
+  // (a JIT kernel's outputs, a full-region copy).
+  static Tensor ForOverwrite(Shape shape, DType dtype = DType::kF16);
   static Tensor Full(Shape shape, float value, DType dtype = DType::kF16);
   // Deterministic pseudo-random uniform values in [-1, 1).
   static Tensor Random(Shape shape, std::uint64_t seed, DType dtype = DType::kF16);
@@ -27,17 +32,17 @@ class Tensor {
   std::int64_t volume() const { return shape_.volume(); }
   std::int64_t bytes() const { return volume() * DTypeSize(dtype_); }
 
-  float* data() { return data_->data(); }
-  const float* data() const { return data_->data(); }
+  float* data() { return data_.get(); }
+  const float* data() const { return data_.get(); }
 
-  float at(std::int64_t flat) const { return (*data_)[static_cast<size_t>(flat)]; }
-  float& at(std::int64_t flat) { return (*data_)[static_cast<size_t>(flat)]; }
+  float at(std::int64_t flat) const { return data_[static_cast<size_t>(flat)]; }
+  float& at(std::int64_t flat) { return data_[static_cast<size_t>(flat)]; }
 
   float at(const std::vector<std::int64_t>& index) const {
-    return (*data_)[static_cast<size_t>(shape_.FlatIndex(index))];
+    return data_[static_cast<size_t>(shape_.FlatIndex(index))];
   }
   float& at(const std::vector<std::int64_t>& index) {
-    return (*data_)[static_cast<size_t>(shape_.FlatIndex(index))];
+    return data_[static_cast<size_t>(shape_.FlatIndex(index))];
   }
 
   bool defined() const { return data_ != nullptr; }
@@ -48,7 +53,7 @@ class Tensor {
  private:
   Shape shape_;
   DType dtype_ = DType::kF16;
-  std::shared_ptr<std::vector<float>> data_;
+  std::shared_ptr<float[]> data_;
 };
 
 // Largest absolute element-wise difference between two same-shaped tensors.

@@ -137,6 +137,29 @@ TEST(JitExecutorTest, LayerNormMatchesInterpreter) {
   ExpectJitMatchesInterpreter(g, /*seed=*/13, SharedExecutor());
 }
 
+// Every call hands back new output tensors: a caller may hold a result
+// while the executor serves the next call.
+TEST(JitExecutorTest, EachCallReturnsFreshOutputs) {
+  const Graph g = BuildLayerNormGraph(/*m=*/64, /*n=*/256);
+  StatusOr<CompiledSubprogram> compiled = CompileGraph(g);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const size_t o = static_cast<size_t>(g.OutputIds()[0]);
+  const TensorEnv inputs[2] = {MakeGraphInputs(g, /*seed=*/51), MakeGraphInputs(g, /*seed=*/52)};
+  TensorEnv jitted[2];
+  ASSERT_TRUE(SharedExecutor().RunProgram(compiled->program, g, inputs[0], &jitted[0]).ok());
+  const Tensor held = jitted[0][o].Clone();
+  ASSERT_TRUE(SharedExecutor().RunProgram(compiled->program, g, inputs[1], &jitted[1]).ok());
+  EXPECT_NE(jitted[0][o].data(), jitted[1][o].data());
+  EXPECT_EQ(std::memcmp(held.data(), jitted[0][o].data(),
+                        static_cast<size_t>(held.volume()) * sizeof(float)),
+            0);
+  for (int call = 0; call < 2; ++call) {
+    TensorEnv interpreted;
+    ASSERT_TRUE(RunScheduledProgram(compiled->program, g, inputs[call], &interpreted).ok());
+    EXPECT_LE(MaxRelDiff(jitted[call][o], interpreted[o]), kParityTolerance) << call;
+  }
+}
+
 TEST(JitExecutorTest, MlpMatchesInterpreter) {
   Graph g = BuildMlp(/*num_layers=*/3, /*m=*/16, /*n=*/32, /*k=*/24);
   ExpectJitMatchesInterpreter(g, /*seed=*/14, SharedExecutor());
@@ -705,6 +728,83 @@ TEST(CppCodegenTest, OptionsChangeTheKey) {
   ASSERT_TRUE(b.ok());
   EXPECT_NE(a->key, b->key);
   EXPECT_NE(CppCodegenOptionsDigest(plain), CppCodegenOptionsDigest(reference));
+}
+
+// Scratch buffer of `t` in an emitted kernel's source.
+bool StoresTensor(const CppKernel& kernel, TensorId t) {
+  return kernel.source.find("float* __restrict__ s_t" + std::to_string(t) + " = scratch") !=
+         std::string::npos;
+}
+
+// The first unary / binary op of `g` of the given kind; -1 when none.
+OpId FindOp(const Graph& g, UnaryKind kind) {
+  for (const Op& op : g.ops()) {
+    if (op.kind == OpKind::kUnary && op.attrs.unary == kind) {
+      return op.id;
+    }
+  }
+  return -1;
+}
+OpId FindOp(const Graph& g, BinaryKind kind) {
+  for (const Op& op : g.ops()) {
+    if (op.kind == OpKind::kBinary && op.attrs.binary == kind) {
+      return op.id;
+    }
+  }
+  return -1;
+}
+
+// A one-flop element-wise intermediate whose consumers each read an element
+// once is recomputed in every consumer instead of stored, unless one of its
+// own operands is recomputed; division and transcendentals stay stored, and
+// reference_mode stores every intermediate.
+TEST(CppCodegenTest, CheapMultiConsumerIntermediatesAreRecomputed) {
+  StatusOr<CompiledSubprogram> ln = CompileGraph(BuildLayerNormGraph(2048, 2048));
+  ASSERT_TRUE(ln.ok()) << ln.status().ToString();
+  ASSERT_EQ(ln->program.kernels.size(), 1u);
+  CppCodegenOptions reference;
+  reference.reference_mode = true;
+  StatusOr<CppKernel> fused = EmitCppKernel(ln->program.kernels[0]);
+  StatusOr<CppKernel> unfused = EmitCppKernel(ln->program.kernels[0], reference);
+  ASSERT_TRUE(fused.ok() && unfused.ok());
+  // x - mean (two consumers) is recomputed: only the per-row statistics
+  // take scratch, no 2048 x 2048 buffer.
+  EXPECT_LE(fused->scratch_floats, 3 * 2048 + 16);
+  EXPECT_GE(unfused->scratch_floats, 2048 * 2048);
+
+  StatusOr<CompiledSubprogram> mha = CompileGraph(BuildMha(12, 256, 256, 64));
+  ASSERT_TRUE(mha.ok()) << mha.status().ToString();
+  ASSERT_EQ(mha->program.kernels.size(), 1u);
+  const Graph& mg = mha->program.kernels[0].graph;
+  StatusOr<CppKernel> attention = EmitCppKernel(mha->program.kernels[0]);
+  ASSERT_TRUE(attention.ok()) << attention.status().ToString();
+  const OpId exp = FindOp(mg, UnaryKind::kExp);
+  const OpId scale = FindOp(mg, BinaryKind::kMul);
+  ASSERT_GE(exp, 0);
+  ASSERT_GE(scale, 0);
+  EXPECT_TRUE(StoresTensor(*attention, mg.op(exp).output));
+  EXPECT_FALSE(StoresTensor(*attention, mg.op(scale).output));
+
+  // sum = (x * y) + y has two consumers, but its operand x * y is itself
+  // inlined (one consumer), so sum stays stored.
+  GraphBuilder b("recompute_chain");
+  const TensorId x = b.Input("x", Shape({64, 128}));
+  const TensorId y = b.Input("y", Shape({64, 128}));
+  const TensorId sum = b.Add(b.Mul(x, y), y);
+  b.MarkOutput(b.Mul(sum, b.Reduce(ReduceKind::kSum, sum)));
+  const Graph graph = b.Build();
+  StatusOr<CompiledSubprogram> chain = CompileGraph(graph);
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  ASSERT_EQ(chain->program.kernels.size(), 1u);
+  const Graph& cg = chain->program.kernels[0].graph;
+  StatusOr<CppKernel> chained = EmitCppKernel(chain->program.kernels[0]);
+  ASSERT_TRUE(chained.ok()) << chained.status().ToString();
+  const OpId add = FindOp(cg, BinaryKind::kAdd);
+  ASSERT_GE(add, 0);
+  EXPECT_EQ(cg.consumers(cg.op(add).output).size(), 2u);
+  EXPECT_TRUE(StoresTensor(*chained, cg.op(add).output));
+  EXPECT_FALSE(StoresTensor(*chained, cg.op(add).inputs[0]));
+  ExpectJitMatchesInterpreter(graph, /*seed=*/43, SharedExecutor());
 }
 
 // reference_mode disables temporal slicing and fused elementwise chains;

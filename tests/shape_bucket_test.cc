@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -219,6 +220,100 @@ TEST(PadSliceTest, AttentionMaskPadsKvColumnsWithMaskValue) {
         }
       }
     }
+  }
+}
+
+// Every padding layout of the bucketed BERT factory embeds the real region
+// and slices it back bit for bit; every padded element reads 0, or
+// kMaskPadValue in an attention mask.
+TEST(PadSliceTest, EveryBertLayoutRoundTripsBitForBit) {
+  constexpr float kReal = 7.0f;  // marks the real region; no padding reads it
+  for (std::int64_t seq : {9, 17, 33, 64}) {
+    const BucketedModel m =
+        BuildModelBucketed(ModelKind::kBert, {1, seq}, BucketingPolicy::PowersOfTwo());
+    const AxisExtents exact = m.ExactExtents();
+    const AxisExtents bucket = m.BucketExtents();
+    for (const SubprogramLayout& sub : m.layouts) {
+      std::vector<TensorLayout> layouts = sub.inputs;
+      layouts.insert(layouts.end(), sub.outputs.begin(), sub.outputs.end());
+      for (const TensorLayout& layout : layouts) {
+        const std::string where = layout.name + " at seq " + std::to_string(seq);
+        const Tensor t = Tensor::Random(LayoutShape(layout, exact), /*seed=*/seq);
+        StatusOr<Tensor> padded = PadToBucket(layout, t, exact, bucket);
+        ASSERT_TRUE(padded.ok()) << where << ": " << padded.status().ToString();
+        ASSERT_EQ(padded->shape(), LayoutShape(layout, bucket)) << where;
+        StatusOr<Tensor> back = SliceToExact(layout, *padded, exact, bucket);
+        ASSERT_TRUE(back.ok()) << where << ": " << back.status().ToString();
+        ASSERT_EQ(back->shape(), t.shape()) << where;
+        const size_t bytes = static_cast<size_t>(t.volume()) * sizeof(float);
+        EXPECT_EQ(std::memcmp(back->data(), t.data(), bytes), 0) << where;
+
+        StatusOr<Tensor> marked =
+            PadToBucket(layout, Tensor::Full(t.shape(), kReal), exact, bucket);
+        ASSERT_TRUE(marked.ok()) << where;
+        std::int64_t real = 0;
+        std::int64_t stray = 0;
+        for (std::int64_t i = 0; i < marked->volume(); ++i) {
+          const float v = marked->at(i);
+          real += v == kReal ? 1 : 0;
+          stray += v == kReal || v == 0.0f || (layout.attn_mask && v == kMaskPadValue) ? 0 : 1;
+        }
+        EXPECT_EQ(real, t.volume()) << where;
+        EXPECT_EQ(stray, 0) << where;
+      }
+    }
+  }
+}
+
+// Degenerate layouts return instead of hanging or reading an empty tensor:
+// a layout without sub-dims copies its one element, a zero extent copies
+// nothing, and an exact extent beyond the bucket's is refused.
+TEST(PadSliceTest, RankZeroAndZeroExtentLayoutsReturn) {
+  const AxisExtents one{1, 1};
+  const AxisExtents wide{2, 8};
+  for (const std::vector<std::vector<SubDim>>& dims :
+       {std::vector<std::vector<SubDim>>{}, std::vector<std::vector<SubDim>>{{}}}) {
+    TensorLayout scalar;
+    scalar.dims = dims;
+    StatusOr<Tensor> padded =
+        PadToBucket(scalar, Tensor::Full(LayoutShape(scalar, one), 3.0f), one, wide);
+    ASSERT_TRUE(padded.ok()) << padded.status().ToString();
+    ASSERT_EQ(padded->volume(), 1);
+    EXPECT_EQ(padded->at(0), 3.0f);
+    StatusOr<Tensor> back = SliceToExact(scalar, *padded, one, wide);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back->at(0), 3.0f);
+  }
+
+  TensorLayout tokens;
+  tokens.dims = {{SubDim{DimAxis::kBatch, 1}, SubDim{DimAxis::kSeq, 1}},
+                 {SubDim{DimAxis::kFixed, 8}}};
+  TensorLayout mask;
+  mask.dims = {{SubDim{DimAxis::kBatch, 1}, SubDim{DimAxis::kFixed, 2}},
+               {SubDim{DimAxis::kSeq, 1}},
+               {SubDim{DimAxis::kSeq, 1}}};
+  mask.attn_mask = true;
+  for (const TensorLayout& layout : {tokens, mask}) {
+    const AxisExtents empty{1, 0};
+    for (const AxisExtents& bucket : {empty, AxisExtents{1, 4}}) {
+      StatusOr<Tensor> padded =
+          PadToBucket(layout, Tensor::Zeros(LayoutShape(layout, empty)), empty, bucket);
+      ASSERT_TRUE(padded.ok()) << padded.status().ToString();
+      EXPECT_EQ(padded->shape(), LayoutShape(layout, bucket));
+      StatusOr<Tensor> back = SliceToExact(layout, *padded, empty, bucket);
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      EXPECT_EQ(back->volume(), 0);
+    }
+    const AxisExtents longer{1, 5};
+    const AxisExtents shorter{1, 4};
+    EXPECT_EQ(PadToBucket(layout, Tensor::Zeros(LayoutShape(layout, longer)), longer, shorter)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(SliceToExact(layout, Tensor::Zeros(LayoutShape(layout, shorter)), longer, shorter)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
   }
 }
 

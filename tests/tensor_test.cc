@@ -34,6 +34,18 @@ TEST(TensorTest, ZerosAndFull) {
   EXPECT_EQ(f32.bytes(), 4 * 4);
 }
 
+TEST(TensorTest, ForOverwriteKeepsShapeAndDtype) {
+  const Tensor t = Tensor::ForOverwrite({3, 5}, DType::kF32);
+  EXPECT_TRUE(t.defined());
+  EXPECT_EQ(t.shape(), Shape({3, 5}));
+  EXPECT_EQ(t.bytes(), 4 * 15);
+  const Tensor empty = Tensor::ForOverwrite({0, 4});
+  EXPECT_TRUE(empty.defined());
+  EXPECT_EQ(empty.volume(), 0);
+  // The constructor still zero-fills.
+  EXPECT_EQ(Tensor(Shape({4})).at(3), 0.0f);
+}
+
 TEST(TensorTest, RandomIsDeterministic) {
   Tensor a = Tensor::Random({16}, 7);
   Tensor b = Tensor::Random({16}, 7);
