@@ -39,7 +39,7 @@ constexpr std::int64_t kTileDepth = 256;
 
 // An op whose work reaches kParallelWork runs its outermost independent
 // loop on the kernel pool; smaller ops stay on the calling thread. Each
-// region costs a pool round trip per call (about 13 us on a 4-vCPU host)
+// region costs a pool round trip per call (about 8-11 us on a 4-vCPU host)
 // and one more lambda for the toolchain to build: making every op a region
 // raised execbench setup_s by 4-24% for no latency gain beyond the noise
 // (DESIGN.md, "Parallel loops"). Work counts an elementwise op's output elements and a

@@ -66,8 +66,7 @@ class JitKernelCache {
     std::int64_t corrupt = 0;      // undlopenable / symbol-less entries
     std::int64_t failures = 0;     // builds or loads that errored
     double build_ms = 0.0;         // cumulative wall time inside the toolchain
-    // Every time the host compiler ran, successful or not. The CI serve
-    // step asserts this stays 0 on a warm restart.
+    // Every time the host compiler ran, successful or not.
     std::int64_t toolchain_invocations = 0;
   };
 

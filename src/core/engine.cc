@@ -292,7 +292,7 @@ StatusOr<CompiledSubprogram> CompilerEngine::CompileCold(const Graph& graph,
   SF_ASSIGN_OR_RETURN(CompiledSubprogram result, RunPassList(graph, options, report));
   if (persistent_ != nullptr) {
     // Admission gate: a racy program must never be persisted — a later
-    // daemon would serve it without recompiling, so disk is where a bad
+    // process would serve it without recompiling, so disk is where a bad
     // schedule would outlive the compiler bug that produced it. The result
     // is still returned to the caller (the Analyze pass owns failing the
     // compile; here only persistence is refused).

@@ -45,7 +45,7 @@ namespace spacefusion {
 std::uint64_t CompileOptionsDigest(const CompileOptions& options);
 
 // The SPACEFUSION_CACHE_DIR environment variable, read fresh on every call
-// ("" when unset) so tests and daemons can repoint it between engines.
+// ("" when unset) so tests can repoint it between engines.
 std::string CacheDirFromEnv();
 
 // What CompileModel returns.
@@ -91,8 +91,8 @@ struct EngineOptions {
   CompileOptions compile;
   // Directory of the persistent program cache; defaults to
   // SPACEFUSION_CACHE_DIR (empty = in-memory cache only). Cold compiles are
-  // stored as checksummed blobs and a later engine — typically a restarted
-  // daemon — serves them as "persistent_hit" without re-tuning; stale or
+  // stored as checksummed blobs and a later engine — typically in a later
+  // process — serves them as "persistent_hit" without re-tuning; stale or
   // corrupt entries silently fall back to a cold compile
   // (engine.cache.persistent_* metrics).
   std::string cache_dir = CacheDirFromEnv();
@@ -102,7 +102,7 @@ struct EngineOptions {
   std::function<std::uint64_t(const Graph&)> fingerprint_fn;
   // Race analysis run on every cold compile before it is admitted into the
   // persistent cache (src/analysis): a program with SFV06xx findings is
-  // never stored (engine.cache.analysis_rejected), so a restarted daemon
+  // never stored (engine.cache.analysis_rejected), so a later process
   // cannot warm-serve a racy schedule. Defaults to AnalyzeCompiledProgram;
   // tests override it to force rejections.
   std::function<DiagnosticReport(const ScheduledProgram&, const Graph&)> admission_analysis;
@@ -228,7 +228,7 @@ class CompilerEngine {
   // Cross-bucket config-transfer store: shape-free kernel signature ->
   // per-bucket admitted configs (best measured first). Filled by cold
   // bucketed compiles, read by the tuner prior of later buckets. In-memory
-  // only: a restarted daemon rebuilds it as buckets compile cold (warm
+  // only: a later process rebuilds it as buckets compile cold (warm
   // requests never tune, so they never need a prior).
   struct TransferEntry {
     ShapeKey bucket;

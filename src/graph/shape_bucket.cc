@@ -18,19 +18,12 @@ StatusOr<ShapeKey> ParseShapeLabel(const std::string& label) {
   if (label.size() < 4 || label[0] != 'b' || s_pos == std::string::npos) {
     return InvalidArgument("malformed shape label: \"" + label + "\"");
   }
-  ShapeKey key;
-  char* end = nullptr;
-  const std::string batch_str = label.substr(1, s_pos - 1);
-  const std::string seq_str = label.substr(s_pos + 1);
-  key.batch = std::strtoll(batch_str.c_str(), &end, 10);
-  if (batch_str.empty() || *end != '\0' || key.batch < 1) {
+  const std::optional<std::int64_t> batch = ParsePositiveInt(label.substr(1, s_pos - 1));
+  const std::optional<std::int64_t> seq = ParsePositiveInt(label.substr(s_pos + 1));
+  if (!batch || !seq) {
     return InvalidArgument("malformed shape label: \"" + label + "\"");
   }
-  key.seq = std::strtoll(seq_str.c_str(), &end, 10);
-  if (seq_str.empty() || *end != '\0' || key.seq < 1) {
-    return InvalidArgument("malformed shape label: \"" + label + "\"");
-  }
-  return key;
+  return ShapeKey{*batch, *seq};
 }
 
 std::int64_t RoundUpPow2(std::int64_t v) {
@@ -52,17 +45,16 @@ BucketingPolicy BucketingPolicy::Identity() {
 StatusOr<BucketingPolicy> BucketingPolicy::FromSpec(const std::string& spec) {
   BucketingPolicy policy;
   for (const std::string& piece : StrSplit(spec, ',')) {
-    char* end = nullptr;
-    const std::int64_t bucket = std::strtoll(piece.c_str(), &end, 10);
-    if (piece.empty() || *end != '\0' || bucket < 1) {
+    const std::optional<std::int64_t> bucket = ParsePositiveInt(piece);
+    if (!bucket) {
       return InvalidArgument("SPACEFUSION_SHAPE_BUCKETS: \"" + piece +
                              "\" is not a positive integer in \"" + spec + "\"");
     }
-    if (!policy.seq_buckets_.empty() && bucket <= policy.seq_buckets_.back()) {
+    if (!policy.seq_buckets_.empty() && *bucket <= policy.seq_buckets_.back()) {
       return InvalidArgument("SPACEFUSION_SHAPE_BUCKETS: buckets must be strictly ascending in \"" +
                              spec + "\"");
     }
-    policy.seq_buckets_.push_back(bucket);
+    policy.seq_buckets_.push_back(*bucket);
   }
   if (policy.seq_buckets_.empty()) {
     return InvalidArgument("SPACEFUSION_SHAPE_BUCKETS: empty bucket list");

@@ -28,8 +28,8 @@ struct ShapeKey {
   std::int64_t batch = 1;
   std::int64_t seq = 128;
 
-  // Canonical spelling, e.g. "b1s128". Used as the cache bucket tag, in
-  // CompileReports, and on the serve wire.
+  // Canonical spelling, e.g. "b1s128". Used as the cache bucket tag and in
+  // CompileReports.
   std::string Label() const;
   bool operator==(const ShapeKey& other) const {
     return batch == other.batch && seq == other.seq;

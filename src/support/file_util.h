@@ -4,7 +4,7 @@
 // The one rule both writers share: a file that exists is complete. Writers
 // that fopen the final path directly can be interrupted (crash, kill -9,
 // full disk) after creating the file but before finishing it, and a later
-// reader — possibly a freshly restarted daemon warming its cache — would
+// reader — possibly a later process warming its program cache — would
 // load the torso. AtomicWriteFile writes to a same-directory temp name and
 // renames into place, which POSIX guarantees is atomic, so readers observe
 // either the old content, the new content, or no file — never a partial

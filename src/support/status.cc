@@ -16,10 +16,6 @@ const char* StatusCodeName(StatusCode code) {
       return "INTERNAL";
     case StatusCode::kNotFound:
       return "NOT_FOUND";
-    case StatusCode::kDeadlineExceeded:
-      return "DEADLINE_EXCEEDED";
-    case StatusCode::kResourceExhausted:
-      return "RESOURCE_EXHAUSTED";
     case StatusCode::kDataLoss:
       return "DATA_LOSS";
   }

@@ -21,8 +21,6 @@ enum class StatusCode {
   kUnsupported,        // operator / pattern outside the implemented scope
   kInternal,           // invariant violation (a bug)
   kNotFound,
-  kDeadlineExceeded,   // serving: request expired before/while compiling
-  kResourceExhausted,  // serving: admission queue full or client over quota
   kDataLoss,           // persisted artifact truncated / corrupted / stale
 };
 
@@ -64,12 +62,6 @@ inline Status Internal(std::string msg) {
 }
 inline Status NotFound(std::string msg) {
   return Status(StatusCode::kNotFound, std::move(msg));
-}
-inline Status DeadlineExceeded(std::string msg) {
-  return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-}
-inline Status ResourceExhausted(std::string msg) {
-  return Status(StatusCode::kResourceExhausted, std::move(msg));
 }
 inline Status DataLoss(std::string msg) {
   return Status(StatusCode::kDataLoss, std::move(msg));

@@ -1,5 +1,7 @@
 #include "src/support/string_util.h"
 
+#include <charconv>
+
 namespace spacefusion {
 
 std::vector<std::string> StrSplit(const std::string& text, char delim) {
@@ -28,6 +30,19 @@ std::string ToLower(std::string text) {
     }
   }
   return text;
+}
+
+std::optional<std::int64_t> ParsePositiveInt(const std::string& text) {
+  const char* const first = text.data();
+  const char* const last = first + text.size();
+  std::int64_t value = 0;
+  // from_chars takes no '+' and no space; the checks reject '-', trailing
+  // characters and out-of-range values.
+  const std::from_chars_result parsed = std::from_chars(first, last, value);
+  if (parsed.ec != std::errc() || parsed.ptr != last || value < 1) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace spacefusion

@@ -2,6 +2,8 @@
 #ifndef SPACEFUSION_SRC_SUPPORT_STRING_UTIL_H_
 #define SPACEFUSION_SRC_SUPPORT_STRING_UTIL_H_
 
+#include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -39,6 +41,10 @@ bool StartsWith(const std::string& text, const std::string& prefix);
 
 // `text` with ASCII letters lowercased (for case-insensitive name lookups).
 std::string ToLower(std::string text);
+
+// `text` as a positive decimal integer that fits in int64: digits only, with
+// no sign, space, exponent or suffix. nullopt for anything else, 0 included.
+std::optional<std::int64_t> ParsePositiveInt(const std::string& text);
 
 }  // namespace spacefusion
 

@@ -15,7 +15,6 @@
 //   SFV04xx  ScheduleVerifier    inter-block dependency preservation
 //   SFV05xx  MemoryPlanVerifier  footprints and resource budgets
 //   SFV06xx  RaceAnalyzer        cross-block race / alias freedom
-//   SFV07xx  serve protocol      NDJSON request validation (src/serve)
 #ifndef SPACEFUSION_SRC_VERIFY_DIAGNOSTICS_H_
 #define SPACEFUSION_SRC_VERIFY_DIAGNOSTICS_H_
 

@@ -41,6 +41,27 @@ bool StatsIdentical(const TuningStats& a, const TuningStats& b) {
          a.simulated_tuning_seconds == b.simulated_tuning_seconds;
 }
 
+// Schedules, estimates and simulated tuning seconds of a compiled model,
+// every double at full precision: equal strings mean bit-identical results.
+std::string ModelFingerprint(const CompiledModel& compiled) {
+  std::string out;
+  for (const CompiledSubprogram& sub : compiled.unique_subprograms) {
+    for (const SmgSchedule& kernel : sub.program.kernels) {
+      out += kernel.ToString();
+    }
+    char line[160];
+    std::snprintf(line, sizeof(line), "est=%.17g tune=%.17g tried=%d screened=%d\n",
+                  sub.estimate.time_us, sub.tuning.simulated_tuning_seconds,
+                  sub.tuning.configs_tried, sub.tuning.configs_screened);
+    out += line;
+  }
+  char total[128];
+  std::snprintf(total, sizeof(total), "total=%.17g tuning_s=%.17g", compiled.total.time_us,
+                compiled.compile_time.tuning_s);
+  out += total;
+  return out;
+}
+
 TEST(DeterminismTest, TuneKernelTwiceIsIdentical) {
   ResourceConfig rc = ResourceConfig::FromArch(AmpereA100());
   CostModel cost(AmpereA100());
@@ -176,31 +197,12 @@ TEST(DeterminismTest, EngineCompileIdenticalAcrossJobCountsAllModels) {
   for (ModelKind kind : AllModelKinds()) {
     ModelGraph model = BuildModel(GetModelConfig(kind, /*batch=*/1, /*seq=*/128));
 
-    auto model_fingerprint = [](const CompiledModel& compiled) {
-      std::string out;
-      for (const CompiledSubprogram& sub : compiled.unique_subprograms) {
-        for (const SmgSchedule& kernel : sub.program.kernels) {
-          out += kernel.ToString();
-        }
-        char line[160];
-        std::snprintf(line, sizeof(line), "est=%.17g tune=%.17g tried=%d screened=%d\n",
-                      sub.estimate.time_us, sub.tuning.simulated_tuning_seconds,
-                      sub.tuning.configs_tried, sub.tuning.configs_screened);
-        out += line;
-      }
-      char total[128];
-      std::snprintf(total, sizeof(total), "total=%.17g tuning_s=%.17g", compiled.total.time_us,
-                    compiled.compile_time.tuning_s);
-      out += total;
-      return out;
-    };
-
     std::string cold;
     {
       CompilerEngine engine{CompileOptions(AmpereA100())};
       StatusOr<CompiledModel> compiled = engine.CompileModel(model);
       ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-      cold = model_fingerprint(*compiled);
+      cold = ModelFingerprint(*compiled);
     }
     EXPECT_FALSE(cold.empty()) << ModelKindName(kind);
 
@@ -212,37 +214,18 @@ TEST(DeterminismTest, EngineCompileIdenticalAcrossJobCountsAllModels) {
     StatusOr<CompiledModel> cached = engine.CompileModel(model);
     ASSERT_TRUE(cached.ok()) << cached.status().ToString();
     EXPECT_GE(engine.cache_stats().hits, 1) << ModelKindName(kind);
-    EXPECT_EQ(model_fingerprint(*first), cold) << ModelKindName(kind);
-    EXPECT_EQ(model_fingerprint(*cached), cold) << ModelKindName(kind);
+    EXPECT_EQ(ModelFingerprint(*first), cold) << ModelKindName(kind);
+    EXPECT_EQ(ModelFingerprint(*cached), cold) << ModelKindName(kind);
   }
 }
 
 // The persistent program cache joins the determinism contract: an engine
-// warming from disk (a restarted daemon) must produce schedules, estimates,
+// warming from disk (a restarted process) must produce schedules, estimates,
 // and simulated tuning seconds bit-identical to the cold compile that wrote
 // the cache.
 TEST(DeterminismTest, WarmFromDiskIdenticalToColdAllModels) {
   const std::string cache_dir = testing::TempDir() + "/sf_determinism_warm_cache";
   std::filesystem::remove_all(cache_dir);
-
-  auto model_fingerprint = [](const CompiledModel& compiled) {
-    std::string out;
-    for (const CompiledSubprogram& sub : compiled.unique_subprograms) {
-      for (const SmgSchedule& kernel : sub.program.kernels) {
-        out += kernel.ToString();
-      }
-      char line[160];
-      std::snprintf(line, sizeof(line), "est=%.17g tune=%.17g tried=%d screened=%d\n",
-                    sub.estimate.time_us, sub.tuning.simulated_tuning_seconds,
-                    sub.tuning.configs_tried, sub.tuning.configs_screened);
-      out += line;
-    }
-    char total[128];
-    std::snprintf(total, sizeof(total), "total=%.17g tuning_s=%.17g", compiled.total.time_us,
-                  compiled.compile_time.tuning_s);
-    out += total;
-    return out;
-  };
 
   auto compile_with_cache = [&](ModelKind kind, std::string* outcome,
                                 CompilerEngine::CacheStats* stats) {
@@ -254,7 +237,7 @@ TEST(DeterminismTest, WarmFromDiskIdenticalToColdAllModels) {
     EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
     *outcome = compiled->report.outcome;
     *stats = engine.cache_stats();
-    return model_fingerprint(*compiled);
+    return ModelFingerprint(*compiled);
   };
 
   for (ModelKind kind : AllModelKinds()) {
@@ -269,6 +252,8 @@ TEST(DeterminismTest, WarmFromDiskIdenticalToColdAllModels) {
     EXPECT_EQ(warm, cold) << ModelKindName(kind);
     EXPECT_EQ(outcome, "persistent_hit") << ModelKindName(kind);
     EXPECT_GT(stats.persistent_hits, 0) << ModelKindName(kind);
+    // Every unique subprogram came from disk, none from a fresh compile.
+    EXPECT_EQ(stats.misses, stats.persistent_hits) << ModelKindName(kind);
     EXPECT_EQ(stats.persistent_stale, 0);
     EXPECT_EQ(stats.persistent_corrupt, 0);
   }
@@ -327,6 +312,44 @@ TEST(DeterminismTest, StaleCacheEntriesFallBackToColdSilently) {
   EXPECT_EQ(stats.persistent_corrupt, 0);
 }
 
+// Corrupt entries — every .sfpc file overwritten with garbage — are
+// counted and skipped: a new engine on the same directory compiles cold,
+// bit-identical to the compile that wrote the cache, and never crashes.
+TEST(DeterminismTest, CorruptCacheEntriesFallBackToColdCompiles) {
+  const std::string cache_dir = testing::TempDir() + "/sf_determinism_corrupt_cache";
+  std::filesystem::remove_all(cache_dir);
+
+  EngineOptions options{CompileOptions(AmpereA100())};
+  options.cache_dir = cache_dir;
+  ModelGraph model = BuildModel(GetModelConfig(ModelKind::kBert, /*batch=*/1, /*seq=*/128));
+
+  std::string cold;
+  {
+    CompilerEngine engine(options);
+    StatusOr<CompiledModel> compiled = engine.CompileModel(model);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    cold = ModelFingerprint(*compiled);
+  }
+
+  int vandalized = 0;
+  for (const std::string& name : ListDirectory(cache_dir)) {
+    if (name.ends_with(".sfpc")) {
+      ASSERT_TRUE(AtomicWriteFile(cache_dir + "/" + name, "vandalized").ok());
+      ++vandalized;
+    }
+  }
+  ASSERT_GT(vandalized, 0);
+
+  CompilerEngine engine(options);
+  StatusOr<CompiledModel> recompiled = engine.CompileModel(model);
+  ASSERT_TRUE(recompiled.ok()) << recompiled.status().ToString();
+  EXPECT_EQ(recompiled->report.outcome, "cold");
+  EXPECT_EQ(ModelFingerprint(*recompiled), cold);
+  CompilerEngine::CacheStats stats = engine.cache_stats();
+  EXPECT_GT(stats.persistent_corrupt, 0);
+  EXPECT_EQ(stats.persistent_hits, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Observability must be a pure observer: turning reporting on (a capturing
 // sink) cannot change a single bit of the compilation output, and the
@@ -354,24 +377,6 @@ class NullReportSink : public ReportSink {
 TEST(DeterminismTest, SchedulesBitIdenticalWithReportingOnAndOff) {
   ModelGraph model = BuildModel(GetModelConfig(ModelKind::kBert, /*batch=*/1, /*seq=*/128));
 
-  auto model_fingerprint = [](const CompiledModel& compiled) {
-    std::string out;
-    for (const CompiledSubprogram& sub : compiled.unique_subprograms) {
-      for (const SmgSchedule& kernel : sub.program.kernels) {
-        out += kernel.ToString();
-      }
-      char line[160];
-      std::snprintf(line, sizeof(line), "est=%.17g tune=%.17g tried=%d\n", sub.estimate.time_us,
-                    sub.tuning.simulated_tuning_seconds, sub.tuning.configs_tried);
-      out += line;
-    }
-    char total[128];
-    std::snprintf(total, sizeof(total), "total=%.17g tuning_s=%.17g", compiled.total.time_us,
-                  compiled.compile_time.tuning_s);
-    out += total;
-    return out;
-  };
-
   CompilerEngine plain{CompileOptions(AmpereA100())};
   StatusOr<CompiledModel> off = plain.CompileModel(model);
   ASSERT_TRUE(off.ok()) << off.status().ToString();
@@ -384,7 +389,7 @@ TEST(DeterminismTest, SchedulesBitIdenticalWithReportingOnAndOff) {
   ASSERT_TRUE(on.ok()) << on.status().ToString();
 
   EXPECT_GT(sink.emitted(), 0);  // reporting actually ran
-  EXPECT_EQ(model_fingerprint(*off), model_fingerprint(*on));
+  EXPECT_EQ(ModelFingerprint(*off), ModelFingerprint(*on));
   // The merged model report mirrors the result it rides on.
   EXPECT_EQ(on->report.modeled_time_us, on->total.time_us);
   EXPECT_EQ(on->report.outcome, "cold");

@@ -1,10 +1,10 @@
 // The persistent-program serialization battery. The warm-start contract of
-// sf-serve rests on two properties proved here: serialization is canonical
-// (decode + re-encode reproduces the bytes exactly, for every model the
-// paper compiles) and deserialization is total over hostile bytes (any
-// truncation, bit flip, or mutation yields a Status, never a crash, and
-// never silently changes a compile result — the checksum and validators
-// catch it first).
+// the persistent program cache rests on two properties proved here:
+// serialization is canonical (decode + re-encode reproduces the bytes
+// exactly, for every model the paper compiles) and deserialization is
+// total over hostile bytes (any truncation, bit flip, or mutation yields a
+// Status, never a crash, and never silently changes a compile result — the
+// checksum and validators catch it first).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -43,7 +43,7 @@ bool ReportsBitIdentical(const ExecutionReport& a, const ExecutionReport& b) {
 }
 
 // A PersistedProgram with real key context around the model's first
-// subprogram, the shape the daemon writes to disk.
+// subprogram, the shape the engine writes to disk.
 PersistedProgram MakePersisted(ModelKind kind) {
   CompiledModel compiled = CompileFor(kind);
   ModelGraph model = BuildModel(GetModelConfig(kind, 1, 128));

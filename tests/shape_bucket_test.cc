@@ -29,8 +29,6 @@
 #include "src/graph/subgraphs.h"
 #include "src/obs/metrics.h"
 #include "src/obs/stats.h"
-#include "src/serve/protocol.h"
-#include "src/serve/server.h"
 #include "src/sim/arch.h"
 #include "tests/test_dirs.h"
 
@@ -516,7 +514,7 @@ TEST(ShapeBucketEngineTest, RestartedEngineServesBucketFromDisk) {
       cold_fp += ProgramFingerprint(sub);
     }
   }
-  // A restarted daemon: new engine, same cache dir, a different shape in the
+  // A restarted process: new engine, same cache dir, a different shape in the
   // same bucket — served from disk with zero tuner invocations.
   CompilerEngine engine(options);
   StatusOr<ShapeCompileResult> warm = engine.CompileModelForShape(ModelKind::kT5, {1, 50});
@@ -588,125 +586,6 @@ TEST(ShapeDispatchTableTest, CollidingFingerprintsRouteEachSubprogramToItsOwnPro
         ProgramFingerprint(want.unique_subprograms[want.sub_to_unique[i]]))
         << "subprogram " << i;
   }
-}
-
-// ---- Serve protocol: shape fields and SFV0701 -----------------------------
-
-TEST(ServeShapeProtocolTest, ShapeLabelParsesIntoBatchAndSeq) {
-  StatusOr<ServeRequest> request =
-      ServeRequestFromJson(R"({"id":"r","model":"bert","shape":"b2s96"})");
-  ASSERT_TRUE(request.ok()) << request.status().ToString();
-  EXPECT_EQ(request->batch, 2);
-  EXPECT_EQ(request->seq, 96);
-}
-
-TEST(ServeShapeProtocolTest, MalformedShapeFieldsAreSfv0701) {
-  const std::vector<std::string> bad = {
-      R"({"id":"r","model":"bert","seq":"abc"})",           // not a number
-      R"({"id":"r","model":"bert","seq":2.5})",             // not integral
-      R"({"id":"r","model":"bert","seq":0})",               // not positive
-      R"({"id":"r","model":"bert","batch":-1})",            // not positive
-      R"({"id":"r","model":"bert","shape":"nonsense"})",    // malformed label
-      R"({"id":"r","model":"bert","shape":5})",             // label not a string
-      R"({"id":"r","model":"bert","shape":"b1s64","seq":64})",  // ambiguous
-  };
-  for (const std::string& line : bad) {
-    StatusOr<ServeRequest> request = ServeRequestFromJson(line);
-    ASSERT_FALSE(request.ok()) << line;
-    EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument) << line;
-    EXPECT_NE(request.status().ToString().find("SFV0701"), std::string::npos)
-        << request.status().ToString();
-  }
-}
-
-TEST(ServeShapeProtocolTest, ResponseRoundTripsBucketFields) {
-  ServeResponse response;
-  response.id = "r";
-  response.outcome = "cache_hit";
-  response.shape = "b1s100";
-  response.bucket = "b1s128";
-  response.bucket_hit = true;
-  response.transfer_seeded = 3;
-  StatusOr<ServeResponse> parsed = ServeResponseFromJson(ServeResponseToJson(response));
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->shape, "b1s100");
-  EXPECT_EQ(parsed->bucket, "b1s128");
-  EXPECT_TRUE(parsed->bucket_hit);
-  EXPECT_EQ(parsed->transfer_seeded, 3);
-
-  // Pre-bucket responses parse with the fields defaulted, not rejected.
-  StatusOr<ServeResponse> legacy = ServeResponseFromJson(R"({"id":"r","status":"ok"})");
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy->bucket, "");
-  EXPECT_FALSE(legacy->bucket_hit);
-  EXPECT_EQ(legacy->transfer_seeded, 0);
-}
-
-// ---- Serve: bucket-level coalescing and bucket hits -----------------------
-
-ServeRequest ShapeRequest(const std::string& id, const std::string& model, std::int64_t batch,
-                          std::int64_t seq) {
-  ServeRequest request;
-  request.id = id;
-  request.client = "test";
-  request.model = model;
-  request.batch = batch;
-  request.seq = seq;
-  return request;
-}
-
-TEST(ServeShapeTest, SameBucketRequestsCoalesceOntoOneCompile) {
-  ScopedEnv env("SPACEFUSION_SHAPE_BUCKETS", nullptr);
-  ServeServerOptions options;
-  options.cache_dir.clear();
-  options.start_paused = true;
-  ServeServer server(options);
-
-  std::future<ServeResponse> a = server.Submit(ShapeRequest("a", "bert", 1, 100));
-  std::future<ServeResponse> b = server.Submit(ShapeRequest("b", "bert", 1, 120));
-  std::future<ServeResponse> c = server.Submit(ShapeRequest("c", "bert", 1, 200));
-  server.Resume();
-  const ServeResponse ra = a.get();
-  const ServeResponse rb = b.get();
-  const ServeResponse rc = c.get();
-  ASSERT_TRUE(ra.ok()) << ra.error;
-  ASSERT_TRUE(rb.ok()) << rb.error;
-  ASSERT_TRUE(rc.ok()) << rc.error;
-
-  // Distinct exact shapes, one bucket, one compile.
-  EXPECT_EQ(ra.shape, "b1s100");
-  EXPECT_EQ(rb.shape, "b1s120");
-  EXPECT_EQ(ra.bucket, "b1s128");
-  EXPECT_EQ(rb.bucket, "b1s128");
-  EXPECT_TRUE(rb.coalesced);
-  EXPECT_FALSE(ra.coalesced);
-  EXPECT_EQ(ra.estimate.time_us, rb.estimate.time_us);
-  // A different bucket is its own job.
-  EXPECT_EQ(rc.bucket, "b1s256");
-  EXPECT_FALSE(rc.coalesced);
-  EXPECT_EQ(server.stats().coalesced, 1);
-
-  // A later shape in the tuned bucket: bucket hit, zero tuner invocations.
-  const ServeResponse rd = server.Handle(ShapeRequest("d", "bert", 1, 97));
-  ASSERT_TRUE(rd.ok()) << rd.error;
-  EXPECT_TRUE(rd.bucket_hit);
-  EXPECT_EQ(rd.outcome, "cache_hit");
-  // Hits report the bucket's stored tuning cost, bit for bit.
-  EXPECT_EQ(rd.tuning_seconds, ra.tuning_seconds);
-}
-
-TEST(ServeShapeTest, NeighborBucketIsTransferSeeded) {
-  ScopedEnv env("SPACEFUSION_SHAPE_BUCKETS", nullptr);
-  ServeServerOptions options;
-  options.cache_dir.clear();
-  ServeServer server(options);
-  const ServeResponse first = server.Handle(ShapeRequest("r1", "bert", 1, 128));
-  ASSERT_TRUE(first.ok()) << first.error;
-  EXPECT_EQ(first.transfer_seeded, 0);
-  const ServeResponse second = server.Handle(ShapeRequest("r2", "bert", 1, 200));
-  ASSERT_TRUE(second.ok()) << second.error;
-  EXPECT_FALSE(second.bucket_hit);
-  EXPECT_GT(second.transfer_seeded, 0);
 }
 
 // ---- sf-stats: bucket series ----------------------------------------------

@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
-#include <future>
+#include <mutex>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/support/binary_io.h"
@@ -22,6 +26,10 @@
 
 namespace spacefusion {
 namespace {
+
+// Every operator new in this binary (replaced at the bottom of this file),
+// so a test can check that a path allocates nothing.
+std::atomic<long long> g_heap_allocations{0};
 
 TEST(StatusTest, DefaultIsOk) {
   Status st;
@@ -45,14 +53,10 @@ TEST(StatusTest, AllCodesHaveNames) {
   EXPECT_STREQ(StatusCodeName(StatusCode::kUnsupported), "UNSUPPORTED");
   EXPECT_STREQ(StatusCodeName(StatusCode::kInternal), "INTERNAL");
   EXPECT_STREQ(StatusCodeName(StatusCode::kNotFound), "NOT_FOUND");
-  EXPECT_STREQ(StatusCodeName(StatusCode::kDeadlineExceeded), "DEADLINE_EXCEEDED");
-  EXPECT_STREQ(StatusCodeName(StatusCode::kResourceExhausted), "RESOURCE_EXHAUSTED");
   EXPECT_STREQ(StatusCodeName(StatusCode::kDataLoss), "DATA_LOSS");
 }
 
 TEST(StatusTest, ServingHelpersCarryTheirCodes) {
-  EXPECT_EQ(DeadlineExceeded("too slow").code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(ResourceExhausted("quota").code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(DataLoss("bad blob").code(), StatusCode::kDataLoss);
 }
 
@@ -138,6 +142,16 @@ TEST(StringUtilTest, StartsWith) {
   EXPECT_FALSE(StartsWith("space", "spacefusion"));
 }
 
+TEST(StringUtilTest, ParsePositiveIntTakesDigitsOnly) {
+  EXPECT_EQ(ParsePositiveInt("1"), 1);
+  EXPECT_EQ(ParsePositiveInt("0128"), 128);
+  EXPECT_EQ(ParsePositiveInt("9223372036854775807"), INT64_MAX);
+  for (const char* bad : {"", "0", "00", "-5", "+5", " 5", "5 ", "1e3", "64abc", "2x", "1.5",
+                          "0x10", "9223372036854775808", "99999999999999999999"}) {
+    EXPECT_EQ(ParsePositiveInt(bad), std::nullopt) << '"' << bad << '"';
+  }
+}
+
 TEST(LoggingTest, ThresholdControlsEmission) {
   LogLevel old = GetLogThreshold();
   SetLogThreshold(LogLevel::kError);
@@ -203,55 +217,179 @@ TEST(LoggingTest, SuppressedMessageDoesNotEvaluateStreamOperands) {
   SetLogThreshold(old);
 }
 
-TEST(ThreadPoolTest, SubmitRunsEveryTask) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.workers(), 3);
-  EXPECT_FALSE(pool.InPool());  // the test thread is not a worker
+// ---------------------------------------------------------------------------
+// KernelParallelFor: the kernel pool's documented contract. Chunk c of a
+// loop covers [n*c/chunks, n*(c+1)/chunks) with chunks = min(n, workers + 1),
+// and workers = CPUs in the affinity mask - 1.
 
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.Submit([&count] { ++count; }));
+long long KernelPoolWorkerCount() {
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  EXPECT_EQ(::sched_getaffinity(0, sizeof(cpus), &cpus), 0);
+  return std::max(CPU_COUNT(&cpus) - 1, 0);
+}
+
+// What one loop did: how often each index ran (chunks are disjoint, so
+// plain ints), and the chunk bounds it ran.
+struct Coverage {
+  explicit Coverage(long long n) : hits(static_cast<size_t>(n), 0) {}
+  std::vector<int> hits;
+  std::mutex mu;
+  std::vector<std::pair<long long, long long>> chunks;  // guarded by mu
+
+  bool EachIndexOnce() const {
+    return std::all_of(hits.begin(), hits.end(), [](int h) { return h == 1; });
   }
-  for (std::future<void>& f : futures) {
-    f.get();
+};
+
+void RecordChunk(void* ctx, long long begin, long long end) {
+  auto* coverage = static_cast<Coverage*>(ctx);
+  for (long long i = begin; i < end; ++i) {
+    ++coverage->hits[static_cast<size_t>(i)];
   }
-  EXPECT_EQ(count.load(), 64);
+  std::lock_guard<std::mutex> lock(coverage->mu);
+  coverage->chunks.emplace_back(begin, end);
 }
 
-TEST(ThreadPoolTest, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  std::future<void> f = pool.Submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-
-  // The worker that ran the throwing task must survive for later tasks.
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; }).get();
-  EXPECT_TRUE(ran.load());
+TEST(KernelPoolTest, CoversEveryIndexOnceInTheDocumentedChunks) {
+  const long long workers = KernelPoolWorkerCount();
+  // 1,000,003 is prime: no chunk count divides it.
+  for (long long n : {0LL, 1LL, 2LL, workers, workers + 1, 1000000LL, 1000003LL}) {
+    Coverage coverage(n);
+    KernelParallelFor(n, &RecordChunk, &coverage);
+    EXPECT_TRUE(coverage.EachIndexOnce()) << "n=" << n;
+    const long long chunks = std::min(n, workers + 1);
+    std::vector<std::pair<long long, long long>> want;
+    for (long long c = 0; c < chunks; ++c) {
+      want.emplace_back(n * c / chunks, n * (c + 1) / chunks);
+    }
+    std::sort(coverage.chunks.begin(), coverage.chunks.end());
+    EXPECT_EQ(coverage.chunks, want) << "n=" << n;
+  }
 }
 
-TEST(ThreadPoolTest, ZeroWorkerPoolRunsInline) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.workers(), 0);
+// A loop started inside a chunk runs inline on that chunk's thread: from a
+// worker, or from the caller while its own loop holds the pool.
+struct NestedLoop {
+  std::atomic<long long> inner_indices{0};
+  std::atomic<int> inner_chunks_elsewhere{0};
+};
 
-  std::thread::id submit_thread;
-  pool.Submit([&submit_thread] { submit_thread = std::this_thread::get_id(); }).get();
-  EXPECT_EQ(submit_thread, std::this_thread::get_id());
+struct InnerLoop {
+  NestedLoop* outer;
+  std::thread::id thread;
+};
+
+void InnerChunk(void* ctx, long long begin, long long end) {
+  auto* inner = static_cast<InnerLoop*>(ctx);
+  if (std::this_thread::get_id() != inner->thread) {
+    ++inner->outer->inner_chunks_elsewhere;
+  }
+  inner->outer->inner_indices += end - begin;
 }
 
-// A task that submits a subtask and blocks on its future would deadlock a
-// one-worker pool without the inline-execution guard.
-TEST(ThreadPoolTest, NestedSubmitFromWorkerDoesNotDeadlock) {
-  ThreadPool pool(1);
-  std::atomic<bool> inner_ran{false};
-  std::atomic<bool> was_in_pool{false};
-  pool.Submit([&] {
-      was_in_pool = pool.InPool();
-      pool.Submit([&inner_ran] { inner_ran = true; }).get();
-    })
-      .get();
-  EXPECT_TRUE(was_in_pool.load());
-  EXPECT_TRUE(inner_ran.load());
+void OuterChunk(void* ctx, long long begin, long long end) {
+  auto* outer = static_cast<NestedLoop*>(ctx);
+  for (long long i = begin; i < end; ++i) {
+    InnerLoop inner{outer, std::this_thread::get_id()};
+    KernelParallelFor(100, &InnerChunk, &inner);
+  }
+}
+
+TEST(KernelPoolTest, NestedCallRunsInlineWithoutDeadlock) {
+  NestedLoop loop;
+  KernelParallelFor(64, &OuterChunk, &loop);
+  EXPECT_EQ(loop.inner_indices.load(), 64 * 100);
+  EXPECT_EQ(loop.inner_chunks_elsewhere.load(), 0);
+}
+
+TEST(KernelPoolTest, ConcurrentCallersEachCoverTheirOwnRange) {
+  constexpr int kCalls = 2000;
+  constexpr long long kN = 4096;
+  auto caller = [](int* bad_calls) {
+    for (int call = 0; call < kCalls; ++call) {
+      Coverage coverage(kN);
+      KernelParallelFor(kN, &RecordChunk, &coverage);
+      *bad_calls += coverage.EachIndexOnce() ? 0 : 1;
+    }
+  };
+  int bad_a = 0;
+  int bad_b = 0;
+  std::thread a(caller, &bad_a);
+  std::thread b(caller, &bad_b);
+  a.join();
+  b.join();
+  EXPECT_EQ(bad_a, 0);
+  EXPECT_EQ(bad_b, 0);
+}
+
+// Each loop's ctx lives on its caller's stack, and the next iteration
+// reuses that stack slot: a chunk still running after its call returned
+// would show as a chunk that saw `returned`, or as extra coverage.
+struct StackLoop {
+  std::atomic<long long> covered{0};
+  std::atomic<bool> returned{false};
+};
+
+std::atomic<int> g_chunks_after_return{0};
+
+void StackChunk(void* ctx, long long begin, long long end) {
+  auto* loop = static_cast<StackLoop*>(ctx);
+  if (loop->returned.load()) {
+    ++g_chunks_after_return;
+  }
+  loop->covered += end - begin;
+}
+
+TEST(KernelPoolTest, NoChunkRunsAfterItsCallerReturns) {
+  constexpr long long kN = 1024;
+  for (int call = 0; call < 5000; ++call) {
+    StackLoop loop;
+    KernelParallelFor(kN, &StackChunk, &loop);
+    loop.returned = true;
+    ASSERT_EQ(loop.covered.load(), kN) << "call " << call;
+  }
+  EXPECT_EQ(g_chunks_after_return.load(), 0);
+}
+
+void ThrowFromChunkZero(void* ctx, long long begin, long long end) {
+  *static_cast<std::atomic<long long>*>(ctx) += end - begin;
+  if (begin == 0) {
+    throw std::runtime_error("chunk 0 failed");
+  }
+}
+
+TEST(KernelPoolTest, ChunkExceptionReachesTheCallerAfterEveryChunkRan) {
+  constexpr long long kN = 1000;
+  std::atomic<long long> covered{0};
+  EXPECT_THROW(KernelParallelFor(kN, &ThrowFromChunkZero, &covered), std::runtime_error);
+  EXPECT_EQ(covered.load(), kN);
+  // The slot was released: the next loop runs on the pool as usual.
+  Coverage coverage(kN);
+  KernelParallelFor(kN, &RecordChunk, &coverage);
+  EXPECT_TRUE(coverage.EachIndexOnce());
+  EXPECT_EQ(static_cast<long long>(coverage.chunks.size()),
+            std::min(kN, KernelPoolWorkerCount() + 1));
+}
+
+void AddOne(void* ctx, long long begin, long long end) {
+  float* data = static_cast<float*>(ctx);
+  for (long long i = begin; i < end; ++i) {
+    data[i] += 1.0f;
+  }
+}
+
+TEST(KernelPoolTest, CallsAllocateNothing) {
+  std::vector<float> data(1 << 16, 0.0f);
+  const long long n = static_cast<long long>(data.size());
+  KernelParallelFor(n, &AddOne, data.data());  // the first call starts the workers
+  const long long before = g_heap_allocations.load();
+  for (int call = 0; call < 1000; ++call) {
+    KernelParallelFor(n, &AddOne, data.data());
+  }
+  EXPECT_EQ(g_heap_allocations.load() - before, 0);
+  EXPECT_EQ(data.front(), 1001.0f);
+  EXPECT_EQ(data.back(), 1001.0f);
 }
 
 // ---------------------------------------------------------------------------
@@ -413,3 +551,16 @@ TEST(BinaryIoTest, Fnv1a64MatchesReferenceVectors) {
 
 }  // namespace
 }  // namespace spacefusion
+
+// Out of line, so no caller sees free() on a pointer from operator new.
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  spacefusion::g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept { std::free(p); }

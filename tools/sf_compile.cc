@@ -15,12 +15,14 @@
 //   sf-compile --model bert --metrics       # final MetricsSnapshot as text
 //   sf-compile --model bert --openmetrics   # Prometheus text exposition
 //   sf-compile --model all --report-dir reports/   # per-request CompileReports
+//   sf-compile --model bert --bucketed --seq 48,96,200,256   # one engine, 4 shapes
 //   sf-compile --list
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,7 +40,7 @@ namespace {
 
 int Usage() {
   std::cerr
-      << "usage: sf-compile [--model NAME|all] [--batch N] [--seq N] [--arch NAME]\n"
+      << "usage: sf-compile [--model NAME|all] [--batch N] [--seq N[,N...]] [--arch NAME]\n"
          "                  [--mode off|phase|full] [--dump-after-pass PASS[,PASS...]|all]\n"
          "                  [--shared-cache] [--bucketed] [--json PATH] [--report-dir DIR]\n"
          "                  [--emit-kernels DIR] [--metrics] [--metrics-json]\n"
@@ -46,7 +48,9 @@ int Usage() {
          "\n"
          "  --model           built-in model to compile (default: all)\n"
          "  --batch           batch size (default: 1)\n"
-         "  --seq             sequence length / image side for ViT (default: 128)\n"
+         "  --seq             sequence length / image side for ViT (default: 128); a\n"
+         "                    comma list compiles each shape in order through the\n"
+         "                    model's engine, one JSON entry per shape\n"
          "  --bucketed        compile through the shape-bucketed path: the shape is\n"
          "                    rounded to its bucket (SPACEFUSION_SHAPE_BUCKETS) and the\n"
          "                    JSON gains shape/bucket/bucket_hit/transfer_seeded\n"
@@ -145,7 +149,7 @@ int EmitKernelSources(const std::string& dir, const std::string& model,
 int Run(int argc, char** argv) {
   std::string model_arg = "all";
   std::int64_t batch = 1;
-  std::int64_t seq = 128;
+  std::vector<std::int64_t> seqs = {128};
   GpuArch arch = AmpereA100();
   VerifyMode mode = VerifyModeFromEnv(VerifyMode::kPhase);
   std::string json_path;
@@ -194,9 +198,23 @@ int Run(int argc, char** argv) {
     if (flag == "--model") {
       model_arg = value;
     } else if (flag == "--batch") {
-      batch = std::atoll(value.c_str());
+      const std::optional<std::int64_t> parsed = ParsePositiveInt(value);
+      if (!parsed) {
+        std::cerr << "sf-compile: --batch takes a positive integer, got \"" << value << "\"\n";
+        return 2;
+      }
+      batch = *parsed;
     } else if (flag == "--seq") {
-      seq = std::atoll(value.c_str());
+      seqs.clear();
+      for (const std::string& piece : StrSplit(value, ',')) {
+        const std::optional<std::int64_t> parsed = ParsePositiveInt(piece);
+        if (!parsed) {
+          std::cerr << "sf-compile: --seq takes positive integers separated by commas, got \""
+                    << value << "\"\n";
+          return 2;
+        }
+        seqs.push_back(*parsed);
+      }
     } else if (flag == "--arch") {
       StatusOr<GpuArch> parsed = ArchFromName(value);
       if (!parsed.ok()) {
@@ -227,8 +245,9 @@ int Run(int argc, char** argv) {
       return Usage();
     }
   }
-  if (batch < 1 || seq < 1) {
-    std::cerr << "sf-compile: --batch and --seq must be positive\n";
+  if (!emit_kernels_dir.empty() && seqs.size() > 1) {
+    // Every shape's dumps would share one set of file names.
+    std::cerr << "sf-compile: --emit-kernels takes a single --seq value\n";
     return 2;
   }
 
@@ -252,80 +271,84 @@ int Run(int argc, char** argv) {
   CompilerEngine shared_engine{EngineOptions(options)};
 
   bool all_ok = true;
-  std::string json = StrCat("{\"arch\":\"", arch.name, "\",\"batch\":", batch, ",\"seq\":", seq,
-                            ",\"models\":[");
-  for (size_t i = 0; i < kinds.size(); ++i) {
-    ModelGraph model = BuildModel(GetModelConfig(kinds[i], batch, seq));
+  const std::string seq_json =
+      seqs.size() == 1 ? StrCat(seqs[0]) : StrCat("[", StrJoin(seqs, ","), "]");
+  std::string json = StrCat("{\"arch\":\"", arch.name, "\",\"batch\":", batch,
+                            ",\"seq\":", seq_json, ",\"models\":[");
+  bool first_entry = true;
+  for (ModelKind kind : kinds) {
     CompilerEngine cold_engine{EngineOptions(options)};
     CompilerEngine& engine = shared_cache ? shared_engine : cold_engine;
-
-    ModelResult r;
-    r.model = ModelKindName(kinds[i]);
-    auto start = std::chrono::steady_clock::now();
-    if (bucketed) {
-      StatusOr<ShapeCompileResult> compiled =
-          engine.CompileModelForShape(kinds[i], ShapeKey{batch, seq}, options);
+    // The shapes compile in order through one engine, so a later bucket
+    // can hit an earlier one or be transfer-seeded from it.
+    for (std::int64_t seq : seqs) {
+      ModelGraph model = BuildModel(GetModelConfig(kind, batch, seq));
+      ModelResult r;
+      r.model = ModelKindName(kind);
+      auto start = std::chrono::steady_clock::now();
+      if (bucketed) {
+        StatusOr<ShapeCompileResult> compiled =
+            engine.CompileModelForShape(kind, ShapeKey{batch, seq}, options);
+        if (compiled.ok()) {
+          r.compiled = std::move(compiled->compiled);
+        } else {
+          r.status = compiled.status();
+        }
+      } else {
+        StatusOr<CompiledModel> compiled = engine.CompileModel(model, options);
+        if (compiled.ok()) {
+          r.compiled = std::move(compiled).value();
+        } else {
+          r.status = compiled.status();
+        }
+      }
       r.wall_ms =
           std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
               .count();
-      if (compiled.ok()) {
-        r.compiled = std::move(compiled->compiled);
-      } else {
-        r.status = compiled.status();
-        all_ok = false;
-      }
-    } else {
-      StatusOr<CompiledModel> compiled = engine.CompileModel(model, options);
-      r.wall_ms =
-          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-              .count();
-      if (compiled.ok()) {
-        r.compiled = std::move(compiled).value();
-      } else {
-        r.status = compiled.status();
-        all_ok = false;
-      }
-    }
+      all_ok = all_ok && r.status.ok();
 
-    if (i > 0) {
-      json += ",";
-    }
-    json += ModelJson(r, engine);
-
-    std::cout << r.model << " (batch=" << batch << ", seq=" << seq << ", " << arch.name << "): ";
-    if (!r.status.ok()) {
-      std::cout << "compile rejected\n" << r.status.ToString() << "\n";
-      continue;
-    }
-    CompilerEngine::CacheStats cache = engine.cache_stats();
-    std::printf(
-        "%d unique subprogram(s), %d repeat hit(s), est %.1f us\n"
-        "  scheduling %.2f ms, enumeration %.2f ms, tuning %.3f s, total %.3f s"
-        " (wall %.1f ms)\n"
-        "  engine cache: %lld hit(s), %lld miss(es), %lld collision(s)\n",
-        static_cast<int>(r.compiled.unique_subprograms.size()), r.compiled.cache_hits,
-        r.compiled.total.time_us, r.compiled.compile_time.slicing_ms,
-        r.compiled.compile_time.enum_cfg_ms, r.compiled.compile_time.tuning_s,
-        r.compiled.compile_time.total_s(), r.wall_ms, static_cast<long long>(cache.hits),
-        static_cast<long long>(cache.misses), static_cast<long long>(cache.collisions));
-    const CompileReport& report = r.compiled.report;
-    if (!report.diagnostics.empty()) {
-      std::printf("  verifier: %d error(s), %d warning(s)\n", report.verifier_errors,
-                  report.verifier_warnings);
-      for (const ReportDiagnostic& d : report.diagnostics) {
-        std::printf("    %s\n", d.message.c_str());
+      if (!first_entry) {
+        json += ",";
       }
-    }
-    if (!report.bucket.empty()) {
-      std::printf("  shape %s -> bucket %s (%s, %lld transfer-seeded config(s))\n",
-                  report.shape.c_str(), report.bucket.c_str(),
-                  report.bucket_hit ? "bucket hit" : "tuned cold",
-                  static_cast<long long>(report.transfer_seeded));
-    }
-    if (!emit_kernels_dir.empty()) {
-      int sources = EmitKernelSources(emit_kernels_dir, r.model, r.compiled);
-      std::printf("  emitted %d kernel source(s) to %s (the JIT builds them with: %s)\n", sources,
-                  emit_kernels_dir.c_str(), JitCacheOptions().flags.c_str());
+      first_entry = false;
+      json += ModelJson(r, engine);
+
+      std::cout << r.model << " (batch=" << batch << ", seq=" << seq << ", " << arch.name
+                << "): ";
+      if (!r.status.ok()) {
+        std::cout << "compile rejected\n" << r.status.ToString() << "\n";
+        continue;
+      }
+      CompilerEngine::CacheStats cache = engine.cache_stats();
+      std::printf(
+          "%d unique subprogram(s), %d repeat hit(s), est %.1f us\n"
+          "  scheduling %.2f ms, enumeration %.2f ms, tuning %.3f s, total %.3f s"
+          " (wall %.1f ms)\n"
+          "  engine cache: %lld hit(s), %lld miss(es), %lld collision(s)\n",
+          static_cast<int>(r.compiled.unique_subprograms.size()), r.compiled.cache_hits,
+          r.compiled.total.time_us, r.compiled.compile_time.slicing_ms,
+          r.compiled.compile_time.enum_cfg_ms, r.compiled.compile_time.tuning_s,
+          r.compiled.compile_time.total_s(), r.wall_ms, static_cast<long long>(cache.hits),
+          static_cast<long long>(cache.misses), static_cast<long long>(cache.collisions));
+      const CompileReport& report = r.compiled.report;
+      if (!report.diagnostics.empty()) {
+        std::printf("  verifier: %d error(s), %d warning(s)\n", report.verifier_errors,
+                    report.verifier_warnings);
+        for (const ReportDiagnostic& d : report.diagnostics) {
+          std::printf("    %s\n", d.message.c_str());
+        }
+      }
+      if (!report.bucket.empty()) {
+        std::printf("  shape %s -> bucket %s (%s, %lld transfer-seeded config(s))\n",
+                    report.shape.c_str(), report.bucket.c_str(),
+                    report.bucket_hit ? "bucket hit" : "tuned cold",
+                    static_cast<long long>(report.transfer_seeded));
+      }
+      if (!emit_kernels_dir.empty()) {
+        int sources = EmitKernelSources(emit_kernels_dir, r.model, r.compiled);
+        std::printf("  emitted %d kernel source(s) to %s (the JIT builds them with: %s)\n",
+                    sources, emit_kernels_dir.c_str(), JitCacheOptions().flags.c_str());
+      }
     }
   }
   json += StrCat("],\n\"metrics\":", MetricsRegistry::Global().Snapshot().ToJson(), "}\n");
