@@ -19,7 +19,6 @@ int main() {
   using namespace spacefusion;
   SetLogThreshold(LogLevel::kWarning);
   GpuArch arch = AmpereA100();
-  ResourceConfig rc = ResourceConfig::FromArch(arch);
 
   Graph mha = BuildMha(/*batch_heads=*/32 * 12, /*seq_q=*/2048, /*seq_kv=*/2048,
                        /*head_dim=*/64);

@@ -22,8 +22,8 @@
 //            recorded on-chip arena, so slot assignment must alias)
 //
 // Wired in two places: an Analyze pass at compile exit (under
-// SPACEFUSION_VERIFY=full) whose findings reach the CompileReport and
-// `sf-compile`, and the
+// CompileOptions::verify == kFull) whose findings reach the CompileReport
+// and `sf-compile`, and the
 // CompilerEngine's persistent-cache admission gate (a racy program is
 // never stored).
 #ifndef SPACEFUSION_SRC_ANALYSIS_RACE_ANALYZER_H_

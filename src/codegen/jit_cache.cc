@@ -22,18 +22,6 @@
 
 namespace spacefusion {
 
-std::string KernelCacheDirFromEnv() {
-  const char* kernel_dir = std::getenv("SPACEFUSION_KERNEL_CACHE_DIR");
-  if (kernel_dir != nullptr && kernel_dir[0] != '\0') {
-    return kernel_dir;
-  }
-  const char* cache_dir = std::getenv("SPACEFUSION_CACHE_DIR");
-  if (cache_dir != nullptr && cache_dir[0] != '\0') {
-    return std::string(cache_dir) + "/kernels";
-  }
-  return "";
-}
-
 namespace {
 
 #if defined(__x86_64__)
@@ -123,20 +111,21 @@ std::string DefaultJitFlags() {
   return flags;
 }
 
-JitKernelCache::JitKernelCache(JitCacheOptions options) : options_(std::move(options)) {
-  dir_ = options_.dir;
+JitKernelCache::JitKernelCache(JitCacheOptions options)
+    : options_(std::move(options)), dir_(options_.dir) {
   if (dir_.empty()) {
     std::error_code ec;
     std::filesystem::path tmp = std::filesystem::temp_directory_path(ec);
     if (ec) {
       tmp = ".";
     }
-    dir_ = (tmp / ("sf-jit-" + std::to_string(::getpid()))).string();
-  }
-  compiler_ = options_.compiler;
-  if (compiler_.empty()) {
-    const char* env = std::getenv("SPACEFUSION_CXX");
-    compiler_ = (env != nullptr && env[0] != '\0') ? env : "c++";
+    dir_ = (tmp / "sf-jit-XXXXXX").string();
+    owns_dir_ = ::mkdtemp(dir_.data()) != nullptr;
+    if (!owns_dir_) {
+      // Builds into the missing directory fail, and their kernels fall back
+      // to the interpreter.
+      SF_LOG(Warning) << "jit: cannot create a kernel cache directory under " << tmp.string();
+    }
   }
 }
 
@@ -148,11 +137,15 @@ JitKernelCache::~JitKernelCache() {
       ::dlclose(loaded.handle);
     }
   }
+  if (owns_dir_) {
+    std::error_code ignored;
+    std::filesystem::remove_all(dir_, ignored);
+  }
 }
 
 std::uint64_t JitKernelCache::EntryKey(const CppKernel& kernel) const {
   std::string blob =
-      "sfk-cache-v1|" + compiler_ + "|" + options_.flags + "|" + HexKey(kernel.key);
+      "sfk-cache-v1|" + options_.compiler + "|" + options_.flags + "|" + HexKey(kernel.key);
   return Fnv1a64(blob);
 }
 
@@ -166,7 +159,7 @@ StatusOr<double> JitKernelCache::Build(const CppKernel& kernel, const std::strin
 
   const std::string tmp_so = so_path + ".tmp." + std::to_string(::getpid());
   const std::string log_path = so_path + ".log";
-  const std::string cmd = compiler_ + " " + options_.flags + " -o \"" + tmp_so + "\" \"" +
+  const std::string cmd = options_.compiler + " " + options_.flags + " -o \"" + tmp_so + "\" \"" +
                           cc_path + "\" 2> \"" + log_path + "\"";
 
   const auto start = std::chrono::steady_clock::now();
@@ -185,7 +178,7 @@ StatusOr<double> JitKernelCache::Build(const CppKernel& kernel, const std::strin
     }
     std::remove(tmp_so.c_str());
     std::remove(log_path.c_str());
-    return Internal("jit: '" + compiler_ + "' failed (exit " + std::to_string(rc) +
+    return Internal("jit: '" + options_.compiler + "' failed (exit " + std::to_string(rc) +
                     ") building " + kernel.symbol + ": " + log);
   }
   std::remove(log_path.c_str());

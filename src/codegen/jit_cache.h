@@ -6,8 +6,7 @@
 // version) with the compiler command and flags, so a toolchain or flag
 // change can never serve a stale binary. The default flags carry the host's
 // ISA level, so a directory shared by hosts of different levels never
-// serves a .so the host cannot run. On-disk layout, next to the engine's
-// .sfpc program cache:
+// serves a .so the host cannot run. On-disk layout:
 //
 //   <dir>/<16-hex-key>.sfk.so    the compiled kernel
 //   <dir>/<16-hex-key>.sfk.cc    the source it was built from (debugging)
@@ -33,11 +32,6 @@
 
 namespace spacefusion {
 
-// The kernel cache directory configured in the environment:
-// SPACEFUSION_KERNEL_CACHE_DIR if set, else "<SPACEFUSION_CACHE_DIR>/kernels"
-// if the program cache dir is set, else "" (per-process temp directory).
-std::string KernelCacheDirFromEnv();
-
 // The JIT's compile flags on this host: -O3 -std=c++17 -fPIC -shared
 // -ffp-contract=off, plus -march=x86-64-v4, -v3 or -v2 for the highest ISA
 // level whose every feature the CPU reports and whose vector registers the
@@ -45,11 +39,12 @@ std::string KernelCacheDirFromEnv();
 std::string DefaultJitFlags();
 
 struct JitCacheOptions {
-  // Cache directory; "" uses a per-process directory under the system temp
-  // dir (kernels persist for the process lifetime only).
+  // Cache directory, shared by every cache and process that names it. ""
+  // makes a fresh directory under the system temp dir that the cache
+  // removes when it is destroyed: its kernels live as long as the cache.
   std::string dir;
-  // Host compiler command; "" uses $SPACEFUSION_CXX, else "c++".
-  std::string compiler;
+  // Host compiler command.
+  std::string compiler = "c++";
   // Compile flags, part of every entry key. -ffp-contract=off keeps the
   // JIT-compiled kernels from contracting a*b+c into fma, which would break
   // bit-parity with the separately compiled interpreter; the host ISA level
@@ -108,8 +103,8 @@ class JitKernelCache {
       SF_REQUIRES(mu_);
 
   JitCacheOptions options_;
-  std::string dir_;       // resolved cache directory
-  std::string compiler_;  // resolved compiler command
+  std::string dir_;         // options_.dir, or the directory the cache made
+  bool owns_dir_ = false;   // dir_ was made by this cache and dies with it
 
   mutable Mutex mu_;
   std::map<std::uint64_t, Loaded> loaded_ SF_GUARDED_BY(mu_);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/analysis/race_analyzer.h"
@@ -117,11 +116,6 @@ std::uint64_t CompileOptionsDigest(const CompileOptions& options) {
   return h;
 }
 
-std::string CacheDirFromEnv() {
-  const char* dir = std::getenv("SPACEFUSION_CACHE_DIR");
-  return dir != nullptr ? dir : "";
-}
-
 CompilerEngine::CompilerEngine(EngineOptions options) : options_(std::move(options)) {
   default_digest_ = CompileOptionsDigest(options_.compile);
   if (!options_.cache_dir.empty()) {
@@ -154,15 +148,6 @@ std::string CompilerEngine::NextRequestId() {
   std::snprintf(buf, sizeof(buf), "req-%06lld",
                 static_cast<long long>(next.fetch_add(1, std::memory_order_relaxed) + 1));
   return buf;
-}
-
-void CompilerEngine::EmitReport(const CompileReport& report) {
-  if (options_.report_sink != nullptr) {
-    options_.report_sink->Emit(report);
-  }
-  if (ReportSink* env_sink = EnvReportSink(); env_sink != nullptr) {
-    env_sink->Emit(report);
-  }
 }
 
 StatusOr<CompiledSubprogram> CompilerEngine::CompileWithReport(const Graph& graph,
@@ -214,7 +199,9 @@ StatusOr<CompiledSubprogram> CompilerEngine::CompileWithReport(const Graph& grap
     report->outcome = "error";
     report->status_message = result.status().ToString();
   }
-  EmitReport(*report);
+  if (options_.report_sink != nullptr) {
+    options_.report_sink->Emit(*report);
+  }
   return result;
 }
 
@@ -351,7 +338,9 @@ StatusOr<CompiledSubprogram> CompilerEngine::RunPassList(const Graph& graph,
   state.cost = &cost;
   state.fusion = &fusion_;
 
-  PassManager manager(BuildCompilePassList(options));
+  PassManagerOptions pass_options;
+  pass_options.dump_after_pass = options_.dump_after_pass;
+  PassManager manager(BuildCompilePassList(options), std::move(pass_options));
   Status run_status = manager.Run(&state);
   // Pass timings and diagnostics reach the report even when a pass failed:
   // the partial breakdown is exactly what a post-mortem needs.
@@ -500,7 +489,7 @@ StatusOr<ShapeCompileResult> CompilerEngine::CompileModelForShape(ModelKind kind
 StatusOr<ShapeCompileResult> CompilerEngine::CompileModelForShape(ModelKind kind,
                                                                   const ShapeKey& shape,
                                                                   const CompileOptions& options) {
-  return CompileModelForShape(kind, shape, options, BucketingPolicy::FromEnv());
+  return CompileModelForShape(kind, shape, options, BucketingPolicy::PowersOfTwo());
 }
 
 StatusOr<ShapeCompileResult> CompilerEngine::CompileModelForShape(ModelKind kind,

@@ -20,6 +20,12 @@
 // programs never alias. A fingerprint hit is confirmed by comparing
 // Graph::CanonicalForm against the cached entry before it is served; a
 // mismatch is a counted collision and compiles fresh into the same bucket.
+// The canonical form carries every tensor name, because the executors wire
+// a program to the caller's tensors by name: a graph that differs from a
+// cached one only in its names gets a program of its own.
+//
+// Configuration arrives only through EngineOptions and CompileOptions; the
+// engine reads no environment variable.
 #ifndef SPACEFUSION_SRC_CORE_ENGINE_H_
 #define SPACEFUSION_SRC_CORE_ENGINE_H_
 
@@ -43,10 +49,6 @@ namespace spacefusion {
 // architecture. Two options with equal digests produce identical programs
 // for identical graphs.
 std::uint64_t CompileOptionsDigest(const CompileOptions& options);
-
-// The SPACEFUSION_CACHE_DIR environment variable, read fresh on every call
-// ("" when unset) so tests can repoint it between engines.
-std::string CacheDirFromEnv();
 
 // What CompileModel returns.
 struct CompiledModel {
@@ -89,13 +91,12 @@ struct ShapeCompileResult {
 struct EngineOptions {
   // Default options for Compile/CompileModel calls without per-request ones.
   CompileOptions compile;
-  // Directory of the persistent program cache; defaults to
-  // SPACEFUSION_CACHE_DIR (empty = in-memory cache only). Cold compiles are
-  // stored as checksummed blobs and a later engine — typically in a later
-  // process — serves them as "persistent_hit" without re-tuning; stale or
-  // corrupt entries silently fall back to a cold compile
-  // (engine.cache.persistent_* metrics).
-  std::string cache_dir = CacheDirFromEnv();
+  // Directory of the persistent program cache (empty = in-memory cache
+  // only). Cold compiles are stored as checksummed blobs and a later
+  // engine — typically in a later process — serves them as
+  // "persistent_hit" without re-tuning; stale or corrupt entries silently
+  // fall back to a cold compile (engine.cache.persistent_* metrics).
+  std::string cache_dir;
   // Graph fingerprint for the program-cache key. Defaults to
   // Graph::StructuralHash; tests override it to force collisions onto the
   // canonical-form comparison path.
@@ -108,8 +109,11 @@ struct EngineOptions {
   std::function<DiagnosticReport(const ScheduledProgram&, const Graph&)> admission_analysis;
   // Receives the CompileReport of every finished request (cold, cache hit,
   // or failed). Non-owning; must outlive the engine and be thread-safe.
-  // Independent of (and in addition to) the SPACEFUSION_REPORT_DIR sink.
   ReportSink* report_sink = nullptr;
+  // Passes whose artifacts every cold compile dumps (a PassDumpRequested
+  // spec, e.g. "SlicingPipeline" or "all"; empty dumps nothing), to the
+  // PassManagerOptions default sink, stderr.
+  std::string dump_after_pass;
 
   EngineOptions() = default;
   explicit EngineOptions(CompileOptions c) : compile(std::move(c)) {}
@@ -151,7 +155,7 @@ class CompilerEngine {
   StatusOr<CompiledModel> CompileModel(const ModelGraph& model, const CompileOptions& options);
 
   // Shape-bucketed compile: builds `kind` at the bucket `policy` (default:
-  // BucketingPolicy::FromEnv()) assigns to `shape`, compiles one program per
+  // BucketingPolicy::PowersOfTwo()) assigns to `shape`, compiles one program per
   // unique bucket subprogram with the cache/persistent keys tagged by the
   // bucket, and seeds the tuner's measurement order with the admitted
   // configs of the nearest already-tuned bucket. A second shape falling into
@@ -194,7 +198,7 @@ class CompilerEngine {
       SF_REQUIRES(cache_mu_);
   // One engine request: Lookup, CompileCold on a miss, then one finish
   // tail for every outcome that writes the request's CompileReport into
-  // *report and emits it to the sinks.
+  // *report and emits it to the report sink.
   StatusOr<CompiledSubprogram> CompileWithReport(const Graph& graph,
                                                  const CompileOptions& options,
                                                  const std::string& model_name,
@@ -210,9 +214,6 @@ class CompilerEngine {
                                            const RequestKey& key, CompileReport* report);
   StatusOr<CompiledSubprogram> RunPassList(const Graph& graph, const CompileOptions& options,
                                            CompileReport* report);
-  // Forwards a finished report to the options sink and the
-  // SPACEFUSION_REPORT_DIR sink (when set).
-  void EmitReport(const CompileReport& report);
   // Process-wide deterministic request ids: "req-000001", "req-000002", ...
   static std::string NextRequestId();
 

@@ -1,7 +1,7 @@
 // The persistent program cache: compiled subprograms as versioned,
 // checksummed blobs on disk, so a later process (e.g. a second sf-compile
-// run) warms its in-memory program cache from SPACEFUSION_CACHE_DIR instead
-// of re-tuning.
+// run) warms its in-memory program cache from EngineOptions::cache_dir
+// instead of re-tuning.
 //
 // Blob anatomy (all little-endian, see src/support/binary_io.h):
 //

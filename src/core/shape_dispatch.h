@@ -43,7 +43,7 @@ class ShapeDispatchTable {
     std::vector<size_t> sub_to_unique;
   };
 
-  explicit ShapeDispatchTable(BucketingPolicy policy = BucketingPolicy::FromEnv())
+  explicit ShapeDispatchTable(BucketingPolicy policy = BucketingPolicy::PowersOfTwo())
       : policy_(std::move(policy)) {}
 
   // Registers `result` under its bucket key, replacing any previous entry

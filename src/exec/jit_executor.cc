@@ -11,13 +11,10 @@
 
 namespace spacefusion {
 
-JitExecutor::JitExecutor(JitExecutorOptions options) : options_(std::move(options)) {
-  if (options_.cache.dir.empty()) {
-    options_.cache.dir = KernelCacheDirFromEnv();
-  }
-  owned_cache_ = std::make_unique<JitKernelCache>(options_.cache);
-  cache_ = owned_cache_.get();
-}
+JitExecutor::JitExecutor(JitExecutorOptions options)
+    : options_(std::move(options)),
+      owned_cache_(std::make_unique<JitKernelCache>(options_.cache)),
+      cache_(owned_cache_.get()) {}
 
 JitExecutor::JitExecutor(JitExecutorOptions options, JitKernelCache* shared_cache)
     : options_(std::move(options)), cache_(shared_cache) {

@@ -41,9 +41,8 @@ enum class ExecBackend { kInterpret, kJit };
 
 struct JitExecutorOptions {
   CppCodegenOptions codegen;
-  // Kernel cache configuration. An empty dir resolves through
-  // KernelCacheDirFromEnv() (SPACEFUSION_KERNEL_CACHE_DIR, then
-  // "<SPACEFUSION_CACHE_DIR>/kernels", then a per-process temp dir).
+  // Kernel cache configuration. An empty dir gives the executor's cache a
+  // temp directory of its own, removed with the executor.
   JitCacheOptions cache;
 };
 

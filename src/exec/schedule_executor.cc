@@ -212,11 +212,33 @@ Status RunSchedule(const SmgSchedule& schedule, TensorEnv* env) {
 Status RunProgramWith(const KernelRunner& run_kernel, const ScheduledProgram& program,
                       const Graph& original, const TensorEnv& original_inputs,
                       TensorEnv* final_outputs) {
+  // The caller's tensors are checked once, here, for both executors: past
+  // this point the interpreter trusts every shape, and a JIT kernel that
+  // refused one would fall back rather than fail the request.
+  const std::vector<TensorInfo>& tensors = original.tensors();
+  if (original_inputs.size() != tensors.size()) {
+    return InvalidArgument(StrCat(
+        "graph ", original.name(), " has ", tensors.size(), " tensors but the inputs have ",
+        original_inputs.size(), " slots",
+        original_inputs.size() < tensors.size()
+            ? StrCat(" (none for ", tensors[original_inputs.size()].name, ")")
+            : ""));
+  }
   std::map<std::string, Tensor> by_name;
-  for (const TensorInfo& t : original.tensors()) {
+  for (const TensorInfo& t : tensors) {
     if (t.kind == TensorKind::kInput || t.kind == TensorKind::kWeight ||
         t.kind == TensorKind::kConstant) {
-      by_name[t.name] = original_inputs[static_cast<size_t>(t.id)];
+      const Tensor& given = original_inputs[static_cast<size_t>(t.id)];
+      if (!given.defined()) {
+        return InvalidArgument(StrCat("input ", t.name, " of graph ", original.name(),
+                                      " is undefined"));
+      }
+      if (given.shape() != t.shape) {
+        return InvalidArgument(StrCat("input ", t.name, " has shape ", given.shape().ToString(),
+                                      ", graph ", original.name(), " expects ",
+                                      t.shape.ToString()));
+      }
+      by_name[t.name] = given;
     }
   }
 

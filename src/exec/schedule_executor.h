@@ -35,7 +35,9 @@ using KernelRunner = std::function<Status(const SmgSchedule&, TensorEnv*)>;
 
 // The program loop every executor shares: kernels run in sequence through
 // `run_kernel`, cut tensors handed from one kernel's outputs to the next
-// kernel's inputs by name.
+// kernel's inputs by name. INVALID_ARGUMENT, before any kernel runs, unless
+// `original_inputs` has one slot per tensor of `original` and every
+// input, weight and constant is defined with the graph's shape.
 Status RunProgramWith(const KernelRunner& run_kernel, const ScheduledProgram& program,
                       const Graph& original, const TensorEnv& original_inputs,
                       TensorEnv* final_outputs);

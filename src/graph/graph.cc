@@ -322,7 +322,9 @@ std::uint64_t Graph::TopologyHash() const {
 std::string Graph::CanonicalForm() const {
   std::ostringstream out;
   for (const TensorInfo& t : tensors_) {
-    out << "t" << static_cast<int>(t.kind) << "." << static_cast<int>(t.dtype) << ":";
+    // Length-prefixed, so no name can spell the fields that follow it.
+    out << "t" << static_cast<int>(t.kind) << "." << static_cast<int>(t.dtype) << "."
+        << t.name.size() << "'" << t.name << ":";
     for (std::int64_t d : t.shape.dims()) {
       out << d << ",";
     }

@@ -80,10 +80,12 @@ class Graph {
   // patterns (paper Table 6).
   std::uint64_t TopologyHash() const;
 
-  // Name-insensitive canonical rendering covering exactly the fields
-  // StructuralHash mixes: two graphs have equal CanonicalForm iff they are
-  // structurally identical. The engine's program cache compares this on
-  // every fingerprint hit to rule out hash collisions.
+  // Canonical rendering of the fields StructuralHash mixes plus every
+  // tensor's name: two graphs have equal CanonicalForm iff they are
+  // structurally identical and name their tensors alike. The engine's
+  // program cache compares this on every fingerprint hit, so a program is
+  // never served to a graph the executors would wire differently (they
+  // hand tensors to kernels by name).
   std::string CanonicalForm() const;
 
   std::string ToString() const;

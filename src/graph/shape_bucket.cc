@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <mutex>
 
-#include "src/support/logging.h"
 #include "src/support/string_util.h"
 
 namespace spacefusion {
@@ -47,35 +44,18 @@ StatusOr<BucketingPolicy> BucketingPolicy::FromSpec(const std::string& spec) {
   for (const std::string& piece : StrSplit(spec, ',')) {
     const std::optional<std::int64_t> bucket = ParsePositiveInt(piece);
     if (!bucket) {
-      return InvalidArgument("SPACEFUSION_SHAPE_BUCKETS: \"" + piece +
-                             "\" is not a positive integer in \"" + spec + "\"");
+      return InvalidArgument("\"" + piece + "\" in bucket list \"" + spec +
+                             "\" is not a positive integer");
     }
     if (!policy.seq_buckets_.empty() && *bucket <= policy.seq_buckets_.back()) {
-      return InvalidArgument("SPACEFUSION_SHAPE_BUCKETS: buckets must be strictly ascending in \"" +
-                             spec + "\"");
+      return InvalidArgument("bucket list \"" + spec + "\" is not strictly ascending");
     }
     policy.seq_buckets_.push_back(*bucket);
   }
   if (policy.seq_buckets_.empty()) {
-    return InvalidArgument("SPACEFUSION_SHAPE_BUCKETS: empty bucket list");
+    return InvalidArgument("empty bucket list");
   }
   return policy;
-}
-
-BucketingPolicy BucketingPolicy::FromEnv() {
-  const char* spec = std::getenv("SPACEFUSION_SHAPE_BUCKETS");
-  if (spec == nullptr || *spec == '\0') {
-    return PowersOfTwo();
-  }
-  StatusOr<BucketingPolicy> parsed = FromSpec(spec);
-  if (!parsed.ok()) {
-    static std::once_flag warned;
-    std::call_once(warned, [&] {
-      SF_LOG(Warning) << parsed.status().ToString() << "; using power-of-two buckets";
-    });
-    return PowersOfTwo();
-  }
-  return std::move(parsed).value();
 }
 
 ShapeKey BucketingPolicy::BucketFor(const ShapeKey& shape) const {

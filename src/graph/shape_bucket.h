@@ -44,20 +44,18 @@ StatusOr<ShapeKey> ParseShapeLabel(const std::string& label);
 std::int64_t RoundUpPow2(std::int64_t v);
 
 // Rounds request shapes up to bucket shapes. The default buckets both axes
-// to powers of two; SPACEFUSION_SHAPE_BUCKETS overrides the *seq* axis with
-// an explicit ascending comma list (e.g. "32,48,128"), falling back to
-// power-of-two round-up above the largest listed bucket. The identity
+// to powers of two; FromSpec overrides the *seq* axis with an explicit
+// ascending comma list (e.g. "32,48,128"), falling back to power-of-two
+// round-up above the largest listed bucket. The identity
 // policy maps every shape to itself — the exact-compile reference the
 // differential suite checks dispatch against.
 class BucketingPolicy {
  public:
   static BucketingPolicy PowersOfTwo();
   static BucketingPolicy Identity();
-  // Parses a SPACEFUSION_SHAPE_BUCKETS-style spec (seq-axis comma list).
+  // Parses a seq-axis bucket spec: a strictly ascending comma list of
+  // positive integers (sf-compile reads it from SPACEFUSION_SHAPE_BUCKETS).
   static StatusOr<BucketingPolicy> FromSpec(const std::string& spec);
-  // PowersOfTwo unless SPACEFUSION_SHAPE_BUCKETS is set and valid (an
-  // invalid spec logs a warning and falls back rather than failing compiles).
-  static BucketingPolicy FromEnv();
 
   ShapeKey BucketFor(const ShapeKey& shape) const;
   bool is_identity() const { return identity_; }

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <mutex>
 
 #include "src/support/file_util.h"
 #include "src/support/json.h"
@@ -203,18 +202,6 @@ void DirectoryReportSink::Emit(const CompileReport& report) {
   if (!written.ok()) {
     SF_LOG(Warning) << "cannot write compile report " << path << ": " << written.ToString();
   }
-}
-
-ReportSink* EnvReportSink() {
-  static std::once_flag once;
-  static ReportSink* sink = nullptr;
-  std::call_once(once, [] {
-    const char* dir = std::getenv("SPACEFUSION_REPORT_DIR");
-    if (dir != nullptr && dir[0] != '\0') {
-      sink = new DirectoryReportSink(dir);  // leaked: usable at exit
-    }
-  });
-  return sink;
 }
 
 }  // namespace spacefusion

@@ -9,8 +9,8 @@
 // diff them against a checked-in baseline.
 //
 // Emission is pluggable: the engine forwards each finished report to the
-// ReportSink in its options (tests install capturing sinks) and, when
-// SPACEFUSION_REPORT_DIR is set, also writes
+// ReportSink in its options — tests install capturing sinks, and
+// `sf-compile --report-dir` a DirectoryReportSink writing
 // <dir>/<request_id>.report.json. CompiledModel carries the merged report
 // of its compile so callers need no sink to inspect one run.
 #ifndef SPACEFUSION_SRC_OBS_REPORT_H_
@@ -129,10 +129,6 @@ class DirectoryReportSink : public ReportSink {
  private:
   std::string dir_;
 };
-
-// Process-wide sink backed by SPACEFUSION_REPORT_DIR, or nullptr when the
-// variable is unset/empty. Read once and cached.
-ReportSink* EnvReportSink();
 
 }  // namespace spacefusion
 

@@ -1,8 +1,8 @@
 // Aggregation and regression-diff over compile observability artifacts.
 //
 // sf-stats is a thin CLI over this library: it loads a "run" from any of
-// the formats the toolchain emits — a SPACEFUSION_REPORT_DIR full of
-// *.report.json CompileReports, a single CompileReport, a
+// the formats the toolchain emits — a `sf-compile --report-dir` directory
+// full of *.report.json CompileReports, a single CompileReport, a
 // BENCH_compile.json from table5_model_compile --json, or a BENCH_exec.json
 // from fig_wallclock --json — normalizes it into named numeric series, and
 // either summarizes one run (top-N slowest passes / models, outcome counts)

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 
 #include "src/obs/metrics.h"
@@ -111,10 +110,6 @@ bool PassDumpRequested(const std::string& dump_spec, const char* pass_name) {
 }
 
 PassManagerOptions::PassManagerOptions() {
-  const char* env = std::getenv("SPACEFUSION_DUMP_AFTER_PASS");
-  if (env != nullptr) {
-    dump_after_pass = env;
-  }
   dump_sink = [](const std::string& pass_name, const std::string& text) {
     std::string block =
         StrCat("=== dump-after-pass: ", pass_name, " ===\n", text, "=== end ", pass_name, " ===\n");

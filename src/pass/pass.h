@@ -6,8 +6,8 @@
 // PassManager uniformly applies what each phase used to hand-roll: a trace
 // span and run/latency metrics per pass, per-pass wall-clock timings (the
 // substrate for CompileTimeBreakdown), phase-boundary verification hooks
-// (VerifyMode maps to before/after-pass checks), and the
-// SPACEFUSION_DUMP_AFTER_PASS IR-dump facility. Ablation toggles are
+// (VerifyMode maps to before/after-pass checks), and the dump-after-pass
+// IR-dump facility (PassManagerOptions). Ablation toggles are
 // pass-list edits: BuildCompilePassList swaps Tune for ExpertConfig when
 // auto-scheduling is disabled.
 #ifndef SPACEFUSION_SRC_PASS_PASS_H_
@@ -44,9 +44,8 @@ struct CompileOptions {
   // are checked at compile entry and the chosen program at compile exit;
   // kFull additionally checks every candidate program and enumerated
   // config, and runs the static race/alias analysis (src/analysis, SFV06xx)
-  // of the chosen program at compile exit. Defaults to SPACEFUSION_VERIFY
-  // from the environment, else phase.
-  VerifyMode verify = VerifyModeFromEnv();
+  // of the chosen program at compile exit.
+  VerifyMode verify = VerifyMode::kPhase;
   TunerOptions tuner;
   // Shape bucket this compile belongs to (the bucket ShapeKey::Label(),
   // "" for shape-agnostic compiles). Mixed into CompileOptionsDigest only
@@ -149,7 +148,7 @@ struct CompilationState {
   // CompileReport whether the compile succeeds or fails.
   DiagnosticReport diagnostics;
 
-  // Renders the artifacts present so far (for SPACEFUSION_DUMP_AFTER_PASS).
+  // Renders the artifacts present so far (for dump-after-pass).
   std::string DumpArtifacts() const;
 };
 
@@ -179,14 +178,14 @@ struct PassTiming {
   double cpu_ms = 0.0;
 };
 
-// True when `pass_name` matches the SPACEFUSION_DUMP_AFTER_PASS spec: "all"
-// (or "*") matches every pass, otherwise a comma-separated list of pass
-// names is matched case-sensitively. Empty spec matches nothing.
+// True when `pass_name` matches a dump-after-pass spec: "all" (or "*")
+// matches every pass, otherwise a comma-separated list of pass names is
+// matched case-sensitively. Empty spec matches nothing.
 bool PassDumpRequested(const std::string& dump_spec, const char* pass_name);
 
 struct PassManagerOptions {
-  // Which passes to dump artifacts after. Defaults to the
-  // SPACEFUSION_DUMP_AFTER_PASS environment variable (read per manager).
+  // Which passes to dump artifacts after (a PassDumpRequested spec; empty
+  // dumps nothing).
   std::string dump_after_pass;
   // Where dumps go; default writes to stderr.
   std::function<void(const std::string& pass_name, const std::string& text)> dump_sink;

@@ -14,7 +14,7 @@ namespace spacefusion {
 template <typename... Args>
 std::string StrCat(const Args&... args) {
   std::ostringstream out;
-  (out << ... << args);
+  ((out << args), ...);  // a comma fold: StrCat() is well-formed and warning-free
   return out.str();
 }
 

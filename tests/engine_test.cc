@@ -1,12 +1,17 @@
 // Tests for CompilerEngine (src/core/engine): the cross-model structural
 // program cache (hit/miss/collision semantics, options digest), equality of
-// cached and cold-compiled results, and thread-safety of concurrent compile
-// requests against one engine.
+// cached and cold-compiled results, thread-safety of concurrent compile
+// requests against one engine, and library defaults that no environment
+// variable can change.
 #include <gtest/gtest.h>
+#include <stdlib.h>
+#include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -14,6 +19,10 @@
 #include <vector>
 
 #include "src/core/engine.h"
+#include "src/core/shape_dispatch.h"
+#include "src/exec/jit_executor.h"
+#include "src/exec/reference_executor.h"
+#include "src/exec/schedule_executor.h"
 #include "src/graph/builder.h"
 #include "src/graph/models.h"
 #include "src/graph/subgraphs.h"
@@ -53,9 +62,9 @@ TEST(EngineCacheTest, CrossModelStructuralHit) {
   EXPECT_EQ(engine.cache_stats().hits, 0);
   EXPECT_EQ(engine.cache_stats().misses, 1);
 
-  // Same constructor arguments produce the same structure; the graph and its
-  // tensors keep their own (identical) generated names, so rename everything
-  // to prove the cache is structural, not name-based.
+  // Same constructor arguments produce the same structure and tensor names;
+  // a different graph name must not matter. (Tensor names do: see
+  // GraphsThatDifferOnlyInTensorNamesGetTheirOwnPrograms.)
   Graph second = BuildMha(4, 64, 64, 32);
   second.set_name("mha_from_another_model");
 
@@ -74,6 +83,73 @@ TEST(EngineCacheTest, CrossModelStructuralHit) {
   MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
   EXPECT_GE(snapshot.counter("engine.cache.hits"), 1);
   EXPECT_GE(snapshot.counter("engine.cache.misses"), 1);
+}
+
+// x·W1, ReLU, ·W2 with x 64x128 and W1, W2 128x128.
+Graph TwoLayerMlp(const std::string& x, const std::string& w1, const std::string& w2) {
+  GraphBuilder b("mlp");
+  const TensorId in = b.Input(x, Shape({64, 128}));
+  const TensorId first = b.Weight(w1, Shape({128, 128}));
+  const TensorId second = b.Weight(w2, Shape({128, 128}));
+  b.MarkOutput(b.MatMul(b.Relu(b.MatMul(in, first)), second));
+  return b.Build();
+}
+
+void ExpectOutputsBitIdentical(const Graph& g, const TensorEnv& want, const TensorEnv& got,
+                               const char* what) {
+  for (TensorId out : g.OutputIds()) {
+    const Tensor& w = want[static_cast<size_t>(out)];
+    const Tensor& o = got[static_cast<size_t>(out)];
+    ASSERT_TRUE(o.defined() && o.shape() == w.shape()) << what;
+    EXPECT_EQ(std::memcmp(w.data(), o.data(), static_cast<size_t>(w.volume()) * sizeof(float)), 0)
+        << what << ": " << g.tensor(out).name;
+  }
+}
+
+// The executors hand the caller's tensors to kernels by name, so a graph
+// that matches a cached one in everything but its tensor names is a counted
+// collision that compiles its own program. Served the cached program, the
+// renamed graph would miss its input "x", and the swapped one would run
+// with its weights exchanged.
+TEST(EngineCacheTest, GraphsThatDifferOnlyInTensorNamesGetTheirOwnPrograms) {
+  const Graph original = TwoLayerMlp("x", "w1", "w2");
+  const Graph renamed = [&original] {
+    Graph g = original;
+    for (const TensorInfo& t : original.tensors()) {
+      g.tensor(t.id).name = "other." + t.name;
+    }
+    return g;
+  }();
+  const Graph swapped = TwoLayerMlp("x", "w2", "w1");
+  ASSERT_EQ(renamed.StructuralHash(), original.StructuralHash());
+  ASSERT_EQ(swapped.StructuralHash(), original.StructuralHash());
+
+  CompilerEngine engine{CompileOptions()};
+  ASSERT_TRUE(engine.Compile(original).ok());
+  JitExecutor jit;
+  for (const Graph* g : {&renamed, &swapped}) {
+    StatusOr<CompiledSubprogram> served = engine.Compile(*g);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    CompilerEngine fresh_engine{CompileOptions()};
+    StatusOr<CompiledSubprogram> fresh = fresh_engine.Compile(*g);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+
+    const TensorEnv inputs = MakeGraphInputs(*g, /*seed=*/7);
+    TensorEnv want;
+    TensorEnv got;
+    ASSERT_TRUE(RunScheduledProgram(fresh->program, *g, inputs, &want).ok());
+    Status run = RunScheduledProgram(served->program, *g, inputs, &got);
+    ASSERT_TRUE(run.ok()) << run.ToString();
+    ExpectOutputsBitIdentical(*g, want, got, "interpreter");
+    ASSERT_TRUE(jit.RunProgram(fresh->program, *g, inputs, &want).ok());
+    run = jit.RunProgram(served->program, *g, inputs, &got);
+    ASSERT_TRUE(run.ok()) << run.ToString();
+    ExpectOutputsBitIdentical(*g, want, got, "jit");
+  }
+  EXPECT_EQ(engine.cache_stats().hits, 0);
+  EXPECT_EQ(engine.cache_stats().collisions, 2);
+  EXPECT_EQ(engine.program_cache_size(), 3);
+  EXPECT_EQ(jit.stats().fallbacks, 0);
 }
 
 TEST(EngineCacheTest, CrossModelHitThroughCompileModel) {
@@ -649,6 +725,107 @@ TEST(EngineAdmissionTest, CleanProgramPersistsAndWarmServes) {
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_EQ(warm.cache_stats().persistent_hits, 1);
   std::filesystem::remove_all(cache_dir);
+}
+
+// Every variable the library used to read for configuration (sf-compile
+// still reads the last two), each with a value that would have changed a
+// default. SPACEFUSION_TRACE only starts a trace capture and is not among
+// them.
+const std::pair<const char*, const char*> kConfigurationVariables[] = {
+    {"SPACEFUSION_VERIFY", "full"},
+    {"SPACEFUSION_SCREEN_TOPK", "0"},
+    {"SPACEFUSION_DUMP_AFTER_PASS", "all"},
+    {"SPACEFUSION_REPORT_DIR", nullptr},        // set to a scratch dir below
+    {"SPACEFUSION_KERNEL_CACHE_DIR", nullptr},  // likewise
+    {"SPACEFUSION_CXX", "/bin/false"},
+    {"SPACEFUSION_CACHE_DIR", nullptr},  // likewise
+    {"SPACEFUSION_SHAPE_BUCKETS", "48,96"},
+};
+
+// What a default-constructed caller gets.
+struct Defaults {
+  VerifyMode verify = VerifyMode::kOff;
+  std::uint64_t digest = 0;
+  std::string cache_dir;
+  int screen_top_k = 0;
+  std::string dispatch_policy;
+  std::string kernel_cache_parent;
+  bool kernel_cache_is_own = false;
+};
+
+Defaults ReadDefaults() {
+  Defaults d;
+  const CompileOptions compile;
+  d.verify = compile.verify;
+  d.digest = CompileOptionsDigest(compile);
+  d.cache_dir = EngineOptions().cache_dir;
+  d.screen_top_k = TunerOptions().screen_top_k;
+  d.dispatch_policy = ShapeDispatchTable().policy().ToString();
+  JitExecutor jit;
+  const std::filesystem::path dir = jit.cache().dir();
+  d.kernel_cache_parent = dir.parent_path().string();
+  d.kernel_cache_is_own = dir.filename().string().rfind("sf-jit-", 0) == 0;
+  return d;
+}
+
+TEST(ConfigurationTest, EnvironmentReachesNoLibraryDefault) {
+  const std::string scratch =
+      (std::filesystem::path(::testing::TempDir()) /
+       ("sf-config-" + std::to_string(::getpid())))
+          .string();
+  std::vector<std::pair<std::string, std::optional<std::string>>> saved;
+  for (const auto& [name, value] : kConfigurationVariables) {
+    const char* old = std::getenv(name);
+    saved.emplace_back(name, old != nullptr ? std::optional<std::string>(old) : std::nullopt);
+    ::unsetenv(name);
+  }
+  const Defaults clean = ReadDefaults();
+  for (const auto& [name, value] : kConfigurationVariables) {
+    ::setenv(name, value != nullptr ? value : (scratch + "/" + name).c_str(), 1);
+  }
+  const Defaults configured = ReadDefaults();
+
+  // A compile and a JIT run under the variables: no report, program cache
+  // or kernel cache written where they point, no dump, and kernels built
+  // with c++.
+  ::testing::internal::CaptureStderr();
+  CompilerEngine engine{EngineOptions()};
+  const Graph g = TwoLayerMlp("x", "w1", "w2");
+  StatusOr<CompiledSubprogram> compiled = engine.Compile(g);
+  TensorEnv outputs;
+  JitExecutor jit;
+  const Status run = compiled.ok()
+                         ? jit.RunProgram(compiled->program, g, MakeGraphInputs(g, 3), &outputs)
+                         : compiled.status();
+  const std::string dumped = ::testing::internal::GetCapturedStderr();
+
+  for (const auto& [name, value] : saved) {
+    if (value) {
+      ::setenv(name.c_str(), value->c_str(), 1);
+    } else {
+      ::unsetenv(name.c_str());
+    }
+  }
+
+  EXPECT_EQ(clean.verify, VerifyMode::kPhase);
+  EXPECT_EQ(configured.verify, clean.verify);
+  EXPECT_EQ(configured.digest, clean.digest);
+  EXPECT_EQ(clean.cache_dir, "");
+  EXPECT_EQ(configured.cache_dir, clean.cache_dir);
+  EXPECT_EQ(clean.screen_top_k, -1);
+  EXPECT_EQ(configured.screen_top_k, clean.screen_top_k);
+  EXPECT_EQ(clean.dispatch_policy, BucketingPolicy::PowersOfTwo().ToString());
+  EXPECT_EQ(configured.dispatch_policy, clean.dispatch_policy);
+  EXPECT_TRUE(clean.kernel_cache_is_own);
+  EXPECT_TRUE(configured.kernel_cache_is_own);
+  EXPECT_EQ(configured.kernel_cache_parent, clean.kernel_cache_parent);
+
+  ASSERT_TRUE(run.ok()) << run.ToString();
+  EXPECT_EQ(jit.stats().fallbacks, 0);
+  EXPECT_EQ(dumped.find("dump-after-pass"), std::string::npos) << dumped;
+  EXPECT_FALSE(std::filesystem::exists(scratch)) << "a variable named a directory that was used";
+  std::error_code ignored;
+  std::filesystem::remove_all(scratch, ignored);
 }
 
 }  // namespace

@@ -347,6 +347,46 @@ TEST(JitExecutorTest, BrokenToolchainFallsBackToInterpreter) {
   EXPECT_EQ(executor.cache().stats().toolchain_invocations, kernels);
 }
 
+// The caller's tensors are checked once, at the program boundary: a wrong
+// input shape, a short env or an undefined weight is INVALID_ARGUMENT from
+// both executors before any kernel runs — no JIT fallback, and no abort
+// inside the interpreter.
+TEST(JitExecutorTest, MalformedInputsAreRejectedAtTheProgramBoundary) {
+  GraphBuilder b("mlp");
+  const TensorId x = b.Input("x", Shape({64, 128}));
+  const TensorId w1 = b.Weight("w1", Shape({128, 128}));
+  const TensorId w2 = b.Weight("w2", Shape({128, 128}));
+  b.MarkOutput(b.MatMul(b.Relu(b.MatMul(x, w1)), w2));
+  const Graph g = b.Build();
+  StatusOr<CompiledSubprogram> compiled = CompileGraph(g);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+
+  TensorEnv wrong_shape = MakeGraphInputs(g, /*seed=*/5);
+  wrong_shape[static_cast<size_t>(x)] = Tensor::Random(Shape({32, 128}), /*seed=*/6);
+  TensorEnv short_env = MakeGraphInputs(g, /*seed=*/5);
+  short_env.pop_back();
+  const std::string last = g.tensors().back().name;
+  TensorEnv undefined = MakeGraphInputs(g, /*seed=*/5);
+  undefined[static_cast<size_t>(w2)] = Tensor();
+
+  JitExecutorOptions options;
+  options.cache.dir = UniqueTestDir("boundary");
+  JitExecutor executor(options);
+  for (const auto& [env, tensor] : {std::pair<TensorEnv*, std::string>{&wrong_shape, "x"},
+                                    {&short_env, last}, {&undefined, "w2"}}) {
+    TensorEnv out;
+    const Status interpreted = RunScheduledProgram(compiled->program, g, *env, &out);
+    const Status jitted = executor.RunProgram(compiled->program, g, *env, &out);
+    for (const Status& st : {interpreted, jitted}) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+      EXPECT_NE(st.message().find(tensor), std::string::npos) << st.ToString();
+    }
+  }
+  EXPECT_EQ(executor.stats().jit_runs, 0);
+  EXPECT_EQ(executor.stats().fallbacks, 0);
+  EXPECT_EQ(executor.cache().stats().toolchain_invocations, 0);
+}
+
 // Differential corpus: random graphs, one executor, jit vs interpreter.
 class JitDifferentialTest : public ::testing::TestWithParam<int> {};
 
@@ -372,6 +412,30 @@ class JitCacheTest : public ::testing::Test {
     return kernel.value();
   }
 };
+
+// A cache told no directory makes its own, never shared with another
+// cache, and removes it with everything in it when it is destroyed; a
+// directory the caller named outlives the cache.
+TEST_F(JitCacheTest, OwnDirectoryDiesWithTheCacheANamedOneSurvives) {
+  CppKernel kernel = EmitOneKernel(BuildLayerNormGraph(8, 16));
+  std::string own_dir;
+  {
+    JitKernelCache cache;
+    own_dir = cache.dir();
+    EXPECT_NE(JitKernelCache().dir(), own_dir);
+    ASSERT_TRUE(cache.GetOrBuild(kernel).ok());
+    EXPECT_FALSE(ListDirectory(own_dir).empty());
+  }
+  EXPECT_FALSE(std::filesystem::exists(own_dir)) << own_dir;
+
+  JitCacheOptions named;
+  named.dir = UniqueTestDir("named");
+  {
+    JitKernelCache cache(named);
+    ASSERT_TRUE(cache.GetOrBuild(kernel).ok());
+  }
+  EXPECT_FALSE(ListDirectory(named.dir).empty());
+}
 
 // Acceptance criterion: a second process pointed at the same cache dir
 // performs ZERO toolchain invocations.

@@ -1,10 +1,9 @@
 // Tests for the pass-manager compile pipeline (src/pass): pass-list
 // construction and ablation edits, run ordering and error short-circuiting,
 // per-pass timings feeding CompileTimeBreakdown, verify hooks at phase
-// boundaries, and the SPACEFUSION_DUMP_AFTER_PASS facility.
+// boundaries, and the dump-after-pass facility.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -344,13 +343,23 @@ TEST(PassDumpTest, SingleNameSelectsOnePass) {
   EXPECT_EQ(dumped, (std::vector<std::string>{"SlicingPipeline"}));
 }
 
-TEST(PassDumpTest, EnvVariableFeedsDefaultOptions) {
-  ASSERT_EQ(setenv("SPACEFUSION_DUMP_AFTER_PASS", "Lower,Estimate", /*overwrite=*/1), 0);
-  PassManagerOptions from_env;
-  EXPECT_EQ(from_env.dump_after_pass, "Lower,Estimate");
-  ASSERT_EQ(unsetenv("SPACEFUSION_DUMP_AFTER_PASS"), 0);
-  PassManagerOptions without_env;
-  EXPECT_TRUE(without_env.dump_after_pass.empty());
+// EngineOptions::dump_after_pass reaches every cold compile's PassManager
+// (sf-compile's --dump-after-pass); a cache hit runs no pass and dumps
+// nothing.
+TEST(PassDumpTest, EngineOptionsSpecDumpsEveryColdCompile) {
+  EngineOptions options;
+  options.dump_after_pass = "Lower,Estimate";
+  CompilerEngine engine{options};
+  const Graph g = BuildMlp(1, 16, 16, 16);
+  ::testing::internal::CaptureStderr();
+  ASSERT_TRUE(engine.Compile(g).ok());
+  const std::string cold = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(cold.find("=== dump-after-pass: Lower ==="), std::string::npos) << cold;
+  EXPECT_NE(cold.find("=== dump-after-pass: Estimate ==="), std::string::npos) << cold;
+  EXPECT_EQ(cold.find("=== dump-after-pass: Tune ==="), std::string::npos) << cold;
+  ::testing::internal::CaptureStderr();
+  ASSERT_TRUE(engine.Compile(g).ok());
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
 }
 
 // --- Ablation equivalence -------------------------------------------------

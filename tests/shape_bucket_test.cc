@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -34,35 +33,6 @@
 
 namespace spacefusion {
 namespace {
-
-// Sets (or unsets, for nullptr) an environment variable for one scope.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) {
-      saved_ = old;
-    }
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, 1);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_.c_str(), saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string saved_;
-  bool had_ = false;
-};
 
 std::string UniqueTestDir(const std::string& tag) {
   const std::string dir = testing_util::UniqueTestDir("sf-shape-bucket", tag);
@@ -135,22 +105,6 @@ TEST(BucketingPolicyTest, FromSpecRoutesSeqAxisThroughExplicitBuckets) {
 TEST(BucketingPolicyTest, FromSpecRejectsMalformedSpecs) {
   for (const char* bad : {"", "abc", "48,32", "32,,64", "0,32", "-8,16"}) {
     EXPECT_FALSE(BucketingPolicy::FromSpec(bad).ok()) << bad;
-  }
-}
-
-TEST(BucketingPolicyTest, FromEnvHonorsOverrideAndFallsBack) {
-  {
-    ScopedEnv env("SPACEFUSION_SHAPE_BUCKETS", "48,96");
-    EXPECT_EQ(BucketingPolicy::FromEnv().BucketFor({1, 50}), (ShapeKey{1, 96}));
-  }
-  {
-    // An invalid spec must not fail compiles: power-of-two fallback.
-    ScopedEnv env("SPACEFUSION_SHAPE_BUCKETS", "not-a-spec");
-    EXPECT_EQ(BucketingPolicy::FromEnv().BucketFor({1, 50}), (ShapeKey{1, 64}));
-  }
-  {
-    ScopedEnv env("SPACEFUSION_SHAPE_BUCKETS", nullptr);
-    EXPECT_EQ(BucketingPolicy::FromEnv().BucketFor({1, 50}), (ShapeKey{1, 64}));
   }
 }
 
@@ -425,7 +379,6 @@ TEST(BucketedFactoryTest, IdentityPolicyBuildsAtTheExactShape) {
 // ---- Engine: zero-tuner bucket hits and config transfer -------------------
 
 TEST(ShapeBucketEngineTest, SecondShapeInBucketIsServedWithZeroTunerInvocations) {
-  ScopedEnv env("SPACEFUSION_SHAPE_BUCKETS", nullptr);
   MetricsRegistry::Global().Reset();
   CompilerEngine engine{CompileOptions(AmpereA100())};
 
@@ -465,7 +418,6 @@ TEST(ShapeBucketEngineTest, SecondShapeInBucketIsServedWithZeroTunerInvocations)
 }
 
 TEST(ShapeBucketEngineTest, TransferFromNeighborBucketCutsTuningTime) {
-  ScopedEnv env("SPACEFUSION_SHAPE_BUCKETS", nullptr);
   CompilerEngine seeded{CompileOptions(AmpereA100())};
   StatusOr<ShapeCompileResult> first = seeded.CompileModelForShape(ModelKind::kBert, {1, 128});
   ASSERT_TRUE(first.ok());
@@ -500,7 +452,6 @@ TEST(ShapeBucketEngineTest, TransferFromNeighborBucketCutsTuningTime) {
 }
 
 TEST(ShapeBucketEngineTest, RestartedEngineServesBucketFromDisk) {
-  ScopedEnv env("SPACEFUSION_SHAPE_BUCKETS", nullptr);
   const std::string dir = UniqueTestDir("restart");
   EngineOptions options{CompileOptions(AmpereA100())};
   options.cache_dir = dir;
@@ -533,7 +484,6 @@ TEST(ShapeBucketEngineTest, RestartedEngineServesBucketFromDisk) {
 // ---- Dispatch table -------------------------------------------------------
 
 TEST(ShapeDispatchTableTest, RoutesShapesToTheirBucketEntry) {
-  ScopedEnv env("SPACEFUSION_SHAPE_BUCKETS", nullptr);
   CompilerEngine engine{CompileOptions(AmpereA100())};
   StatusOr<ShapeCompileResult> compiled = engine.CompileModelForShape(ModelKind::kBert, {1, 20});
   ASSERT_TRUE(compiled.ok());
@@ -562,7 +512,6 @@ TEST(ShapeDispatchTableTest, RoutesShapesToTheirBucketEntry) {
 // colliding, the bucket still adds, and each subprogram routes to the
 // program compiled from its own graph.
 TEST(ShapeDispatchTableTest, CollidingFingerprintsRouteEachSubprogramToItsOwnProgram) {
-  ScopedEnv env("SPACEFUSION_SHAPE_BUCKETS", nullptr);
   EngineOptions options{CompileOptions(AmpereA100())};
   options.fingerprint_fn = [](const Graph&) { return 42ULL; };
   CompilerEngine engine{options};
@@ -636,7 +585,6 @@ std::vector<size_t> UniqueSubprogramIndices(const BucketedModel& m) {
 }
 
 TEST(ShapeDispatchDifferentialTest, DispatchMatchesExactCompileOnEveryZooModel) {
-  ScopedEnv env("SPACEFUSION_SHAPE_BUCKETS", nullptr);
   CompilerEngine engine{CompileOptions(AmpereA100())};
 
   for (ModelKind kind : AllModelKinds()) {
@@ -707,7 +655,6 @@ TEST(ShapeDispatchDifferentialTest, DispatchMatchesExactCompileOnEveryZooModel) 
 }
 
 TEST(ShapeDispatchJitTest, JitDispatchMatchesInterpreterDispatch) {
-  ScopedEnv env("SPACEFUSION_SHAPE_BUCKETS", nullptr);
   CompilerEngine engine{CompileOptions(AmpereA100())};
   StatusOr<ShapeCompileResult> compiled = engine.CompileModelForShape(ModelKind::kBert, {1, 20});
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
@@ -743,7 +690,6 @@ TEST(ShapeDispatchJitTest, JitDispatchMatchesInterpreterDispatch) {
 // The JIT backend runs only through a caller-provided executor: asking for
 // it without one is a caller error, reported before any work is done.
 TEST(ShapeDispatchJitTest, JitBackendWithoutExecutorIsInvalidArgument) {
-  ScopedEnv env("SPACEFUSION_SHAPE_BUCKETS", nullptr);
   CompilerEngine engine{CompileOptions(AmpereA100())};
   StatusOr<ShapeCompileResult> compiled = engine.CompileModelForShape(ModelKind::kBert, {1, 3});
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();

@@ -3,7 +3,6 @@
 // plus positive runs proving clean IR produces zero diagnostics.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -73,18 +72,11 @@ TEST(DiagnosticsTest, RenderingAndStatus) {
   EXPECT_EQ(report.error_count(), 2);
 }
 
-TEST(VerifyModeTest, ParseAndEnv) {
+TEST(VerifyModeTest, ParsesTheThreeModeNames) {
   EXPECT_EQ(ParseVerifyMode("off").value(), VerifyMode::kOff);
   EXPECT_EQ(ParseVerifyMode("phase").value(), VerifyMode::kPhase);
   EXPECT_EQ(ParseVerifyMode("full").value(), VerifyMode::kFull);
   EXPECT_FALSE(ParseVerifyMode("FULL").ok());
-
-  setenv("SPACEFUSION_VERIFY", "full", 1);
-  EXPECT_EQ(VerifyModeFromEnv(), VerifyMode::kFull);
-  setenv("SPACEFUSION_VERIFY", "bogus", 1);
-  EXPECT_EQ(VerifyModeFromEnv(VerifyMode::kOff), VerifyMode::kOff);
-  unsetenv("SPACEFUSION_VERIFY");
-  EXPECT_EQ(VerifyModeFromEnv(), VerifyMode::kPhase);
 }
 
 // --- GraphVerifier --------------------------------------------------------

@@ -8,6 +8,13 @@
 // analyzer included. Exit code 0 only when every requested model compiled
 // (a checker error fails the compile; warnings do not).
 //
+// Two environment variables configure a deployment, read here and handed
+// to the engine as options: SPACEFUSION_CACHE_DIR names the persistent
+// program cache directory (EngineOptions::cache_dir), and
+// SPACEFUSION_SHAPE_BUCKETS the seq-axis buckets of --bucketed compiles
+// (BucketingPolicy::FromSpec; default powers of two). An invalid bucket
+// spec exits 2.
+//
 //   sf-compile --model all --json COMPILE_times.json
 //   sf-compile --model all --mode full --json VERIFY_models.json
 //   sf-compile --model bert --arch H100 --dump-after-pass SlicingPipeline
@@ -52,23 +59,28 @@ int Usage() {
          "                    comma list compiles each shape in order through the\n"
          "                    model's engine, one JSON entry per shape\n"
          "  --bucketed        compile through the shape-bucketed path: the shape is\n"
-         "                    rounded to its bucket (SPACEFUSION_SHAPE_BUCKETS) and the\n"
-         "                    JSON gains shape/bucket/bucket_hit/transfer_seeded\n"
+         "                    rounded to its bucket (powers of two, or the ascending\n"
+         "                    list in SPACEFUSION_SHAPE_BUCKETS) and the JSON gains\n"
+         "                    shape/bucket/bucket_hit/transfer_seeded\n"
          "  --arch            target architecture: V100, A100, H100 (default: A100)\n"
-         "  --mode            verification level (default: SPACEFUSION_VERIFY, else phase);\n"
-         "                    full also checks every candidate and runs the race analyzer\n"
+         "  --mode            verification level (default: phase); full also checks\n"
+         "                    every candidate and runs the race analyzer\n"
          "  --dump-after-pass dump compilation artifacts after these passes (stderr)\n"
          "  --shared-cache    serve all models from one engine (cross-model program cache)\n"
          "  --json            write per-model timing/metrics JSON to PATH\n"
          "  --report-dir      write one CompileReport JSON per engine request to DIR\n"
-         "                    (same as setting SPACEFUSION_REPORT_DIR)\n"
          "  --emit-kernels    dump every compiled kernel to DIR as <model>-s<I>-k<J>.cc:\n"
          "                    the native C++ the JIT builds, named inside by its\n"
          "                    content-hash symbol; prints the flags it builds them with\n"
          "  --metrics         print the final MetricsSnapshot as text to stdout\n"
          "  --metrics-json    print the final MetricsSnapshot as JSON to stdout\n"
          "  --openmetrics     print the final snapshot as OpenMetrics exposition\n"
-         "  --list            print the built-in model and architecture names and exit\n";
+         "  --list            print the built-in model and architecture names and exit\n"
+         "\n"
+         "environment:\n"
+         "  SPACEFUSION_CACHE_DIR      persistent program cache directory (default: none)\n"
+         "  SPACEFUSION_SHAPE_BUCKETS  --bucketed seq buckets, e.g. 48,96,256\n"
+         "                             (default: powers of two)\n";
   return 2;
 }
 
@@ -151,8 +163,10 @@ int Run(int argc, char** argv) {
   std::int64_t batch = 1;
   std::vector<std::int64_t> seqs = {128};
   GpuArch arch = AmpereA100();
-  VerifyMode mode = VerifyModeFromEnv(VerifyMode::kPhase);
+  VerifyMode mode = VerifyMode::kPhase;
   std::string json_path;
+  std::string report_dir;
+  std::string dump_after_pass;
   std::string emit_kernels_dir;
   bool shared_cache = false;
   bool bucketed = false;
@@ -230,17 +244,13 @@ int Run(int argc, char** argv) {
       }
       mode = parsed.value();
     } else if (flag == "--dump-after-pass") {
-      // The PassManager reads the spec from the environment per compile, so
-      // the flag is just a setenv (and composes with an inherited value).
-      setenv("SPACEFUSION_DUMP_AFTER_PASS", value.c_str(), /*overwrite=*/1);
+      dump_after_pass = value;
     } else if (flag == "--json") {
       json_path = value;
     } else if (flag == "--emit-kernels") {
       emit_kernels_dir = value;
     } else if (flag == "--report-dir") {
-      // EnvReportSink reads the variable lazily at the first emit, so the
-      // flag is just a setenv, like --dump-after-pass.
-      setenv("SPACEFUSION_REPORT_DIR", value.c_str(), /*overwrite=*/1);
+      report_dir = value;
     } else {
       return Usage();
     }
@@ -263,12 +273,31 @@ int Run(int argc, char** argv) {
     kinds.push_back(kind.value());
   }
 
+  BucketingPolicy policy = BucketingPolicy::PowersOfTwo();
+  if (const char* spec = std::getenv("SPACEFUSION_SHAPE_BUCKETS"); spec != nullptr && *spec) {
+    StatusOr<BucketingPolicy> parsed = BucketingPolicy::FromSpec(spec);
+    if (!parsed.ok()) {
+      std::cerr << "sf-compile: SPACEFUSION_SHAPE_BUCKETS: " << parsed.status().message() << "\n";
+      return 2;
+    }
+    policy = std::move(parsed).value();
+  }
+
   CompileOptions options(arch);
   options.verify = mode;
+  EngineOptions engine_options(options);
+  if (const char* dir = std::getenv("SPACEFUSION_CACHE_DIR"); dir != nullptr) {
+    engine_options.cache_dir = dir;
+  }
+  engine_options.dump_after_pass = dump_after_pass;
+  std::optional<DirectoryReportSink> report_sink;
+  if (!report_dir.empty()) {
+    engine_options.report_sink = &report_sink.emplace(report_dir);
+  }
   // One engine per model keeps the per-model timings cold; --shared-cache
   // keeps one engine so structurally repeated subprograms across models are
   // served from the program cache (engine.cache.hits).
-  CompilerEngine shared_engine{EngineOptions(options)};
+  CompilerEngine shared_engine{engine_options};
 
   bool all_ok = true;
   const std::string seq_json =
@@ -277,7 +306,7 @@ int Run(int argc, char** argv) {
                             ",\"seq\":", seq_json, ",\"models\":[");
   bool first_entry = true;
   for (ModelKind kind : kinds) {
-    CompilerEngine cold_engine{EngineOptions(options)};
+    CompilerEngine cold_engine{engine_options};
     CompilerEngine& engine = shared_cache ? shared_engine : cold_engine;
     // The shapes compile in order through one engine, so a later bucket
     // can hit an earlier one or be transfer-seeded from it.
@@ -288,7 +317,7 @@ int Run(int argc, char** argv) {
       auto start = std::chrono::steady_clock::now();
       if (bucketed) {
         StatusOr<ShapeCompileResult> compiled =
-            engine.CompileModelForShape(kind, ShapeKey{batch, seq}, options);
+            engine.CompileModelForShape(kind, ShapeKey{batch, seq}, options, policy);
         if (compiled.ok()) {
           r.compiled = std::move(compiled->compiled);
         } else {

@@ -1,6 +1,6 @@
 // sf-stats: aggregate and diff compile observability artifacts.
 //
-// Summarizes one run — a SPACEFUSION_REPORT_DIR of CompileReports, a
+// Summarizes one run — a --report-dir directory of CompileReports, a
 // single CompileReport, a BENCH_compile.json, or a BENCH_exec.json
 // wall-clock execution benchmark — printing outcome counts and the top-N
 // slowest models/passes; or diffs two runs and flags compile-time
@@ -29,10 +29,10 @@ int Usage() {
   std::cerr << "usage: sf-stats RUN [--top N]\n"
                "       sf-stats --diff BASE CURRENT [--threshold PCT] [--include-wall]\n"
                "\n"
-               "  RUN / BASE / CURRENT  a report directory (SPACEFUSION_REPORT_DIR or\n"
-               "                        sf-compile --report-dir), a single *.report.json,\n"
-               "                        a BENCH_compile.json from table5_model_compile\n"
-               "                        --json, or a BENCH_exec.json from fig_wallclock\n"
+               "  RUN / BASE / CURRENT  a report directory (sf-compile --report-dir), a\n"
+               "                        single *.report.json, a BENCH_compile.json from\n"
+               "                        table5_model_compile --json, or a BENCH_exec.json\n"
+               "                        from fig_wallclock\n"
                "  --top N               how many slowest models/passes to list (default 5)\n"
                "  --threshold PCT       regression threshold in percent (default 10)\n"
                "  --include-wall        also diff wall-clock keys (machine dependent)\n"
