@@ -15,6 +15,7 @@
 
 #include "src/support/binary_io.h"
 #include "src/support/logging.h"
+#include "src/tensor/kernel_math.h"
 
 namespace spacefusion {
 
@@ -29,7 +30,7 @@ namespace {
 
 // Emitter revision: mixed into every kernel key so stale cached .so files
 // from an older emitter can never be served for a new emission scheme.
-constexpr const char* kEmitterVersion = "sfcpp-v2";
+constexpr const char* kEmitterVersion = "sfcpp-v3";
 
 // Matmul register tile: kTileRows x kTileCols accumulators fed kTileDepth
 // contraction steps per k block. 4 x 64 floats is 16 AVX-512 registers.
@@ -50,12 +51,23 @@ constexpr std::int64_t kTileDepth = 256;
 constexpr std::int64_t kParallelWork = std::int64_t{1} << 16;
 constexpr std::int64_t kMatMulWorkDivisor = 16;
 
+// A reduction that runs as a parallel region (its work reaches
+// kParallelWork, in a non-temporal kernel) reduces kReduceRows rows of its
+// innermost row axis at once: each row keeps its own accumulator and
+// ascending order, so the sums are the reference's, but the rows' add
+// chains overlap instead of waiting on one another. Smaller reductions keep
+// one row per loop, which builds faster (DESIGN.md, "Rows reduced in
+// groups").
+constexpr std::int64_t kReduceRows = 4;
+
 // Everything a kernel needs besides its own function: the widest vector
 // type of the ISA it is built for (the matmul tile's registers; each lane
 // rounds exactly as the scalar code does), the parallel-for it is bound to
 // at load time (CppParallelForFn), and sf_for, which runs a loop's chunks on
-// it. No headers: the kernel builds in a fraction of the time, and its math
-// is the compiler's __builtin functions.
+// it. No headers: the kernel builds in a fraction of the time. Its exp and
+// tanh are kSfMathSource, pasted after the prologue into the kernels that
+// call them; its sqrt is __builtin_sqrtf, one instruction under
+// -fno-math-errno.
 constexpr const char* kPrologue = R"(#if defined(__AVX512F__)
 typedef float sf_v __attribute__((vector_size(64)));
 #elif defined(__AVX__)
@@ -69,6 +81,14 @@ constexpr long long sf_vpr = 64 / sf_lanes;
 typedef void (*sf_body_fn)(void*, long long, long long);
 typedef void (*sf_par_fn)(long long, sf_body_fn, void*);
 static sf_par_fn sf_par = 0;
+// Marks a reduction's region: its loops add each row in order, which GCC's
+// loop vectorizer can only do lane by lane, for no speed and about 30 ms of
+// build per LayerNorm or attention kernel.
+#if defined(__GNUC__) && !defined(__clang__)
+#define SF_IN_ORDER __attribute__((optimize("no-tree-loop-vectorize")))
+#else
+#define SF_IN_ORDER
+#endif
 template <class F> static void sf_chunk(void* f, long long lo, long long hi) {
   (*static_cast<F*>(f))(lo, hi);
 }
@@ -161,9 +181,10 @@ class CppEmitter {
     bool region = false;
   };
   // One loop per dim of extent > 1. When `work` clears kParallelWork in a
-  // non-temporal kernel, the outermost loop becomes a parallel region.
+  // non-temporal kernel, the outermost loop becomes a parallel region,
+  // marked SF_IN_ORDER when `in_order` (its loops are a reduction's).
   Loops OpenLoops(const std::vector<std::int64_t>& dims, std::vector<std::string>* coords,
-                  std::int64_t work = 0);
+                  std::int64_t work = 0, bool in_order = false);
   void CloseLoops(const Loops& loops);
   bool Parallel(std::int64_t extent, std::int64_t work) const {
     return !temporal_ && extent > 1 && work >= kParallelWork;
@@ -171,7 +192,7 @@ class CppEmitter {
   // Opens `for (v = v_lo; v < v_hi; ++v)` over the chunk of [0, extent)
   // that sf_for hands its callback; CloseRegion ends the callback after the
   // loop's own brace is closed.
-  void OpenRegion(std::int64_t extent, const std::string& v);
+  void OpenRegion(std::int64_t extent, const std::string& v, bool in_order = false);
   void CloseRegion();
   // `for (long long v = 0; v < bound; ++v) {`, one level deeper; CloseFor
   // ends it.
@@ -415,7 +436,8 @@ std::string CppEmitter::Idx(const Layout& lay, const std::vector<std::string>& c
 }
 
 CppEmitter::Loops CppEmitter::OpenLoops(const std::vector<std::int64_t>& dims,
-                                        std::vector<std::string>* coords, std::int64_t work) {
+                                        std::vector<std::string>* coords, std::int64_t work,
+                                        bool in_order) {
   Loops loops;
   for (std::int64_t d : dims) {
     if (d == 1) {
@@ -424,7 +446,7 @@ CppEmitter::Loops CppEmitter::OpenLoops(const std::vector<std::int64_t>& dims,
     }
     std::string v = NewVar("i");
     if (loops.opened == 0 && Parallel(d, work)) {
-      OpenRegion(d, v);
+      OpenRegion(d, v, in_order);
       loops.region = true;
     } else {
       Line("for (long long " + v + " = 0; " + v + " < " + I64(d) + "; ++" + v + ") {");
@@ -446,8 +468,9 @@ void CppEmitter::CloseLoops(const Loops& loops) {
   }
 }
 
-void CppEmitter::OpenRegion(std::int64_t extent, const std::string& v) {
-  Line("sf_for(" + I64(extent) + ", [&](long long " + v + "_lo, long long " + v + "_hi) {");
+void CppEmitter::OpenRegion(std::int64_t extent, const std::string& v, bool in_order) {
+  Line("sf_for(" + I64(extent) + ", [&](long long " + v + "_lo, long long " + v + "_hi) " +
+       (in_order ? "SF_IN_ORDER {" : "{"));
   ++indent_;
   Line("for (long long " + v + " = " + v + "_lo; " + v + " < " + v + "_hi; ++" + v + ") {");
 }
@@ -502,16 +525,16 @@ namespace detail {
 std::string UnaryExpr(UnaryKind kind, const std::string& x) {
   switch (kind) {
     case UnaryKind::kExp:
-      return "__builtin_expf(" + x + ")";
+      return "sf_exp(" + x + ")";
     case UnaryKind::kRelu:
       return "(" + x + " > 0.0f ? " + x + " : 0.0f)";
     case UnaryKind::kGelu:
-      return "0.5f * " + x + " * (1.0f + __builtin_tanhf(0.7978845608f * (" + x + " + 0.044715f * " +
-             x + " * " + x + " * " + x + ")))";
+      return "0.5f * " + x + " * (1.0f + sf_tanh(0.7978845608f * (" + x + " + 0.044715f * " + x +
+             " * " + x + " * " + x + ")))";
     case UnaryKind::kSigmoid:
-      return "1.0f / (1.0f + __builtin_expf(-" + x + "))";
+      return "1.0f / (1.0f + sf_exp(-" + x + "))";
     case UnaryKind::kTanh:
-      return "__builtin_tanhf(" + x + ")";
+      return "sf_tanh(" + x + ")";
     case UnaryKind::kSqrt:
       return "__builtin_sqrtf(" + x + ")";
     case UnaryKind::kRsqrt:
@@ -575,33 +598,90 @@ void CppEmitter::EmitReduceTo(const Op& op, ReduceKind kind, const Layout& out,
   const std::vector<std::int64_t> in_dims = SliceDims(in, width);
   SF_CHECK_GE(in_dims.size(), 1u);
   const std::int64_t last = in_dims.back();
-  std::vector<std::int64_t> outer(in_dims.begin(), in_dims.end() - 1);
+  const std::vector<std::int64_t> outer(in_dims.begin(), in_dims.end() - 1);
+  const std::int64_t work = Volume(in_dims);
 
+  // Reduces the rows at `rows` (outer coordinates each) in one pass over
+  // the reduced axis: one accumulator per row, each starting at the
+  // identity and taking its row's elements in ascending order.
+  auto reduce_rows = [&](const std::vector<std::vector<std::string>>& rows) {
+    std::vector<std::string> accs;
+    for (size_t k = 0; k < rows.size(); ++k) {
+      accs.push_back(NewVar("acc"));
+      Line("float " + accs[k] + " = " +
+           (kind == ReduceKind::kMax ? "-__builtin_huge_valf()" : "0.0f") + ";");
+    }
+    const std::string r = NewVar("r");
+    OpenFor(r, I64(last));
+    for (size_t k = 0; k < rows.size(); ++k) {
+      std::vector<std::string> in_coords = rows[k];
+      in_coords.push_back(r);
+      const std::string x = EmitLoad(in, in_coords, width);
+      const std::string& acc = accs[k];
+      Line(kind == ReduceKind::kMax
+               ? acc + " = (" + acc + " < " + x + " ? " + x + " : " + acc + ");"
+               : acc + " += " + x + ";");
+    }
+    CloseFor();
+    for (size_t k = 0; k < rows.size(); ++k) {
+      if (kind == ReduceKind::kMean) {
+        Line(accs[k] + " /= static_cast<float>(" + I64(last) + ");");
+      }
+      std::vector<std::string> out_coords = rows[k];
+      out_coords.push_back("0");
+      Line(Idx(out, out_coords) + " = " + accs[k] + ";");
+    }
+  };
+
+  // The innermost outer axis with more than one row; every axis after it
+  // has extent 1.
+  int axis = -1;
+  for (size_t a = 0; a < outer.size(); ++a) {
+    axis = outer[a] > 1 ? static_cast<int>(a) : axis;
+  }
+  const std::int64_t rows = axis < 0 ? 1 : outer[static_cast<size_t>(axis)];
+  if (temporal_ || work < kParallelWork || rows < kReduceRows) {
+    std::vector<std::string> coords;
+    const Loops loops = OpenLoops(outer, &coords, work, /*in_order=*/true);
+    reduce_rows({coords});
+    CloseLoops(loops);
+    return;
+  }
+
+  // Loops over the axes before `axis`, then one loop over groups of
+  // kReduceRows rows spaced rows / kReduceRows apart, then the rows left
+  // over. Spaced rows give the group's results no adjacent stores, the seed
+  // GCC's SLP pass would pack the accumulators from, gathering each column
+  // of the group into one vector: slower than separate add chains.
   std::vector<std::string> coords;
-  const Loops loops = OpenLoops(outer, &coords, Volume(in_dims));
-  std::string acc = NewVar("acc");
-  Line("float " + acc + " = " +
-       (kind == ReduceKind::kMax ? "-__builtin_huge_valf()" : "0.0f") + ";");
-  std::string r = NewVar("r");
-  Line("for (long long " + r + " = 0; " + r + " < " + I64(last) + "; ++" + r + ") {");
-  ++indent_;
-  std::vector<std::string> in_coords = coords;
-  in_coords.push_back(r);
-  std::string x = EmitLoad(in, in_coords, width);
-  if (kind == ReduceKind::kMax) {
-    Line(acc + " = (" + acc + " < " + x + " ? " + x + " : " + acc + ");");
-  } else {
-    Line(acc + " += " + x + ";");
+  const Loops lead = OpenLoops(std::vector<std::int64_t>(outer.begin(), outer.begin() + axis),
+                               &coords, work, /*in_order=*/true);
+  const std::int64_t spacing = rows / kReduceRows;
+  auto row = [&](const std::string& index) {
+    std::vector<std::string> c = coords;
+    c.push_back(index);
+    c.resize(outer.size(), "0");
+    return c;
+  };
+  std::vector<std::string> g;
+  const Loops groups =
+      OpenLoops({spacing}, &g, lead.opened == 0 ? work : 0, /*in_order=*/true);
+  std::vector<std::vector<std::string>> group;
+  for (std::int64_t k = 0; k < kReduceRows; ++k) {
+    const std::string offset = I64(k * spacing);
+    group.push_back(row(k == 0 ? g[0] : g[0] == "0" ? offset : "(" + g[0] + " + " + offset + ")"));
   }
-  --indent_;
-  Line("}");
-  if (kind == ReduceKind::kMean) {
-    Line(acc + " /= static_cast<float>(" + I64(last) + ");");
+  reduce_rows(group);
+  CloseLoops(groups);
+  if (rows % kReduceRows != 0) {
+    const std::string t = NewVar("i");
+    Line("for (long long " + t + " = " + I64(kReduceRows * spacing) + "; " + t + " < " +
+         I64(rows) + "; ++" + t + ") {");
+    ++indent_;
+    reduce_rows({row(t)});
+    CloseFor();
   }
-  std::vector<std::string> out_coords = coords;
-  out_coords.push_back("0");
-  Line(Idx(out, out_coords) + " = " + acc + ";");
-  CloseLoops(loops);
+  CloseLoops(lead);
 }
 
 Status CppEmitter::EmitMatMulTo(const Op& op, const Layout& out, std::int64_t width) {
@@ -869,8 +949,8 @@ Status CppEmitter::EmitAggregated(const Op& op, const ReductionAggregation& agg,
     Line("const float " + nv + " = " + Idx(new_lay, sc) + ";");
     std::string mult = NewVar("mul");
     if (factor.prim == FactorPrim::kExpNeg) {
-      Line("const float " + mult + " = __builtin_expf(" + I64(factor.power) + ".0f * (" + ov +
-           " - " + nv + "));");
+      Line("const float " + mult + " = sf_exp(" + I64(factor.power) + ".0f * (" + ov + " - " +
+           nv + "));");
     } else {
       std::string ratio = NewVar("rat");
       Line("const float " + ratio + " = " + nv + " / " + ov + ";");
@@ -1052,6 +1132,10 @@ StatusOr<CppKernel> CppEmitter::Emit() {
   src += "// kernel: " + g_.name() + "\n";
   src += "// mode: " + mode + "\n";
   src += kPrologue;
+  if (body_.find("sf_exp(") != std::string::npos || body_.find("sf_tanh(") != std::string::npos) {
+    src += kSfMathSource;
+    src += "\n";
+  }
   src += "extern \"C\" void @SYM@_bind(sf_par_fn par) {\n"
          "  __atomic_store_n(&sf_par, par, __ATOMIC_RELAXED);\n}\n\n";
   src += "extern \"C\" int @SYM@(const float* const* in, float* const* out, float* scratch) {\n";

@@ -15,10 +15,18 @@
 // accumulator tile over k blocks of 256; the dot form first copies a K^T
 // panel), and each op's outermost independent loop — batch or heads, rows,
 // or an unbatched matmul's column tiles — runs as one parallel region in
-// contiguous chunks once the op's work clears a fixed constant. Every output
-// element keeps its own ascending accumulation and is written by exactly
-// one chunk, so the result is the same bits at any thread count and any
-// chunking. Temporal (Update-then-Aggregate) kernels stay serial.
+// contiguous chunks once the op's work clears a fixed constant. A reduction
+// that runs as a region reduces four rows per pass, each with its own
+// accumulator. Every output element keeps its own ascending accumulation
+// and is written by exactly one chunk, so the result is the same bits at
+// any thread count and any chunking. Temporal (Update-then-Aggregate)
+// kernels stay serial.
+//
+// exp and tanh (and so GELU and sigmoid) are kSfMathSource
+// (src/tensor/kernel_math.h), the text the interpreter itself evaluates,
+// pasted into each kernel that calls them; it is branch-free, so the
+// elementwise loops vectorize, and each lane rounds as the scalar code
+// does. A kernel calls no library function.
 //
 // An element-wise intermediate is computed inside its consumers instead of
 // stored when every consumer reads each of its elements once: always with
@@ -41,7 +49,8 @@
 // future error codes). The loader calls the bind entry once, before the
 // first call, with the process's kernel pool (KernelParallelFor); a kernel
 // that is never bound runs every loop on the calling thread. The
-// translation unit includes no headers, so it builds standalone.
+// translation unit includes no headers and links against no library, so it
+// builds standalone with the JIT's flags (DefaultJitFlags).
 #ifndef SPACEFUSION_SRC_CODEGEN_CPP_CODEGEN_H_
 #define SPACEFUSION_SRC_CODEGEN_CPP_CODEGEN_H_
 

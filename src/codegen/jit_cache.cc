@@ -101,7 +101,7 @@ StatusOr<LoadedSo> LoadAndBind(const std::string& so_path, const std::string& sy
 }  // namespace
 
 std::string DefaultJitFlags() {
-  std::string flags = "-O3 -std=c++17 -fPIC -shared -ffp-contract=off";
+  std::string flags = "-O3 -std=c++17 -fPIC -shared -nostdlib -ffp-contract=off -fno-math-errno";
 #if defined(__x86_64__)
   static const int level = HostX86Level();
   if (level >= 2) {
@@ -153,7 +153,8 @@ std::string JitKernelCache::EntryPath(std::uint64_t entry_key, const char* ext) 
   return dir_ + "/" + HexKey(entry_key) + ext;
 }
 
-StatusOr<double> JitKernelCache::Build(const CppKernel& kernel, const std::string& so_path) {
+StatusOr<double> JitKernelCache::Build(const CppKernel& kernel, const std::string& so_path,
+                                       Stats* stats) const {
   const std::string cc_path = so_path.substr(0, so_path.size() - 3) + ".cc";
   SF_RETURN_IF_ERROR(AtomicWriteFile(cc_path, kernel.source));
 
@@ -167,7 +168,7 @@ StatusOr<double> JitKernelCache::Build(const CppKernel& kernel, const std::strin
   const double ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
           .count();
-  ++stats_.toolchain_invocations;
+  ++stats->toolchain_invocations;
   SF_COUNTER_ADD("jit.cache.toolchain_invocations", 1);
 
   if (rc != 0) {
@@ -189,21 +190,8 @@ StatusOr<double> JitKernelCache::Build(const CppKernel& kernel, const std::strin
   return ms;
 }
 
-StatusOr<JitKernelCache::Kernel> JitKernelCache::GetOrBuild(const CppKernel& kernel) {
-  const std::uint64_t entry_key = EntryKey(kernel);
-  MutexLock lock(mu_);
-
-  auto it = loaded_.find(entry_key);
-  if (it != loaded_.end()) {
-    if (it->second.fn == nullptr) {
-      return it->second.failure;  // logged and counted when it happened
-    }
-    ++stats_.memory_hits;
-    SF_COUNTER_ADD("jit.cache.hits", 1);
-    return Kernel{it->second.fn, it->second.scratch_floats, entry_key};
-  }
-  SF_COUNTER_ADD("jit.cache.misses", 1);
-
+JitKernelCache::Loaded JitKernelCache::LoadOrBuild(const CppKernel& kernel,
+                                                   std::uint64_t entry_key, Stats* stats) const {
   const std::string so_path = EntryPath(entry_key, ".sfk.so");
   StatusOr<LoadedSo> so = Internal("not on disk");
   if (::access(so_path.c_str(), F_OK) == 0) {
@@ -211,40 +199,76 @@ StatusOr<JitKernelCache::Kernel> JitKernelCache::GetOrBuild(const CppKernel& ker
     if (!so.ok()) {
       // Undlopenable or missing a symbol: a corrupt (or stale-emitter)
       // entry. Evict it and rebuild below.
-      ++stats_.corrupt;
+      ++stats->corrupt;
       SF_COUNTER_ADD("jit.cache.corrupt", 1);
       std::remove(so_path.c_str());
     } else {
-      ++stats_.disk_hits;
+      ++stats->disk_hits;
       SF_COUNTER_ADD("jit.cache.disk_hits", 1);
     }
   }
 
   if (!so.ok()) {
-    StatusOr<double> build_ms = Build(kernel, so_path);
+    StatusOr<double> build_ms = Build(kernel, so_path, stats);
     if (build_ms.ok()) {
       so = LoadAndBind(so_path, kernel.symbol);
     } else {
       SF_COUNTER_ADD("jit.cache.build_failures", 1);
     }
     if (!build_ms.ok() || !so.ok()) {
-      const Status failure =
-          build_ms.ok() ? Internal("jit: freshly built " + kernel.symbol +
-                                   " failed to load: " + so.status().message())
-                        : build_ms.status();
+      Loaded failed;
+      failed.failure = build_ms.ok() ? Internal("jit: freshly built " + kernel.symbol +
+                                                " failed to load: " + so.status().message())
+                                     : build_ms.status();
       // Remembered: the toolchain runs at most once per kernel and cache.
-      ++stats_.failures;
-      SF_LOG(Warning) << failure.message() << " (not retried for this cache's lifetime)";
-      loaded_[entry_key].failure = failure;
-      return failure;
+      ++stats->failures;
+      SF_LOG(Warning) << failed.failure.message() << " (not retried for this cache's lifetime)";
+      return failed;
     }
-    ++stats_.builds;
-    stats_.build_ms += build_ms.value();
+    ++stats->builds;
+    stats->build_ms += build_ms.value();
     SF_COUNTER_ADD("jit.cache.builds", 1);
   }
+  return Loaded{so->handle, so->fn, kernel.scratch_floats, Status::Ok()};
+}
 
-  loaded_[entry_key] = Loaded{so->handle, so->fn, kernel.scratch_floats, Status::Ok()};
-  return Kernel{so->fn, kernel.scratch_floats, entry_key};
+StatusOr<JitKernelCache::Kernel> JitKernelCache::GetOrBuild(const CppKernel& kernel) {
+  const std::uint64_t entry_key = EntryKey(kernel);
+  {
+    MutexLock lock(mu_);
+    while (in_flight_.count(entry_key) > 0) {
+      landed_.Wait(mu_);
+    }
+    auto it = loaded_.find(entry_key);
+    if (it != loaded_.end()) {
+      if (it->second.fn == nullptr) {
+        return it->second.failure;  // logged and counted when it happened
+      }
+      ++stats_.memory_hits;
+      SF_COUNTER_ADD("jit.cache.hits", 1);
+      return Kernel{it->second.fn, it->second.scratch_floats, entry_key};
+    }
+    in_flight_.insert(entry_key);
+  }
+  SF_COUNTER_ADD("jit.cache.misses", 1);
+
+  Stats done;
+  const Loaded entry = LoadOrBuild(kernel, entry_key, &done);
+
+  MutexLock lock(mu_);
+  stats_.disk_hits += done.disk_hits;
+  stats_.builds += done.builds;
+  stats_.corrupt += done.corrupt;
+  stats_.failures += done.failures;
+  stats_.build_ms += done.build_ms;
+  stats_.toolchain_invocations += done.toolchain_invocations;
+  loaded_[entry_key] = entry;
+  in_flight_.erase(entry_key);
+  landed_.NotifyAll();
+  if (entry.fn == nullptr) {
+    return entry.failure;
+  }
+  return Kernel{entry.fn, entry.scratch_floats, entry_key};
 }
 
 JitKernelCache::Stats JitKernelCache::stats() const {

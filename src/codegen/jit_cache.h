@@ -15,15 +15,22 @@
 // -> toolchain build. A loaded kernel is bound to the process's kernel pool
 // (its sf_k_<key>_bind entry gets KernelParallelFor) before it is returned.
 // A .so that fails to dlopen or lacks the entry or bind symbol is
-// *corrupt*: it is counted (jit.cache.corrupt), unlinked, and rebuilt. A build or load that fails is logged once and remembered for the
-// cache's lifetime: later lookups of that kernel return the same error
-// without re-running the toolchain, and callers fall back to the
-// interpreter, never crash.
+// *corrupt*: it is counted (jit.cache.corrupt), unlinked, and rebuilt. A
+// build or load that fails is logged once and remembered for the cache's
+// lifetime: later lookups of that kernel return the same error without
+// re-running the toolchain, and callers fall back to the interpreter, never
+// crash.
+//
+// No lock is held across the disk probe, the toolchain or dlopen: a lookup
+// marks its kernel in flight and does that work unlocked, so memory hits
+// and other kernels' builds proceed meanwhile, and a second lookup of the
+// same kernel waits for the first one's outcome instead of building again.
 #ifndef SPACEFUSION_SRC_CODEGEN_JIT_CACHE_H_
 #define SPACEFUSION_SRC_CODEGEN_JIT_CACHE_H_
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 
 #include "src/codegen/cpp_codegen.h"
@@ -33,9 +40,12 @@
 namespace spacefusion {
 
 // The JIT's compile flags on this host: -O3 -std=c++17 -fPIC -shared
-// -ffp-contract=off, plus -march=x86-64-v4, -v3 or -v2 for the highest ISA
-// level whose every feature the CPU reports and whose vector registers the
-// OS saves (x86-64 only; other hosts get no -march).
+// -nostdlib -ffp-contract=off -fno-math-errno, plus -march=x86-64-v4, -v3 or
+// -v2 for the highest ISA level whose every feature the CPU reports and
+// whose vector registers the OS saves (x86-64 only; other hosts get no
+// -march). A kernel calls no library function: its exp and tanh are
+// kSfMathSource and, without errno, its sqrt is one instruction, so it
+// links against nothing.
 std::string DefaultJitFlags();
 
 struct JitCacheOptions {
@@ -80,7 +90,7 @@ class JitKernelCache {
 
   // Returns the callable for `kernel`, building and/or loading it as
   // needed. Thread-safe; concurrent requests for the same kernel build it
-  // once.
+  // once, and no request waits on another kernel's build.
   StatusOr<Kernel> GetOrBuild(const CppKernel& kernel);
 
   Stats stats() const;
@@ -98,9 +108,14 @@ class JitKernelCache {
 
   std::uint64_t EntryKey(const CppKernel& kernel) const;
   std::string EntryPath(std::uint64_t entry_key, const char* ext) const;
-  // Compile kernel.source into `so_path`. Returns the toolchain wall time.
-  StatusOr<double> Build(const CppKernel& kernel, const std::string& so_path)
-      SF_REQUIRES(mu_);
+  // Loads the entry from disk or builds it, counting what it did into
+  // `stats`. Runs without mu_: the caller has marked the entry in flight.
+  Loaded LoadOrBuild(const CppKernel& kernel, std::uint64_t entry_key, Stats* stats) const
+      SF_EXCLUDES(mu_);
+  // Compiles kernel.source into `so_path`, counting the toolchain run into
+  // `stats`. Returns the toolchain wall time.
+  StatusOr<double> Build(const CppKernel& kernel, const std::string& so_path,
+                         Stats* stats) const;
 
   JitCacheOptions options_;
   std::string dir_;         // options_.dir, or the directory the cache made
@@ -108,6 +123,8 @@ class JitKernelCache {
 
   mutable Mutex mu_;
   std::map<std::uint64_t, Loaded> loaded_ SF_GUARDED_BY(mu_);
+  std::set<std::uint64_t> in_flight_ SF_GUARDED_BY(mu_);  // being loaded or built
+  CondVar landed_;  // an in-flight entry reached loaded_
   Stats stats_ SF_GUARDED_BY(mu_);
 };
 

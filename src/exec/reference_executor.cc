@@ -1,6 +1,7 @@
 #include "src/exec/reference_executor.h"
 
 #include "src/support/logging.h"
+#include "src/support/string_util.h"
 #include "src/tensor/tensor_ops.h"
 
 namespace spacefusion {
@@ -44,17 +45,25 @@ Tensor EvaluateOp(const Op& op, const std::vector<Tensor>& inputs) {
   return Tensor();
 }
 
-void RunReference(const Graph& graph, TensorEnv* env) {
+Status RunReference(const Graph& graph, TensorEnv* env) {
+  if (env->size() != graph.tensors().size()) {
+    return InvalidArgument(StrCat("graph ", graph.name(), " has ", graph.tensors().size(),
+                                  " tensors but the environment has ", env->size(), " slots"));
+  }
   for (const Op& op : graph.ops()) {
     std::vector<Tensor> inputs;
     inputs.reserve(op.inputs.size());
     for (TensorId in : op.inputs) {
       const Tensor& t = (*env)[static_cast<size_t>(in)];
-      SF_CHECK(t.defined()) << "tensor " << graph.tensor(in).name << " undefined";
+      if (!t.defined()) {
+        return InvalidArgument(StrCat("tensor ", graph.tensor(in).name, " of graph ",
+                                      graph.name(), " is undefined"));
+      }
       inputs.push_back(t);
     }
     (*env)[static_cast<size_t>(op.output)] = EvaluateOp(op, inputs);
   }
+  return Status::Ok();
 }
 
 }  // namespace spacefusion

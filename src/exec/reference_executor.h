@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/graph/graph.h"
+#include "src/support/status.h"
 #include "src/tensor/tensor.h"
 
 namespace spacefusion {
@@ -21,7 +22,10 @@ TensorEnv MakeGraphInputs(const Graph& graph, std::uint64_t seed);
 Tensor EvaluateOp(const Op& op, const std::vector<Tensor>& inputs);
 
 // Executes every op in order, filling intermediates and outputs.
-void RunReference(const Graph& graph, TensorEnv* env);
+// INVALID_ARGUMENT when `env` has no slot per graph tensor, or, naming the
+// tensor, when an op reads a slot that is undefined (the ops before it have
+// run).
+Status RunReference(const Graph& graph, TensorEnv* env);
 
 }  // namespace spacefusion
 

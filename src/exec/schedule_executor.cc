@@ -85,8 +85,7 @@ Status RunSchedule(const SmgSchedule& schedule, TensorEnv* env) {
 
   if (!schedule.has_temporal || schedule.NumIntraBlocks() <= 1) {
     // No temporal loop: the fused kernel evaluates the dataflow once.
-    RunReference(graph, env);
-    return Status::Ok();
+    return RunReference(graph, env);
   }
   span.Arg("temporal_steps", schedule.NumIntraBlocks());
   SF_COUNTER_ADD("exec.temporal_steps", schedule.NumIntraBlocks());
@@ -148,7 +147,8 @@ Status RunSchedule(const SmgSchedule& schedule, TensorEnv* env) {
         }
         const Tensor& boundary = (*env)[static_cast<size_t>(in)];
         if (!boundary.defined()) {
-          return Internal(StrCat("undefined tensor ", graph.tensor(in).name));
+          return InvalidArgument(StrCat("tensor ", graph.tensor(in).name, " of graph ",
+                                        graph.name(), " is undefined"));
         }
         int axis = built.AxisOfDim(in, tdim);
         inputs.push_back(axis >= 0 ? SliceAxis(boundary, axis, s0, width) : boundary);

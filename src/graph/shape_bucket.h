@@ -110,10 +110,11 @@ struct TensorLayout {
   bool attn_mask = false;
 };
 
-// Additive-mask fill for padded key/value columns: exp(kMaskPadValue - max)
-// underflows to exactly +0.0f, so the bucket softmax is bit-identical to the
-// exact softmax on the real region (padding is a suffix, summation order of
-// real elements is unchanged).
+// Additive-mask fill for padded key/value columns: sf_exp clamps its
+// argument at -104, so sf_exp(kMaskPadValue - max) is exactly +0.0f for any
+// row max (KernelMathTest.MaskPadValueExpIsExactlyZero), and the bucket
+// softmax is bit-identical to the exact softmax on the real region (padding
+// is a suffix, summation order of real elements is unchanged).
 inline constexpr float kMaskPadValue = -1e30f;
 
 // Padding rules for one subprogram: entries parallel to the graph's

@@ -1,18 +1,18 @@
 #include "src/slicing/update_functions.h"
 
-#include <cmath>
 #include <map>
 
 #include "src/slicing/dim_analysis.h"
 #include "src/support/logging.h"
 #include "src/support/string_util.h"
+#include "src/tensor/kernel_math.h"
 
 namespace spacefusion {
 
 float UpdateFactor::Multiplier(float old_v, float new_v) const {
   switch (prim) {
     case FactorPrim::kExpNeg:
-      return std::exp(static_cast<float>(power) * (old_v - new_v));
+      return sf_exp(static_cast<float>(power) * (old_v - new_v));
     case FactorPrim::kIdent: {
       float ratio = new_v / old_v;
       float result = 1.0f;

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "src/support/logging.h"
+#include "src/tensor/kernel_math.h"
 
 namespace spacefusion {
 
@@ -64,18 +65,18 @@ const char* ReduceKindName(ReduceKind kind) {
 float EvalUnary(UnaryKind kind, float x) {
   switch (kind) {
     case UnaryKind::kExp:
-      return std::exp(x);
+      return sf_exp(x);
     case UnaryKind::kRelu:
       return x > 0.0f ? x : 0.0f;
     case UnaryKind::kGelu: {
       // tanh approximation, as used by BERT-family models.
       const float kC = 0.7978845608f;  // sqrt(2/pi)
-      return 0.5f * x * (1.0f + std::tanh(kC * (x + 0.044715f * x * x * x)));
+      return 0.5f * x * (1.0f + sf_tanh(kC * (x + 0.044715f * x * x * x)));
     }
     case UnaryKind::kSigmoid:
-      return 1.0f / (1.0f + std::exp(-x));
+      return 1.0f / (1.0f + sf_exp(-x));
     case UnaryKind::kTanh:
-      return std::tanh(x);
+      return sf_tanh(x);
     case UnaryKind::kSqrt:
       return std::sqrt(x);
     case UnaryKind::kRsqrt:

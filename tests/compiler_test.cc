@@ -35,7 +35,7 @@ TEST(CompilerTest, CompiledMhaIsNumericallyExact) {
 
   TensorEnv inputs = MakeGraphInputs(g, 21);
   TensorEnv ref = inputs;
-  RunReference(g, &ref);
+  ASSERT_TRUE(RunReference(g, &ref).ok());
   TensorEnv outs;
   ASSERT_TRUE(RunScheduledProgram(compiled->program, g, inputs, &outs).ok());
   EXPECT_LT(MaxRelDiff(outs[static_cast<size_t>(g.OutputIds()[0])],
@@ -70,7 +70,7 @@ TEST_P(CompiledSubgraphNumericsTest, TunedProgramMatchesReference) {
 
   TensorEnv inputs = MakeGraphInputs(g, 31);
   TensorEnv ref = inputs;
-  RunReference(g, &ref);
+  ASSERT_TRUE(RunReference(g, &ref).ok());
   TensorEnv outs;
   ASSERT_TRUE(RunScheduledProgram(compiled->program, g, inputs, &outs).ok());
   for (TensorId out : g.OutputIds()) {

@@ -52,7 +52,7 @@ TEST(ComponentsTest, CompiledComponentsRunByName) {
 
   TensorEnv inputs = MakeGraphInputs(g, 9);
   TensorEnv reference = inputs;
-  RunReference(g, &reference);
+  ASSERT_TRUE(RunReference(g, &reference).ok());
   TensorEnv outputs;
   ASSERT_TRUE(RunScheduledProgram(compiled->program, g, inputs, &outputs).ok());
   for (TensorId out : g.OutputIds()) {
@@ -135,7 +135,7 @@ TEST(MeanAggregationTest, TemporalMeanIsExact) {
 
   TensorEnv inputs = MakeGraphInputs(g, 4);
   TensorEnv ref = inputs;
-  RunReference(g, &ref);
+  ASSERT_TRUE(RunReference(g, &ref).ok());
   sliced->schedule.ApplyConfig(sliced->configs.front());
   PlanMemory(&sliced->schedule, rc);
   TensorEnv env = inputs;
@@ -161,7 +161,7 @@ TEST(MeanAggregationTest, MeanFeedingReductionSinkIsExactUnderSlicing) {
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   TensorEnv inputs = MakeGraphInputs(g, 6);
   TensorEnv ref = inputs;
-  RunReference(g, &ref);
+  ASSERT_TRUE(RunReference(g, &ref).ok());
   TensorEnv outputs;
   ASSERT_TRUE(RunScheduledProgram(compiled->program, g, inputs, &outputs).ok());
   TensorId out = g.OutputIds()[0];

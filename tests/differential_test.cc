@@ -24,7 +24,7 @@ void ExpectFusedMatchesReference(const Graph& g, const CompileOptions& options,
 
   TensorEnv inputs = MakeGraphInputs(g, input_seed);
   TensorEnv reference = inputs;
-  RunReference(g, &reference);
+  ASSERT_TRUE(RunReference(g, &reference).ok());
   TensorEnv outputs;
   Status st = RunScheduledProgram(compiled->program, g, inputs, &outputs);
   ASSERT_TRUE(st.ok()) << st.ToString();

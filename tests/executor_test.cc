@@ -44,7 +44,7 @@ void ExpectFusedMatchesReference(const Graph& graph, std::int64_t want_step,
 
   TensorEnv env = MakeGraphInputs(graph, /*seed=*/99);
   TensorEnv ref = env;
-  RunReference(graph, &ref);
+  ASSERT_TRUE(RunReference(graph, &ref).ok());
   ASSERT_TRUE(RunSchedule(sliced->schedule, &env).ok());
 
   for (TensorId out : graph.OutputIds()) {
@@ -172,7 +172,7 @@ TEST(PartitionedExecutionTest, SplitProgramMatchesReference) {
 
   TensorEnv inputs = MakeGraphInputs(g, 7);
   TensorEnv ref = inputs;
-  RunReference(g, &ref);
+  ASSERT_TRUE(RunReference(g, &ref).ok());
   TensorEnv outs;
   ASSERT_TRUE(RunScheduledProgram(program, g, inputs, &outs).ok());
   for (TensorId out : g.OutputIds()) {
@@ -192,7 +192,7 @@ TEST(PartitionedExecutionTest, SinglePartitionProgramAlsoRuns) {
   }
   TensorEnv inputs = MakeGraphInputs(g, 3);
   TensorEnv ref = inputs;
-  RunReference(g, &ref);
+  ASSERT_TRUE(RunReference(g, &ref).ok());
   TensorEnv outs;
   ASSERT_TRUE(RunScheduledProgram(program, g, inputs, &outs).ok());
   EXPECT_LT(MaxRelDiff(outs[static_cast<size_t>(g.OutputIds()[0])],
@@ -205,7 +205,7 @@ TEST(PartitionedExecutionTest, SinglePartitionProgramAlsoRuns) {
 TEST(ReferenceExecutorTest, FillsAllTensors) {
   Graph g = BuildLstmCell(4, 8, 8);
   TensorEnv env = MakeGraphInputs(g, 1);
-  RunReference(g, &env);
+  ASSERT_TRUE(RunReference(g, &env).ok());
   for (const TensorInfo& t : g.tensors()) {
     EXPECT_TRUE(env[static_cast<size_t>(t.id)].defined()) << t.name;
   }
@@ -218,11 +218,48 @@ TEST(ReferenceExecutorTest, ConstantsSplat) {
   b.MarkOutput(scaled);
   Graph g = b.Build();
   TensorEnv env = MakeGraphInputs(g, 1);
-  RunReference(g, &env);
+  ASSERT_TRUE(RunReference(g, &env).ok());
   for (std::int64_t i = 0; i < 4; ++i) {
     EXPECT_FLOAT_EQ(env[static_cast<size_t>(scaled)].at(i),
                     env[static_cast<size_t>(x)].at(i) * 2.0f);
   }
+}
+
+// An undefined input slot is INVALID_ARGUMENT naming the tensor, from
+// RunReference and from both of RunSchedule's paths, never an abort.
+TEST(ReferenceExecutorTest, UndefinedInputIsInvalidArgument) {
+  GraphBuilder b("mlp");
+  const TensorId x = b.Input("x", Shape({16, 32}));
+  const TensorId w = b.Weight("w_undefined", Shape({32, 32}));
+  b.MarkOutput(b.Relu(b.MatMul(x, w)));
+  const Graph mlp = b.Build();
+  const Graph mha = BuildMha(/*batch_heads=*/2, /*seq_q=*/16, /*seq_kv=*/64, /*head_dim=*/8);
+  const ResourceConfig rc = ResourceConfig::FromArch(AmpereA100());
+  for (const auto& [graph, temporal] : {std::pair<const Graph*, bool>{&mlp, false}, {&mha, true}}) {
+    StatusOr<SlicingResult> sliced = ResourceAwareSlicing(*graph, rc);
+    ASSERT_TRUE(sliced.ok()) << sliced.status().ToString();
+    for (const ScheduleConfig& c : sliced->configs) {
+      sliced->schedule.ApplyConfig(c);
+      if ((sliced->schedule.has_temporal && sliced->schedule.NumIntraBlocks() > 1) == temporal) {
+        break;
+      }
+    }
+    const SmgSchedule& schedule = sliced->schedule;
+    ASSERT_EQ(schedule.has_temporal && schedule.NumIntraBlocks() > 1, temporal) << graph->name();
+    // The weight of the MLP, the last input (v) of attention.
+    const TensorId undefined = temporal ? graph->InputIds().back() : w;
+    const std::string name = "tensor " + graph->tensor(undefined).name + " ";
+    TensorEnv env = MakeGraphInputs(*graph, /*seed=*/1);
+    env[static_cast<size_t>(undefined)] = Tensor();
+    TensorEnv reference = env;
+    for (const Status& st : {RunSchedule(schedule, &env), RunReference(*graph, &reference)}) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+      EXPECT_NE(st.message().find(name), std::string::npos) << st.ToString();
+    }
+  }
+  TensorEnv short_env = MakeGraphInputs(mlp, /*seed=*/1);
+  short_env.pop_back();
+  EXPECT_EQ(RunReference(mlp, &short_env).code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -31,7 +31,7 @@ TEST_P(FuzzCompileTest, CompiledProgramMatchesReference) {
 
   TensorEnv inputs = MakeGraphInputs(g, 77);
   TensorEnv reference = inputs;
-  RunReference(g, &reference);
+  ASSERT_TRUE(RunReference(g, &reference).ok());
   TensorEnv outputs;
   Status st = RunScheduledProgram(compiled->program, g, inputs, &outputs);
   ASSERT_TRUE(st.ok()) << st.ToString();

@@ -11,6 +11,8 @@
 // targets we allow a tight relative tolerance.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -34,6 +36,7 @@
 #include "src/schedule/resource_aware.h"
 #include "src/sim/arch.h"
 #include "src/support/file_util.h"
+#include "src/tensor/kernel_math.h"
 #include "tests/random_graph.h"
 #include "tests/test_dirs.h"
 
@@ -106,7 +109,7 @@ void ExpectJitMatchesInterpreter(const Graph& g, std::uint64_t seed, JitExecutor
   ASSERT_TRUE(st.ok()) << st.ToString();
 
   TensorEnv reference = inputs;
-  RunReference(g, &reference);
+  ASSERT_TRUE(RunReference(g, &reference).ok());
 
   for (TensorId out : g.OutputIds()) {
     const size_t i = static_cast<size_t>(out);
@@ -174,6 +177,90 @@ TEST(JitExecutorTest, FfnMatchesInterpreter) {
 TEST(JitExecutorTest, SwigluFfnMatchesInterpreter) {
   Graph g = BuildSwigluFfn(/*tokens=*/24, /*hidden=*/32, /*ffn_dim=*/64);
   ExpectJitMatchesInterpreter(g, /*seed=*/16, SharedExecutor());
+}
+
+// Reductions large enough to run in row groups, with rows left over after
+// the last group: LayerNorm's 1027 rows (3 left over) and attention's 257
+// query rows per head (1 left over), fused and unfused.
+TEST(JitExecutorTest, GroupedReductionsWithLeftoverRowsMatchInterpreter) {
+  for (const Graph& g : {BuildLayerNormGraph(/*m=*/1027, /*n=*/256),
+                         BuildMha(/*batch_heads=*/3, /*seq_q=*/257, /*seq_kv=*/255,
+                                  /*head_dim=*/64)}) {
+    StatusOr<CompiledSubprogram> compiled = CompileGraph(g);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    StatusOr<std::string> source = EmitCppProgram(compiled->program);
+    ASSERT_TRUE(source.ok()) << source.status().ToString();
+    const std::string leftover = g.name().starts_with("layernorm") ? " = 1024; " : " = 256; ";
+    EXPECT_NE(source->find(leftover), std::string::npos) << g.name();
+    ExpectJitMatchesInterpreter(g, /*seed=*/17, SharedExecutor());
+    ExpectJitMatchesInterpreter(g, /*seed=*/17, SharedReferenceExecutor());
+  }
+}
+
+// A row max keeps the interpreter's bits on rows holding -inf and NaN, in
+// row groups (259 rows) and one row at a time (16 rows), fused and unfused.
+TEST(JitExecutorTest, RowMaxOverInfinitiesAndNansMatchesInterpreter) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (std::int64_t rows : {259, 16}) {
+    constexpr std::int64_t kCols = 300;
+    GraphBuilder b("row_max_" + std::to_string(rows));
+    const TensorId x = b.Input("x", Shape({rows, kCols}));
+    const TensorId max = b.Reduce(ReduceKind::kMax, x);
+    b.MarkOutput(max);
+    b.MarkOutput(b.Sub(x, max));
+    const Graph g = b.Build();
+    StatusOr<CompiledSubprogram> compiled = CompileGraph(g);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+
+    TensorEnv inputs = MakeGraphInputs(g, /*seed=*/31);
+    float* v = inputs[static_cast<size_t>(x)].data();
+    for (std::int64_t r = 0; r < rows; ++r) {
+      float* row = v + r * kCols;
+      switch (r % 8) {
+        case 0:  // all -inf
+          std::fill(row, row + kCols, -inf);
+          break;
+        case 1:  // NaN first
+          row[0] = nan;
+          break;
+        case 2:  // NaN last
+          row[kCols - 1] = nan;
+          break;
+        case 3:  // -inf and NaN among finite values
+          row[7] = -inf;
+          row[150] = nan;
+          break;
+        case 4:  // all NaN
+          std::fill(row, row + kCols, nan);
+          break;
+        case 5:  // -inf then NaN, nothing else
+          std::fill(row, row + kCols, -inf);
+          row[kCols / 2] = nan;
+          break;
+        default:  // finite
+          break;
+      }
+    }
+    TensorEnv interpreted;
+    ASSERT_TRUE(RunScheduledProgram(compiled->program, g, inputs, &interpreted).ok());
+    for (JitExecutor* executor : {&SharedExecutor(), &SharedReferenceExecutor()}) {
+      const std::int64_t fallbacks = executor->stats().fallbacks;
+      TensorEnv jitted;
+      Status st = executor->RunProgram(compiled->program, g, inputs, &jitted);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(executor->stats().fallbacks, fallbacks);
+      for (TensorId out : g.OutputIds()) {
+        const Tensor& want = interpreted[static_cast<size_t>(out)];
+        const Tensor& got = jitted[static_cast<size_t>(out)];
+        ASSERT_EQ(got.shape(), want.shape());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              static_cast<size_t>(want.volume()) * sizeof(float)),
+                  0)
+            << g.name() << " " << g.tensor(out).name;
+      }
+    }
+  }
 }
 
 // True when some kernel of `g`'s compiled program runs a parallel region.
@@ -633,7 +720,9 @@ TEST_F(JitCacheTest, FlagsArePartOfTheEntryKey) {
                      : __builtin_cpu_supports("x86-64-v3") ? " -march=x86-64-v3"
                      : __builtin_cpu_supports("x86-64-v2") ? " -march=x86-64-v2"
                                                            : "";
-  EXPECT_EQ(flags, std::string("-O3 -std=c++17 -fPIC -shared -ffp-contract=off") + want);
+  EXPECT_EQ(flags, std::string("-O3 -std=c++17 -fPIC -shared -nostdlib -ffp-contract=off "
+                               "-fno-math-errno") +
+                       want);
 #endif
   CppKernel kernel = EmitOneKernel(BuildLayerNormGraph(8, 16));
   JitCacheOptions host;
@@ -649,6 +738,54 @@ TEST_F(JitCacheTest, FlagsArePartOfTheEntryKey) {
   EXPECT_NE(ka->key, kb->key);
   EXPECT_EQ(b.stats().builds, 1);
   EXPECT_EQ(b.stats().disk_hits, 0);
+}
+
+// No lock is held across a toolchain run. With a compiler that takes over
+// 2 s per kernel, a lookup of a loaded kernel returns at once while another
+// kernel builds, and a second lookup of the kernel being built waits for
+// that build instead of running the toolchain again.
+TEST_F(JitCacheTest, BuildsHoldNoLockAndRunOncePerKernel) {
+  const std::string dir = UniqueTestDir("slow-toolchain");
+  std::filesystem::create_directories(dir);
+  const std::string started = dir + "/started";
+  const std::string compiler = dir + "/slow-c++";
+  {
+    std::ofstream script(compiler);
+    script << "#!/bin/sh\ntouch '" << started << "'\nsleep 2\nexec c++ \"$@\"\n";
+  }
+  std::filesystem::permissions(compiler, std::filesystem::perms::owner_all);
+  JitCacheOptions options;
+  options.dir = dir;
+  options.compiler = compiler;
+  JitKernelCache cache(options);
+  const CppKernel loaded = EmitOneKernel(BuildLayerNormGraph(8, 16));
+  const CppKernel building = EmitOneKernel(BuildLayerNormGraph(8, 32));
+  ASSERT_TRUE(cache.GetOrBuild(loaded).ok());
+  std::filesystem::remove(started);
+
+  StatusOr<JitKernelCache::Kernel> first = Internal("not run");
+  StatusOr<JitKernelCache::Kernel> second = Internal("not run");
+  std::thread builder([&] { first = cache.GetOrBuild(building); });
+  for (int i = 0; i < 3000 && !std::filesystem::exists(started); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(std::filesystem::exists(started));
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(cache.GetOrBuild(loaded).ok());
+  const double hit_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+          .count();
+  std::thread waiter([&] { second = cache.GetOrBuild(building); });
+  builder.join();
+  waiter.join();
+  EXPECT_LT(hit_ms, 100.0);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(first->fn, second->fn);
+  const JitKernelCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.toolchain_invocations, 2);
+  EXPECT_EQ(stats.builds, 2);
+  EXPECT_EQ(stats.memory_hits, 2);
 }
 
 // The executor hands kernels uninitialized scratch: every kernel must write
@@ -792,6 +929,36 @@ TEST(CppCodegenTest, OptionsChangeTheKey) {
   ASSERT_TRUE(b.ok());
   EXPECT_NE(a->key, b->key);
   EXPECT_NE(CppCodegenOptionsDigest(plain), CppCodegenOptionsDigest(reference));
+}
+
+// The shared math is pasted verbatim into the kernels that call exp or tanh
+// (attention's softmax, the FFN's GELU), and into no other kernel.
+TEST(CppCodegenTest, SharedMathIsPastedOnlyIntoKernelsThatCallIt) {
+  int with_math = 0;
+  int without_math = 0;
+  for (const Graph& g : {BuildMha(2, 32, 32, 16), BuildLayerNormGraph(8, 16),
+                         BuildFfn(/*tokens=*/32, /*hidden=*/48, /*ffn_dim=*/96,
+                                  UnaryKind::kGelu, NormKind::kLayerNorm)}) {
+    StatusOr<CompiledSubprogram> compiled = CompileGraph(g);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    for (const SmgSchedule& schedule : compiled->program.kernels) {
+      bool calls = false;
+      for (const Op& op : schedule.graph.ops()) {
+        const UnaryKind u = op.attrs.unary;
+        calls = calls ||
+                (op.kind == OpKind::kUnary && (u == UnaryKind::kExp || u == UnaryKind::kGelu));
+      }
+      StatusOr<CppKernel> kernel = EmitCppKernel(schedule);
+      ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+      EXPECT_EQ(kernel->source.find(kSfMathSource) != std::string::npos, calls)
+          << schedule.graph.name();
+      EXPECT_EQ(kernel->source.find("sf_exp") != std::string::npos, calls)
+          << schedule.graph.name();
+      (calls ? with_math : without_math) += 1;
+    }
+  }
+  EXPECT_GE(with_math, 2);
+  EXPECT_GE(without_math, 1);
 }
 
 // Scratch buffer of `t` in an emitted kernel's source.

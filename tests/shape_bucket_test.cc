@@ -621,7 +621,7 @@ TEST(ShapeDispatchDifferentialTest, DispatchMatchesExactCompileOnEveryZooModel) 
         const bool check_reference = kind != ModelKind::kLlama2;
         TensorEnv reference = inputs;
         if (check_reference) {
-          RunReference(g, &reference);
+          ASSERT_TRUE(RunReference(g, &reference).ok());
         }
 
         // The direct compile at the exact shape: the ground truth dispatch

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
+#include "src/graph/shape_bucket.h"
+#include "src/tensor/kernel_math.h"
 #include "src/tensor/tensor.h"
 #include "src/tensor/tensor_ops.h"
 
@@ -208,6 +213,106 @@ TEST(TensorOpsTest, MaxRelDiffScaleAware) {
   Tensor b = Tensor::Full({2}, 1001.0f);
   EXPECT_LT(MaxRelDiff(a, b), 2e-3f);
   EXPECT_GT(MaxAbsDiff(a, b), 0.5f);
+}
+
+// Units in the last place between two floats: 0 when both are NaN, the
+// maximum when only one is, and +0 and -0 count as equal.
+std::int64_t UlpDistance(float a, float b) {
+  if (std::isnan(a) || std::isnan(b)) {
+    return std::isnan(a) && std::isnan(b) ? 0 : std::numeric_limits<std::int64_t>::max();
+  }
+  auto line = [](float f) {
+    std::int32_t bits = 0;
+    std::memcpy(&bits, &f, sizeof(bits));
+    return bits < 0 ? std::int64_t{std::numeric_limits<std::int32_t>::min()} - bits
+                    : std::int64_t{bits};
+  };
+  const std::int64_t d = line(a) - line(b);
+  return d < 0 ? -d : d;
+}
+
+float FromBits(std::uint32_t bits) {
+  float f = 0.0f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+// The shared exp and tanh stay within 1 and 2 ulp of libm over every 997th
+// float: every sign, denormals, both clamps, infinities and NaNs.
+TEST(KernelMathTest, ExpAndTanhTrackLibmOnAStridedSweep) {
+  std::int64_t worst_exp = 0;
+  std::int64_t worst_tanh = 0;
+  float at_exp = 0.0f;
+  float at_tanh = 0.0f;
+  for (std::uint64_t bits = 0; bits <= 0xffffffffu; bits += 997) {
+    const float x = FromBits(static_cast<std::uint32_t>(bits));
+    const std::int64_t e = UlpDistance(sf_exp(x), std::exp(x));
+    const std::int64_t t = UlpDistance(sf_tanh(x), std::tanh(x));
+    if (e > worst_exp) {
+      worst_exp = e;
+      at_exp = x;
+    }
+    if (t > worst_tanh) {
+      worst_tanh = t;
+      at_tanh = x;
+    }
+  }
+  EXPECT_LE(worst_exp, 1) << "at x = " << at_exp;
+  EXPECT_LE(worst_tanh, 2) << "at x = " << at_tanh;
+}
+
+TEST(KernelMathTest, EdgeCases) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denormal = std::numeric_limits<float>::denorm_min() * 1000.0f;
+  EXPECT_EQ(sf_exp(0.0f), 1.0f);
+  EXPECT_EQ(sf_exp(-0.0f), 1.0f);
+  EXPECT_EQ(sf_exp(denormal), 1.0f);
+  EXPECT_EQ(sf_exp(-denormal), 1.0f);
+  EXPECT_EQ(sf_exp(inf), inf);
+  EXPECT_TRUE(std::isnan(sf_exp(nan)));
+  // Results in the denormal range round once, as libm's do.
+  for (float x : {-87.5f, -90.0f, -100.0f, -103.0f, -103.9f}) {
+    EXPECT_GT(sf_exp(x), 0.0f) << x;
+    EXPECT_LE(UlpDistance(sf_exp(x), std::exp(x)), 1) << x;
+  }
+  // Below about -103.97 the result is +0; above about 88.72, +inf.
+  for (float x : {-103.98f, -104.0f, -104.5f, -200.0f, -1e30f, -inf}) {
+    EXPECT_EQ(sf_exp(x), 0.0f) << x;
+    EXPECT_FALSE(std::signbit(sf_exp(x))) << x;
+  }
+  EXPECT_LE(UlpDistance(sf_exp(88.72f), std::exp(88.72f)), 1);
+  EXPECT_LT(sf_exp(88.72f), inf);
+  for (float x : {88.73f, 89.0f, 89.5f, 1e30f}) {
+    EXPECT_EQ(sf_exp(x), inf) << x;
+  }
+
+  EXPECT_EQ(sf_tanh(0.0f), 0.0f);
+  EXPECT_FALSE(std::signbit(sf_tanh(0.0f)));
+  EXPECT_EQ(sf_tanh(-0.0f), 0.0f);
+  EXPECT_TRUE(std::signbit(sf_tanh(-0.0f)));
+  EXPECT_EQ(sf_tanh(denormal), denormal);
+  EXPECT_EQ(sf_tanh(-denormal), -denormal);
+  EXPECT_EQ(sf_tanh(inf), 1.0f);
+  EXPECT_EQ(sf_tanh(-inf), -1.0f);
+  EXPECT_TRUE(std::isnan(sf_tanh(nan)));
+  // Both sides of the switch from the polynomial to exp, and saturation.
+  for (float x : {std::nextafter(0.625f, 0.0f), 0.625f, std::nextafter(0.625f, 1.0f), 9.0f,
+                  20.0f, 89.0f}) {
+    EXPECT_LE(UlpDistance(sf_tanh(x), std::tanh(x)), 2) << x;
+    EXPECT_EQ(sf_tanh(-x), -sf_tanh(x)) << x;
+  }
+}
+
+// Padded attention columns hold kMaskPadValue: their exp is exactly +0.0f
+// for any row maximum, so the padded softmax sums only the real columns.
+TEST(KernelMathTest, MaskPadValueExpIsExactlyZero) {
+  for (float row_max : {-1e4f, -3.0f, 0.0f, 3.0f, 1e4f}) {
+    const float e = sf_exp(kMaskPadValue - row_max);
+    EXPECT_EQ(e, 0.0f) << row_max;
+    EXPECT_FALSE(std::signbit(e)) << row_max;
+    EXPECT_EQ(EvalUnary(UnaryKind::kExp, kMaskPadValue - row_max), e) << row_max;
+  }
 }
 
 }  // namespace
